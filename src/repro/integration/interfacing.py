@@ -55,7 +55,11 @@ class LevelInputBinding:
         self._previous: Any = device.read()
 
     def collect(self) -> List[Tuple[str, Any]]:
-        current = self.device._latched_value
+        # Reads go through ``read()``: sensor fault models wrap it.
+        return self._edge(self.device.read())
+
+    def _edge(self, current: Any) -> List[Tuple[str, Any]]:
+        """The occurrences produced by reading ``current`` (at most one)."""
         if current == self._previous:
             return []
         occurrences: List[Tuple[str, Any]] = []
@@ -80,7 +84,9 @@ class InputInterfacing:
         # cycle every binding returns [].  Inlining the two built-in bindings'
         # idle checks skips a method call and a list allocation per binding
         # per cycle; anything else (e.g. a test double) takes the general
-        # collect() path unchanged.
+        # collect() path unchanged.  Each level binding reads its sensor
+        # exactly once per cycle, through ``read()`` (fault models wrap it,
+        # and a glitching read draws from its fault stream on every call).
         occurrences: List[Tuple[str, Any]] = []
         for binding in self._bindings:
             cls = binding.__class__
@@ -88,8 +94,10 @@ class InputInterfacing:
                 if not binding.device._buffer:
                     continue
             elif cls is LevelInputBinding:
-                if binding.device._latched_value == binding._previous:
-                    continue
+                current = binding.device.read()
+                if current != binding._previous:
+                    occurrences.extend(binding._edge(current))
+                continue
             occurrences.extend(binding.collect())
         return occurrences
 

@@ -12,6 +12,15 @@ The devices here model the *platform side* of that conversion:
 * an output device applies writes after an actuation latency and only then
   makes the change physically visible (the c-event).
 
+Sampling is event-driven in cost but not in timing: every input device keeps
+its periodic sampling chain, and marks the chain's kernel handle *dormant*
+while a sample would find nothing to do (see
+:meth:`~repro.platform.kernel.simulator.Simulator.schedule_periodic`).  The
+kernel then re-arms the idle samples without calling the driver, and the
+driver clears the mark from the physical side the moment a change arrives.
+The seed engine's drivers never create the handle, so every mark update
+tolerates its absence.
+
 The devices record M and C events into the shared :class:`TraceRecorder`; the
 I and O events are recorded by the integration layer because, per the paper,
 the i-event is "when CODE(M) reads the input" and the o-event is "when
@@ -111,6 +120,9 @@ class EventInputDevice(Device):
         self._line_state = bool(value)
         self.recorder.record_m(self.monitored_variable, value, device=self.name)
         self._pending_edges.append(DeviceEvent(value, now, now))
+        handle = self._sample_handle
+        if handle is not None:
+            handle.dormant = False
 
     def release(self) -> None:
         """Return the physical line to its inactive state (not an m-event of interest)."""
@@ -132,9 +144,13 @@ class EventInputDevice(Device):
         # drawing the sequence number at the exact point the tail re-arm in
         # ``_sample`` used to — dispatch order is unchanged, but the innermost
         # device loop no longer pays one schedule call per period per device.
-        self._sample_handle = self.simulator.schedule_periodic(
+        handle = self.simulator.schedule_periodic(
             self.sampling_offset_us, self.sampling_period_us, self._sample, 0, self._label_sample
         )
+        # A sample without a pending edge does nothing: the chain is dormant
+        # until ``trigger`` delivers one.
+        handle.dormant = not self._pending_edges
+        self._sample_handle = handle
 
     def _sample(self) -> None:
         if self._pending_edges:
@@ -146,6 +162,7 @@ class EventInputDevice(Device):
                 self._label_latch,
             )
             self._pending_edges.clear()
+            self._sample_handle.dormant = True
 
     def _latch(self, edges: List[DeviceEvent]) -> None:
         now = self.simulator.now
@@ -206,6 +223,9 @@ class StateInputDevice(Device):
         self._latches_in_flight = 0
         # Kernel handle of the periodic sampling event (see schedule_periodic).
         self._sample_handle = None
+        # First sampling instant whose latency draw is still owed to the RNG
+        # stream, or None when no sample has been skipped (see _sample).
+        self._owed_from_us: Optional[int] = None
 
     # Physical side -----------------------------------------------------
     def set_physical(self, value: Any) -> None:
@@ -214,6 +234,9 @@ class StateInputDevice(Device):
             return
         self._physical_value = value
         self.recorder.record_m(self.monitored_variable, value, device=self.name)
+        handle = self._sample_handle
+        if handle is not None:
+            handle.dormant = False
 
     @property
     def physical_value(self) -> Any:
@@ -225,15 +248,31 @@ class StateInputDevice(Device):
             return
         self._sampling_started = True
         # Kernel-side periodic re-arm; see EventInputDevice.start.
-        self._sample_handle = self.simulator.schedule_periodic(
+        handle = self.simulator.schedule_periodic(
             self.sampling_offset_us, self.sampling_period_us, self._sample, 0, self._label_sample
         )
+        self._sample_handle = handle
+        if self._physical_value == self._latched_value:
+            handle.dormant = True
+            self._owed_from_us = handle.time_us
 
     def _sample(self) -> None:
         value = self._physical_value
-        # The latency draw happens unconditionally so the device's RNG stream
-        # stays aligned with the seed engine draw for draw.
-        latency = self._latency_sample(self._rng)
+        handle = self._sample_handle
+        sample = self._latency_sample
+        rng = self._rng
+        # Every sample draws a latency, so the device's RNG stream stays
+        # aligned with the seed engine draw for draw.  Samples the kernel
+        # skipped while the chain was dormant still owe theirs: replay them
+        # first (the stream is private to the device, so deferring draws
+        # changes no value).  The count comes from the handle's own period,
+        # which a clock-drift fault may have rescaled.
+        owed_from = self._owed_from_us
+        if owed_from is not None:
+            self._owed_from_us = None
+            for _ in range((handle.time_us - owed_from) // handle.period_us):
+                sample(rng)
+        latency = sample(rng)
         # Skip the latch event when it cannot change anything: the sampled
         # value equals the latched one and no earlier latch is still in
         # flight (an in-flight latch may carry a different value, and a
@@ -246,6 +285,11 @@ class StateInputDevice(Device):
         if self._latches_in_flight or value != self._latched_value:
             self._latches_in_flight += 1
             self.simulator.schedule(latency, lambda v=value: self._latch(v), 0, self._label_latch)
+        else:
+            # Nothing in flight and nothing to latch: every further sample is
+            # a bare draw until ``set_physical`` changes the value.
+            handle.dormant = True
+            self._owed_from_us = handle.time_us + handle.period_us
 
     def _latch(self, value: Any) -> None:
         self._latches_in_flight -= 1

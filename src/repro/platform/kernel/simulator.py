@@ -36,7 +36,14 @@ downstream trace and verdict — byte for byte:
   order.
 * **Lazy compaction.**  Cancelled entries stay in the heap until they either
   surface (and are skipped) or stale entries outnumber live ones, at which
-  point the heap is rebuilt without them (see :meth:`_note_cancelled`).
+  point the heap is rebuilt in place without them (see
+  :meth:`_note_cancelled`).
+* **Dormant re-arm.**  A periodic event whose owner has marked its handle
+  :attr:`~EventHandle.dormant` (its callback is known to do nothing) is
+  re-armed by :meth:`run_until` with one ``heapreplace`` and no callback.
+  The heap key and the sequence draw are exactly those of the
+  post-callback re-arm, so dispatch order is unchanged (see
+  :meth:`schedule_periodic`).
 
 The pre-rebuild kernel is preserved verbatim in
 ``repro._reference.seed_engine``; the byte-identity tests run whole systems
@@ -46,7 +53,7 @@ on both and compare serialized reports.
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Tuple
 
 from .time import SimClock, format_us
@@ -57,7 +64,13 @@ class SimulationError(RuntimeError):
 
 
 class EventHandle:
-    """Handle to a scheduled event; supports cancellation and inspection."""
+    """Handle to a scheduled event; supports cancellation and inspection.
+
+    ``dormant`` is a hint the owner of a periodic handle (one returned by
+    :meth:`Simulator.schedule_periodic`) may set while its callback is known
+    to be a no-op; see :meth:`Simulator.schedule_periodic`.  It must not be
+    set on a one-shot handle.
+    """
 
     __slots__ = (
         "time_us",
@@ -65,6 +78,7 @@ class EventHandle:
         "callback",
         "label",
         "period_us",
+        "dormant",
         "_cancelled",
         "_fired",
         "_owner",
@@ -83,6 +97,7 @@ class EventHandle:
         self.callback = callback
         self.label = label
         self.period_us = None
+        self.dormant = False
         self._cancelled = False
         self._fired = False
         self._owner = owner
@@ -92,6 +107,9 @@ class EventHandle:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
+        # A dormant entry is re-armed without ever being popped, so the mark
+        # must go or the cancelled chain would run forever.
+        self.dormant = False
         if self._owner is not None:
             self._owner._note_cancelled()
 
@@ -144,6 +162,7 @@ class Simulator:
         self._stale = 0  # cancelled entries still sitting in the heap
         self._cancellations = 0
         self._compactions = 0
+        self._dormant_rearms = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,14 +200,17 @@ class Simulator:
         """A telemetry snapshot of the kernel's lifetime counters.
 
         The counters are maintained unconditionally (single integer adds on
-        paths that already do bookkeeping, never in the batched dispatch
-        loop), so this is the pull-collection surface for :mod:`repro.obs`:
-        the kernel never calls telemetry; telemetry reads the kernel.
+        paths that already do bookkeeping; the batched dispatch loop counts
+        in locals flushed on exit), so this is the pull-collection surface
+        for :mod:`repro.obs`: the kernel never calls telemetry; telemetry
+        reads the kernel.  ``kernel_events_processed`` includes the
+        ``kernel_dormant_rearms`` (see :meth:`schedule_periodic`).
         """
         return {
             "kernel_events_processed": self._processed,
             "kernel_cancellations": self._cancellations,
             "kernel_compactions": self._compactions,
+            "kernel_dormant_rearms": self._dormant_rearms,
         }
 
     def _note_cancelled(self) -> None:
@@ -197,13 +219,16 @@ class Simulator:
         Preemption-heavy runs cancel one completion event per preemption; left
         unreclaimed those entries bloat the heap and slow every push/pop.  The
         rebuild filters cancelled entries and re-heapifies, which preserves the
-        ``(time, priority, sequence)`` dispatch order exactly.
+        ``(time, priority, sequence)`` dispatch order exactly.  It works in
+        place: a running :meth:`run_until` / :meth:`run` drains a local alias
+        of the queue list, and a cancellation inside a callback can land here.
         """
         self._stale += 1
         self._cancellations += 1
-        if self._stale >= self._COMPACTION_MIN_STALE and self._stale * 2 > len(self._queue):
-            self._queue = [entry for entry in self._queue if not entry[3]._cancelled]
-            heapq.heapify(self._queue)
+        queue = self._queue
+        if self._stale >= self._COMPACTION_MIN_STALE and self._stale * 2 > len(queue):
+            queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+            heapq.heapify(queue)
             self._stale = 0
             self._compactions += 1
 
@@ -245,6 +270,7 @@ class Simulator:
             handle.priority = priority
             handle.callback = callback
             handle.label = label
+            handle.dormant = False
             handle._fired = False
         else:
             handle = EventHandle(time_us, priority, callback, label, self)
@@ -274,6 +300,7 @@ class Simulator:
             handle.priority = priority
             handle.callback = callback
             handle.label = label
+            handle.dormant = False
             handle._fired = False
         else:
             handle = EventHandle(time_us, priority, callback, label, self)
@@ -305,6 +332,22 @@ class Simulator:
         fired during dispatch, which makes ``cancel`` a no-op — so periodic
         events must be stopped by external code, which is how the device
         drivers use them.)
+
+        **Dormancy.**  The owner may set ``handle.dormant = True`` while the
+        callback is known to do nothing, and must clear it as soon as that
+        stops holding.  The mark is read when the entry reaches the top of
+        the heap; :meth:`run_until` then re-arms the entry in place with one
+        ``heapreplace`` instead of popping it, calling the callback and
+        pushing it back.  The re-arm draws the next sequence number at the
+        point the post-callback re-arm draws it, and a no-op callback
+        schedules nothing in between, so heap keys — and therefore dispatch
+        order, including every same-instant tie — are those of the callback
+        path.  The mark is only a hint: :meth:`step` and :meth:`run` ignore
+        it and call the (no-op) callback.  Dormant re-arms count in
+        :attr:`events_processed`; ``kernel_dormant_rearms`` in
+        :meth:`counters` says how many there were.  :meth:`EventHandle.cancel`
+        clears the mark, and a handle recycled through ``reuse`` never
+        inherits it.
         """
         if delay_us < 0:
             raise SimulationError(f"negative delay {delay_us} for event {label!r}")
@@ -371,7 +414,9 @@ class Simulator:
         queue = self._queue
         pop = heappop
         push = heappush
+        replace = heapreplace
         processed = self._processed
+        dormant = 0
         try:
             # Tight batched drain.  Entries surface strictly in (time,
             # priority, sequence) order; the heap is re-examined after every
@@ -385,14 +430,25 @@ class Simulator:
             # draw its sequence number.  The current time is mirrored in a
             # local (only this loop advances the clock); the stop flag is
             # checked only after callbacks, the sole place it can be set.
+            # A dormant entry is re-armed in place without touching the clock:
+            # nothing runs at its instant, and the next callback or the final
+            # clock write below sets the time.
             now_us = clock._now_us
             while queue:
                 entry = queue[0]
                 entry_time = entry[0]
                 if entry_time > time_us:
                     break
-                pop(queue)
                 handle = entry[3]
+                if handle.dormant:
+                    next_time = entry_time + handle.period_us
+                    handle.time_us = next_time
+                    sequence = self._sequence
+                    self._sequence = sequence + 1
+                    replace(queue, (next_time, entry[1], sequence, handle, entry[4]))
+                    dormant += 1
+                    continue
+                pop(queue)
                 if handle._cancelled:
                     self._stale -= 1
                     continue
@@ -414,7 +470,8 @@ class Simulator:
             if not self._stop_requested and now_us < time_us:
                 clock._now_us = time_us
         finally:
-            self._processed = processed
+            self._processed = processed + dormant
+            self._dormant_rearms += dormant
             self._running = False
 
     def run(self, max_events: int = 1_000_000) -> None:

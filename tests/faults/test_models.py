@@ -17,6 +17,7 @@ from repro.faults import (
     default_fault_suite,
     fault_from_dict,
 )
+from repro.core.four_variables import EventKind
 from repro.gpca.pump import build_scheme_system
 from repro.platform.kernel.random import JitterModel, RandomSource
 from repro.platform.kernel.simulator import Simulator
@@ -185,6 +186,28 @@ class TestSensorFaults:
         sensor.set_physical(True)
         system.bundle.simulator.run_until(ms(50))
         assert sensor.read() is False  # latched samples never reach software
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            SensorStuckFault(device="reservoir_sensor", stuck_value=False),
+            SensorGlitchFault(device="reservoir_sensor", drop_probability=1.0),
+        ],
+        ids=["stuck", "glitch"],
+    )
+    def test_level_sensor_fault_reaches_the_trace(self, fault):
+        # The interfacing code must read the sensor through the wrapped
+        # ``read()``, so the empty reservoir never reaches the software.
+        def alarms(fault):
+            system = build_scheme_system(2, seed=3)
+            if fault is not None:
+                fault.instrument(system, _rng())
+            system.bundle.environment.schedule_reservoir_empty(ms(500))
+            system.run(ms(2000))
+            return system.trace.select(EventKind.I, "i-EmptyAlarm")
+
+        assert alarms(None)
+        assert alarms(fault) == []
 
     def test_stuck_button_swallows_polled_events(self):
         system = build_scheme_system(1, seed=3)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.platform.kernel.simulator import SimulationError, Simulator
@@ -171,4 +173,117 @@ class TestRunBounds:
         sim.schedule_at(10, lambda: (fired.append(10), sim.stop()))
         sim.schedule_at(20, lambda: fired.append(20))
         sim.run()
+        assert fired == [10]
+
+
+class TestDormantChains:
+    """A dormant periodic chain dispatches exactly like a no-op callback chain."""
+
+    HORIZONS = (57, 133, 250, 401, 600)
+
+    @staticmethod
+    def _drive(seed, mark_dormant, driver="run_until"):
+        """Twin workload: a chain that is idle except after a wake, an
+        equal-period chain on the same instants, and random one-shots that
+        land on the chain's instants (some scheduled mid-run for its pending
+        or following instant) and wake it.  With ``mark_dormant`` the chain's
+        idle spells are marked on its handle; otherwise its callback just
+        does nothing."""
+        sim = Simulator()
+        rng = random.Random(seed)
+        log = []
+        awake = [False]
+        spawned = [0]
+
+        def chain():
+            if awake[0]:
+                log.append((sim.now, "chain"))
+                awake[0] = False
+                if mark_dormant:
+                    handle.dormant = True
+
+        handle = sim.schedule_periodic(3, 10, chain, priority=0, label="chain")
+        handle.dormant = mark_dormant
+        sim.schedule_periodic(3, 10, lambda: log.append((sim.now, "twin")), label="twin")
+
+        def one_shot(tag):
+            def fire():
+                log.append((sim.now, tag))
+                if rng.random() < 0.25:
+                    awake[0] = True
+                    handle.dormant = False
+                if spawned[0] < 300:
+                    spawned[0] += 1
+                    roll = rng.random()
+                    # Outside its own callback the handle's time is the
+                    # chain's pending instant; one period later is the
+                    # instant its next re-arm will draw a sequence for.
+                    if roll < 0.3:
+                        at, suffix = handle.time_us, "pending"
+                    elif roll < 0.6:
+                        at, suffix = handle.time_us + handle.period_us, "following"
+                    else:
+                        at, suffix = sim.now, "now"
+                    if roll < 0.85:
+                        sim.schedule_at(
+                            at, one_shot(f"{tag}>{suffix}"), priority=rng.randrange(-1, 2)
+                        )
+
+            return fire
+
+        for index in range(40):
+            at = 3 + 10 * rng.randrange(40) if rng.random() < 0.7 else rng.randrange(400)
+            sim.schedule_at(at, one_shot(f"r{index}"), priority=rng.randrange(-1, 2))
+        if driver == "run_until":
+            for horizon in TestDormantChains.HORIZONS:
+                sim.run_until(horizon)
+                log.append(("clock", sim.now))
+        else:
+            while sim.now <= TestDormantChains.HORIZONS[-1]:
+                sim.step()
+            log = [entry for entry in log if entry[0] <= TestDormantChains.HORIZONS[-1]]
+        return log, sim.counters()
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17, 2014])
+    def test_dispatch_order_matches_a_no_op_chain(self, seed):
+        dormant_log, dormant_counters = self._drive(seed, True)
+        plain_log, plain_counters = self._drive(seed, False)
+        assert dormant_log == plain_log
+        assert dormant_counters["kernel_dormant_rearms"] > 0
+        assert plain_counters["kernel_dormant_rearms"] == 0
+        # Dormant re-arms still count as processed events.
+        assert (
+            dormant_counters["kernel_events_processed"]
+            == plain_counters["kernel_events_processed"]
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17, 2014])
+    def test_step_ignores_the_mark_and_matches_run_until(self, seed):
+        batched, _ = self._drive(seed, True)
+        stepped, counters = self._drive(seed, True, driver="step")
+        assert stepped == [entry for entry in batched if entry[0] != "clock"]
+        assert counters["kernel_dormant_rearms"] == 0
+
+    def test_cancel_clears_the_mark_and_stops_the_chain(self):
+        sim = Simulator()
+        handle = sim.schedule_periodic(0, 10, lambda: None)
+        handle.dormant = True
+        sim.run_until(25)
+        handle.cancel()
+        assert not handle.dormant
+        sim.run_until(100)
+        assert sim.pending_events == 0
+        assert sim.counters()["kernel_dormant_rearms"] == 3
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["schedule", "schedule_at"])
+    def test_recycled_handle_never_inherits_the_mark(self, absolute):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule_at(5, lambda: None)
+        sim.run_until(5)
+        handle.dormant = True
+        schedule = sim.schedule_at if absolute else sim.schedule
+        again = schedule(10 if absolute else 5, lambda: fired.append(sim.now), reuse=handle)
+        assert again is handle and not again.dormant
+        sim.run_until(20)
         assert fired == [10]

@@ -9,7 +9,10 @@ for bit.  These tests prove it against the frozen seed implementations in
   comparing ``to_json`` output (with full traces) across engines;
 * kernel dispatch order under adversarial scheduling (same-instant
   insertions from callbacks, priorities, cancellations, interleaved
-  ``run_until``/``run``);
+  ``run_until``/``run``, a heap compaction inside a callback);
+* dormant device sampling: edges and level changes landing exactly on a
+  sampling instant, and the level sensor's latency draws after a long
+  dormant stretch, with and without clock drift;
 * columnar ``Trace`` vs the object-per-event ``SeedTrace`` across the whole
   query surface on randomized event streams;
 * the compiled-C backend in lockstep with the Python executor and across
@@ -19,6 +22,7 @@ for bit.  These tests prove it against the frozen seed implementations in
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -43,11 +47,14 @@ from repro.core.four_variables import Event, EventKind, Trace, TraceRecorder
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_json
+from repro.faults import ClockDriftFault, FaultPlan
 from repro.gpca.interface import build_pump_interface
 from repro.gpca.model import build_fig2_statechart
 from repro.gpca.pump import ALL_SCHEMES, build_scheme_system
 from repro.gpca.scenarios import all_requirement_test_cases
+from repro.platform.devices.device import StateInputDevice
 from repro.platform.kernel.simulator import SimulationError, Simulator
+from repro.platform.kernel.time import ms
 from repro.store.keys import run_key
 
 requires_cc = pytest.mark.skipif(
@@ -162,6 +169,150 @@ class TestKernelDispatchOrder:
         for simulator_class in (Simulator, SeedSimulator):
             with pytest.raises(SimulationError):
                 build(simulator_class).run(max_events=100)
+
+    @staticmethod
+    def _purge_mid_drain(simulator_class, driver):
+        """A callback cancels 100 far-future events (compacting the heap) and
+        schedules a near one; a second drain fires whatever the first lost."""
+        simulator = simulator_class()
+        far = [simulator.schedule_at(1_000_000 + i, lambda: None) for i in range(100)]
+        fired = []
+
+        def purge():
+            fired.append((simulator.now, "purge"))
+            for handle in far:
+                handle.cancel()
+            simulator.schedule_at(15, lambda: fired.append((simulator.now, "near")))
+
+        def drain(until_us):
+            if driver == "run_until":
+                simulator.run_until(until_us)
+            else:
+                simulator.run()
+
+        simulator.schedule_at(5, purge)
+        drain(2_000_000)
+        fired.append(("drained", simulator.pending_events))
+        drain(3_000_000)
+        fired.append(("final", simulator.now, simulator.events_processed))
+        return fired, simulator
+
+    @pytest.mark.parametrize("driver", ["run_until", "run"])
+    def test_compaction_mid_drain_matches_seed_kernel(self, driver):
+        production, simulator = self._purge_mid_drain(Simulator, driver)
+        seed_path, _ = self._purge_mid_drain(SeedSimulator, driver)
+        assert simulator.compactions == 1
+        assert production == seed_path
+
+
+def _dormancy_system(engine, drift):
+    """A scheme-2 pump on ``engine``, optionally under clock drift."""
+    system = build_scheme_system(2, seed=77, engine=engine)
+    if drift is not None:
+        FaultPlan((ClockDriftFault(drift=drift),)).instrument(system, seed=0)
+    return system
+
+
+def _latch_log(system, device):
+    """Record each driver latch of ``device`` that software can observe, as
+    ``(time, argument)``.  A level latch of the unchanged value is not one:
+    the production sensor skips it, the seed sensor latches every sample."""
+    log = []
+    latch = device._latch
+    level = isinstance(device, StateInputDevice)
+
+    def logged(argument):
+        if not level or argument != device._latched_value:
+            log.append((system.bundle.simulator.now, repr(argument)))
+        latch(argument)
+
+    device._latch = logged
+    return log
+
+
+def _drift_factor(drift):
+    return 1.0 if drift is None else 1.0 + drift
+
+
+@pytest.mark.parametrize("drift", [None, 0.5], ids=["no-drift", "drift"])
+class TestDormantSampling:
+    """Dormant sampling chains reproduce the seed engine's full traces.
+
+    Every scenario runs on both engines and compares the full trace plus the
+    driver latches (instant and payload), which pin each latency draw.  The
+    production run must actually have re-armed dormant samples.
+    """
+
+    @staticmethod
+    def _compare(scenario):
+        production = scenario(None)
+        seed_path = scenario(SEED_ENGINE)
+        assert production[0] == seed_path[0]
+        assert production[1]["kernel_dormant_rearms"] > 0
+        return production[0]
+
+    def test_edge_on_a_sampling_instant(self, drift):
+        period = round(ms(2) * _drift_factor(drift))
+        # Sampling instants of the bolus button (offset 0) under either period.
+        presses = (ms(30), ms(600))
+
+        def scenario(engine):
+            system = _dormancy_system(engine, drift)
+            log = _latch_log(system, system.bundle.hardware.bolus_button)
+            for at_us in presses:  # scheduled before build()
+                system.bundle.stimulus_actions["m-BolusReq"](at_us)
+            system.run(ms(1500))
+            return (list(system.trace), log), system.telemetry_snapshot()
+
+        _, log = self._compare(scenario)
+        # The press fired before the sample at its instant, which took the edge.
+        for at_us in presses:
+            assert any(at_us < when < at_us + period for when, _ in log)
+
+    def test_level_change_on_a_sampling_instant(self, drift):
+        factor = _drift_factor(drift)
+        target = 50 * round(ms(10) * factor)  # a reservoir-sensor sampling instant
+
+        def scenario(engine):
+            system = _dormancy_system(engine, drift)
+            hardware = system.bundle.hardware
+            simulator = system.bundle.simulator
+            system.bundle.environment.reservoir.volume_ml = 0.001
+            log = _latch_log(system, hardware.reservoir_sensor)
+            # Peek the motor's next two actuation latencies so the stop — and
+            # the observer's set_physical on the now-empty reservoir — lands
+            # exactly on ``target``.
+            probe = copy.deepcopy(hardware.pump_motor._rng)
+            latency = hardware.pump_motor.actuation_latency.sample
+            latency(probe)
+            stop_latency = round(latency(probe) * factor)
+            motor = hardware.pump_motor
+            simulator.schedule_at(ms(100), lambda: motor.write(1))
+            simulator.schedule_at(target - stop_latency, lambda: motor.write(0))
+            system.run(ms(1500))
+            return (list(system.trace), log), system.telemetry_snapshot()
+
+        trace, log = self._compare(scenario)
+        empty = [e for e in trace if e.variable == "m-EmptyReservoir"]
+        assert [e.timestamp_us for e in empty] == [target]
+        # The sample at ``target`` fired first and read the old value; the
+        # next one took the change.
+        period = round(ms(10) * factor)
+        assert target + period < log[0][0] < target + 2 * period
+
+    def test_latency_draws_after_a_long_dormant_stretch(self, drift):
+        def scenario(engine):
+            system = _dormancy_system(engine, drift)
+            log = _latch_log(system, system.bundle.hardware.reservoir_sensor)
+            actions = system.bundle.stimulus_actions
+            actions["m-EmptyReservoir"](ms(3000) + 123)
+            actions["m-ReservoirRefill"](ms(3200) + 7)
+            actions["m-EmptyReservoir"](ms(3400) + 71)
+            system.run(ms(3600))
+            return (list(system.trace), log), system.telemetry_snapshot()
+
+        _, log = self._compare(scenario)
+        assert len(log) == 3
 
 
 def _random_events(seed, count=400):
