@@ -13,13 +13,7 @@ import pytest
 
 from repro.codegen import generate_code
 from repro.core import EventKind, RTestRunner
-from repro.gpca import (
-    PumpBuildOptions,
-    bolus_request_test_case,
-    build_fig2_statechart,
-    make_system,
-    req1_bolus_start,
-)
+from repro.gpca import bolus_request_test_case, build_fig2_statechart, req1_bolus_start, scheme_factory
 from repro.model.verification import BoundedResponseChecker
 
 
@@ -46,7 +40,7 @@ def test_integration_and_single_bolus(benchmark, scheme, write_artifact):
     test_case = bolus_request_test_case(samples=1, seed=1)
 
     def stage():
-        runner = RTestRunner(lambda: make_system(scheme, PumpBuildOptions(seed=scheme)))
+        runner = RTestRunner(scheme_factory(scheme, seed=scheme))
         return runner.run(test_case)
 
     report = benchmark.pedantic(stage, rounds=3, iterations=1)

@@ -55,9 +55,9 @@ from repro.campaign.cache import process_cache
 from repro.campaign.spec import M_TEST_NONE, M_TEST_VIOLATIONS, derive_seed
 from repro.faults import default_matrix_spec
 from repro.gpca.interface import build_pump_interface
-from repro.gpca.pump import build_scheme_system
 from repro.gpca.scenarios import bolus_request_test_case
 from repro.platform.kernel.simulator import Simulator
+from repro.systems import get_pack
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -202,7 +202,7 @@ def _single_run(engine):
     case = bolus_request_test_case(5, seed=SEED)
 
     def factory():
-        return build_scheme_system(2, seed=1234, engine=engine)
+        return get_pack("gpca").build_system(2, seed=1234, engine=engine)
 
     return execute_r_test(factory, case)
 
@@ -239,10 +239,10 @@ def _execute_run_reference(spec):
     test_case = spec.test_case()
 
     def factory():
-        system = build_scheme_system(
+        system = get_pack(spec.system).build_system(
             spec.scheme,
+            model=spec.model,
             seed=spec.sut_seed,
-            use_extended_model=spec.model == "extended",
             period_us=spec.period_us,
             interference_scale=spec.interference_scale,
             artifacts=artifacts,

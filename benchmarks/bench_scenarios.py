@@ -25,8 +25,9 @@ import time
 from pathlib import Path
 
 from repro.campaign import process_cache
-from repro.gpca import build_scheme_system, gpca_scenario_space
+from repro.gpca import gpca_scenario_space
 from repro.scenarios import CoverageGuidedExplorer, ScenarioSampler
+from repro.systems import get_pack
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
@@ -50,7 +51,7 @@ def run_exploration(episodes: int = EPISODES, seed: int = SEED):
     artifacts = process_cache().artifacts_for_model("fig2")
 
     def factory():
-        return build_scheme_system(1, seed=11, artifacts=artifacts)
+        return get_pack("gpca").build_system(1, seed=11, artifacts=artifacts)
 
     explorer = CoverageGuidedExplorer(
         gpca_scenario_space(), factory, artifacts.code_model, seed=seed

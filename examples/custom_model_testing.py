@@ -10,8 +10,9 @@ motor shall start lowering within 150 ms of train detection").
 It demonstrates every extension point a downstream user needs:
 
 * building a statechart with the fluent builder;
-* declaring a four-variable interface and device bindings;
-* wiring a custom :class:`PlatformBundle` (devices, environment actions);
+* declaring a four-variable interface;
+* describing a custom platform as device specs and stimulus actions, which
+  the declarative bundle builder assembles into a :class:`PlatformBundle`;
 * reusing the implementation schemes and the R/M testing machinery unchanged.
 
 Run with:  python examples/custom_model_testing.py
@@ -27,25 +28,21 @@ from repro.core import (
     RTestRunner,
     Stimulus,
     TimingRequirement,
-    TraceRecorder,
     render_layered_summary,
 )
 from repro.core.four_variables import FourVariableInterface
-from repro.integration import (
-    EventInputBinding,
-    InputInterfacing,
-    OutputBinding,
-    OutputInterfacing,
-    PlatformBundle,
-    SingleThreadedConfig,
-    SingleThreadedSystem,
-)
+from repro.integration import SingleThreadedConfig, SingleThreadedSystem
 from repro.model import StatechartBuilder, before
 from repro.model.verification import BoundedResponseChecker
-from repro.platform import RandomSource, Simulator
-from repro.platform.devices.device import EventInputDevice, OutputDevice
 from repro.platform.kernel.random import uniform
 from repro.platform.kernel.time import ms
+from repro.systems.platform import (
+    ActuatorSpec,
+    ButtonSpec,
+    PackPlatform,
+    PressAction,
+    build_pack_bundle,
+)
 
 
 def build_crossing_chart():
@@ -89,31 +86,7 @@ def barrier_requirement() -> TimingRequirement:
     )
 
 
-def build_crossing_platform(seed: int, artifacts) -> PlatformBundle:
-    """A minimal custom platform: a track sensor, a barrier motor, a lamp."""
-    simulator = Simulator()
-    recorder = TraceRecorder(lambda: simulator.now)
-    randomness = RandomSource(seed)
-
-    track_sensor = EventInputDevice(
-        "track_sensor", "m-TrainDetected", simulator, recorder,
-        sampling_period_us=ms(5), conversion_latency=uniform(300, 100),
-        rng=randomness.stream("track_sensor"),
-    )
-    passed_sensor = EventInputDevice(
-        "passed_sensor", "m-TrainPassed", simulator, recorder,
-        sampling_period_us=ms(5), conversion_latency=uniform(300, 100),
-        rng=randomness.stream("passed_sensor"),
-    )
-    barrier_motor = OutputDevice(
-        "barrier_motor", "c-BarrierMotor", simulator, recorder,
-        actuation_latency=uniform(ms(5), ms(2)), rng=randomness.stream("barrier"),
-    )
-    warning_lights = OutputDevice(
-        "warning_lights", "c-WarningLights", simulator, recorder,
-        actuation_latency=uniform(ms(1), 300), rng=randomness.stream("lights"),
-    )
-
+def build_crossing_interface() -> FourVariableInterface:
     interface = FourVariableInterface()
     interface.monitored("m-TrainDetected")
     interface.monitored("m-TrainPassed")
@@ -127,58 +100,39 @@ def build_crossing_platform(seed: int, artifacts) -> PlatformBundle:
     interface.link_input("m-TrainPassed", "i-TrainPassed")
     interface.link_output("o-BarrierMotor", "c-BarrierMotor")
     interface.link_output("o-WarningLights", "c-WarningLights")
+    return interface
 
-    input_interfacing = InputInterfacing(
-        [
-            EventInputBinding(track_sensor, "i-TrainDetected"),
-            EventInputBinding(passed_sensor, "i-TrainPassed"),
-        ]
-    )
-    output_interfacing = OutputInterfacing(
-        [
-            OutputBinding("o-BarrierMotor", barrier_motor),
-            OutputBinding("o-WarningLights", warning_lights),
-        ]
-    )
 
-    # Reuse the pump hardware container only for its start() plumbing is not
-    # possible here (different devices), so provide a tiny stand-in with the
-    # same duck-typed surface the integration layer needs.
-    class CrossingHardware:
-        def __init__(self):
-            self.input_devices = [track_sensor, passed_sensor]
-            self.output_devices = [barrier_motor, warning_lights]
-
-        def start(self):
-            for device in self.input_devices:
-                device.start()
-
-    class CrossingEnvironment:
-        """Schedules train arrivals/passages on the simulator."""
-
-        def __init__(self):
-            self.simulator = simulator
-
-        def schedule_train(self, at_us: int) -> None:
-            self.simulator.schedule_at(at_us, lambda: track_sensor.trigger(True))
-
-        def schedule_passage(self, at_us: int) -> None:
-            self.simulator.schedule_at(at_us, lambda: passed_sensor.trigger(True))
-
-    environment = CrossingEnvironment()
-    return PlatformBundle(
-        simulator=simulator,
-        recorder=recorder,
-        hardware=CrossingHardware(),
-        environment=environment,
-        interface=interface,
-        input_interfacing=input_interfacing,
-        output_interfacing=output_interfacing,
-        stimulus_actions={
-            "m-TrainDetected": environment.schedule_train,
-            "m-TrainPassed": environment.schedule_passage,
-        },
-    )
+#: A minimal custom platform: two track sensors, a barrier motor, a lamp.
+#: Each train arrival / passage presses its track sensor.
+CROSSING_PLATFORM = PackPlatform(
+    buttons=(
+        ButtonSpec(
+            "track_sensor", "m-TrainDetected", "i-TrainDetected",
+            sampling_period_us=ms(5), conversion_latency=uniform(300, 100),
+        ),
+        ButtonSpec(
+            "passed_sensor", "m-TrainPassed", "i-TrainPassed",
+            sampling_period_us=ms(5), conversion_latency=uniform(300, 100),
+        ),
+    ),
+    levels=(),
+    actuators=(
+        ActuatorSpec(
+            "barrier", "o-BarrierMotor", "c-BarrierMotor",
+            actuation_latency=uniform(ms(5), ms(2)),
+        ),
+        ActuatorSpec(
+            "lights", "o-WarningLights", "c-WarningLights",
+            actuation_latency=uniform(ms(1), 300),
+        ),
+    ),
+    stimuli={
+        "m-TrainDetected": PressAction("track_sensor"),
+        "m-TrainPassed": PressAction("passed_sensor"),
+    },
+    interface=build_crossing_interface,
+)
 
 
 def main() -> None:
@@ -192,7 +146,7 @@ def main() -> None:
     print("code generation:", artifacts.summary())
 
     def factory():
-        bundle = build_crossing_platform(seed=3, artifacts=artifacts)
+        bundle = build_pack_bundle(CROSSING_PLATFORM, seed=3)
         return SingleThreadedSystem(bundle, artifacts, SingleThreadedConfig(period_us=ms(20)))
 
     # Each sample is one train: detection (measured) followed by the train

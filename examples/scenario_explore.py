@@ -17,12 +17,9 @@ Run with:  python examples/scenario_explore.py
 from __future__ import annotations
 
 from repro.campaign import process_cache
-from repro.gpca import (
-    build_scheme_system,
-    empty_reservoir_alarm_program,
-    gpca_scenario_space,
-)
+from repro.gpca import empty_reservoir_alarm_program, gpca_scenario_space
 from repro.scenarios import CoverageGuidedExplorer, ScenarioSampler
+from repro.systems import get_pack
 
 
 def main() -> None:
@@ -59,7 +56,7 @@ def main() -> None:
     artifacts = process_cache().artifacts_for_model("fig2")
 
     def factory():
-        return build_scheme_system(1, seed=11, artifacts=artifacts)
+        return get_pack("gpca").build_system(1, seed=11, artifacts=artifacts)
 
     explorer = CoverageGuidedExplorer(
         gpca_scenario_space(), factory, artifacts.code_model, seed=0

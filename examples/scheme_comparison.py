@@ -18,8 +18,8 @@ from repro.gpca import (
     build_pump_interface,
     req1_bolus_start,
     scheme_factory,
-    scheme_name,
 )
+from repro.systems import generic_scheme_name
 
 
 def main() -> None:
@@ -29,12 +29,12 @@ def main() -> None:
     table = TableOne()
 
     for scheme in ALL_SCHEMES:
-        print(f"running {scheme_name(scheme)} ...")
+        print(f"running {generic_scheme_name(scheme)} ...")
         r_report = RTestRunner(scheme_factory(scheme, seed=scheme * 11)).run(test_case)
         m_report = MTestAnalyzer(interface, requirement).analyze(
             r_report.trace, sut_name=r_report.sut_name
         )
-        table.add(SchemeResult(scheme, scheme_name(scheme), r_report, m_report))
+        table.add(SchemeResult(scheme, generic_scheme_name(scheme), r_report, m_report))
 
     print()
     print(table.render())

@@ -11,7 +11,7 @@ The package is organised by layer, mirroring the paper's methodology:
   RealTime Workshop substitute), including traceability and an execution-time
   model;
 * :mod:`repro.platform` — the simulated target platform: DES kernel,
-  FreeRTOS-like scheduler, sensors/actuators and the physical environment;
+  FreeRTOS-like scheduler and generic sensor/actuator drivers;
 * :mod:`repro.integration` — the three implementation schemes that integrate
   CODE(M) with the platform;
 * :mod:`repro.core` — the paper's contribution: the four-variable interface,
@@ -74,7 +74,7 @@ from . import (
     systems,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "__version__",

@@ -821,7 +821,7 @@ def seed_device_class(cls: type) -> type:
     return wrapped
 
 
-#: The seed engine as an injectable profile (see ``build_platform_bundle``):
+#: The seed engine as an injectable profile (see ``build_pack_bundle``):
 #: pre-rebuild kernel, trace recorder, RTOS scheduler and device drivers.
 SEED_ENGINE = EngineProfile(
     name="seed",

@@ -1,13 +1,12 @@
 """``repro profile``: run one grid coordinate and emit a span timeline.
 
-:func:`profile_run` mirrors :func:`repro.campaign.worker.execute_run` with a
-wrapped system factory — the same pattern ``benchmarks/bench_runtime.py``
-uses for its reference leg — so the run itself is byte-identical to a
-campaign run of the same spec.  The wrapper attaches a scheduler observer
-that streams compute segments and deadline misses into the tracer's
-simulated-time lane, and the worker phases (codegen → execute → analyze)
-land on the wall-clock lane.  The resulting Chrome-trace JSON opens directly
-in ``chrome://tracing`` or https://ui.perfetto.dev.
+:func:`profile_run` is :func:`repro.campaign.worker.execute_run` with a span
+tracer, so the run itself is the campaign run of the same spec, byte for
+byte.  The tracer puts the worker phases (codegen → build → execute →
+analyze) on the wall-clock lane, and a scheduler observer streams compute
+segments and deadline misses into the simulated-time lane.  The resulting
+Chrome-trace JSON opens directly in ``chrome://tracing`` or
+https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -15,53 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..codegen.c_backend import resolve_backend
-from ..core.instrumentation import ProbeConfiguration
-from ..core.m_testing import MTestAnalyzer
-from ..core.r_testing import execute_r_test
-from ..core.serialization import m_report_to_dict, r_report_to_dict
 from ..obs import SpanTracer, render_self_time_table
-from ..obs.spans import SIMULATION_PID
-from ..systems import get_pack
-from .cache import process_cache
 from .results import RunRecord
-from .spec import BACKEND_PYTHON, M_TEST_NONE, M_TEST_VIOLATIONS, RunSpec, derive_seed
+from .spec import RunSpec
+from .worker import execute_run_counted
 
 __all__ = ["ProfileResult", "profile_run"]
-
-
-class _SegmentCollector:
-    """A scheduler observer that streams segments into the simulation lane."""
-
-    def __init__(self, tracer: SpanTracer) -> None:
-        self._tracer = tracer
-        self._tids: Dict[str, int] = {}
-
-    def _tid(self, task_name: str) -> int:
-        tid = self._tids.get(task_name)
-        if tid is None:
-            tid = self._tids[task_name] = len(self._tids)
-            self._tracer.name_thread(SIMULATION_PID, tid, task_name)
-        return tid
-
-    def segment(self, task_name: str, start_us: int, end_us: int, preempted: bool) -> None:
-        self._tracer.sim_span(
-            task_name,
-            start_us,
-            end_us,
-            category="segment",
-            tid=self._tid(task_name),
-            args={"preempted": True} if preempted else None,
-        )
-
-    def deadline_miss(self, task_name: str, at_us: int) -> None:
-        self._tracer.sim_instant(
-            "deadline miss",
-            at_us,
-            category="deadline",
-            tid=self._tid(task_name),
-            args={"task": task_name},
-        )
 
 
 @dataclass
@@ -86,72 +44,8 @@ class ProfileResult:
 def profile_run(
     spec: RunSpec, *, monotonic: Optional[Callable[[], float]] = None
 ) -> ProfileResult:
-    """Execute one run with span collection; the record stays byte-identical.
-
-    The body mirrors ``execute_run`` step for step — only the observer attach
-    and the phase spans differ, and neither feeds anything back into the
-    engine (pinned by the obs byte-identity tests).
-    """
+    """Execute one run with span collection; the record stays byte-identical
+    (pinned by the obs byte-identity tests)."""
     tracer = SpanTracer(monotonic)
-    collector = _SegmentCollector(tracer)
-    systems = []
-
-    with tracer.phase("codegen", args={"scheme": spec.scheme, "case": spec.case}):
-        pack = get_pack(spec.system)
-        cache = process_cache()
-        if spec.mutant is not None:
-            artifacts = cache.artifacts_for_mutant(spec.model, spec.mutant)
-        else:
-            artifacts = cache.artifacts_for_model(spec.model)
-        test_case = spec.test_case()
-        resolution = resolve_backend(spec.backend, artifacts)
-
-    probes = ProbeConfiguration.r_level() if spec.m_test == M_TEST_NONE else None
-
-    def factory():
-        with tracer.phase("build"):
-            system = pack.build_system(
-                spec.scheme,
-                model=spec.model,
-                seed=spec.sut_seed,
-                period_us=spec.period_us,
-                interference_scale=spec.interference_scale,
-                artifacts=artifacts,
-                probes=probes,
-                code_factory=resolution.code_factory,
-            )
-            if spec.faults is not None and not spec.faults.empty:
-                spec.faults.instrument(
-                    system,
-                    seed=derive_seed(spec.sut_seed, "faults", spec.faults.name, spec.case),
-                )
-            system.scheduler.observer = collector
-            systems.append(system)
-        return system
-
-    with tracer.phase("execute"):
-        r_report = execute_r_test(factory, test_case)
-
-    with tracer.phase("analyze"):
-        m_payload = None
-        if spec.m_test != M_TEST_NONE:
-            analyzer = MTestAnalyzer(pack.build_interface(), test_case.requirement)
-            if spec.m_test == M_TEST_VIOLATIONS:
-                m_report = analyzer.analyze_violations(r_report)
-            else:
-                m_report = analyzer.analyze(r_report.trace, sut_name=r_report.sut_name)
-            m_payload = m_report_to_dict(m_report)
-        record = RunRecord(
-            spec=spec,
-            r_payload=r_report_to_dict(r_report),
-            m_payload=m_payload,
-            backend_payload=(
-                None if spec.backend == BACKEND_PYTHON else resolution.to_payload()
-            ),
-        )
-
-    counters: Dict[str, int] = {}
-    for system in systems:
-        for name, value in system.telemetry_snapshot().items():
-            counters[name] = counters.get(name, 0) + int(value)
+    record, counters = execute_run_counted(spec, tracer)
     return ProfileResult(record=record, tracer=tracer, counters=counters)

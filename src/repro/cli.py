@@ -104,13 +104,12 @@ from .gpca import (
     gpca_requirements,
     req1_bolus_start,
     scheme_factory,
-    scheme_name,
 )
 from .model.verification import BoundedResponseChecker
 from .obs import Telemetry
 from .scenarios import CoverageGuidedExplorer
 from .store import ENDPOINTS, RunStore, StoreError, StoreServer, diff_snapshots
-from .systems import DEFAULT_SYSTEM, get_pack, iter_packs, pack_ids
+from .systems import DEFAULT_SYSTEM, generic_scheme_name, get_pack, iter_packs, pack_ids
 
 
 def package_version() -> str:
@@ -197,7 +196,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         m_report = MTestAnalyzer(interface, requirement).analyze(
             r_report.trace, sut_name=r_report.sut_name
         )
-        table.add(SchemeResult(scheme, scheme_name(scheme), r_report, m_report))
+        table.add(SchemeResult(scheme, generic_scheme_name(scheme), r_report, m_report))
     rendered = table.render()
     print(rendered)
     if args.output:

@@ -353,8 +353,8 @@ class SensorStuckFault(FaultModel):
 
     For level sensors (``read``) the driver-visible value sticks at
     ``stuck_value``; for edge devices (``poll``) detected events are swallowed
-    — a stuck button.  ``device`` names the :class:`PumpHardware` attribute
-    (``"bolus_button"``, ``"reservoir_sensor"``, ...).
+    — a stuck button.  ``device`` names the hardware attribute of the pack's
+    device spec (``"bolus_button"``, ``"reservoir_sensor"``, ...).
     """
 
     kind: ClassVar[str] = "sensor-stuck"

@@ -1,6 +1,6 @@
 """The GPCA infusion-pump case study: models, requirements, hardware, scenarios."""
 
-from .hardware import arm7_execution_model, build_platform_bundle
+from .hardware import arm7_execution_model
 from .interface import build_pump_interface
 from .model import (
     BOLUS_DURATION_TICKS,
@@ -18,14 +18,7 @@ from .pump import (
     SCHEME_INTERFERED,
     SCHEME_MULTI_THREADED,
     SCHEME_SINGLE_THREADED,
-    PumpBuildOptions,
-    build_scheme_system,
-    make_scheme1_system,
-    make_scheme2_system,
-    make_scheme3_system,
-    make_system,
     scheme_factory,
-    scheme_name,
 )
 from .requirements import (
     gpca_requirements,
@@ -54,7 +47,6 @@ __all__ = [
     "BOLUS_DURATION_TICKS",
     "BOLUS_SPACING_US",
     "BOLUS_START_BOUND_TICKS",
-    "PumpBuildOptions",
     "SCHEME_INTERFERED",
     "SCHEME_MULTI_THREADED",
     "SCHEME_SINGLE_THREADED",
@@ -72,23 +64,16 @@ __all__ = [
     "bolus_request_test_case",
     "build_extended_statechart",
     "build_fig2_statechart",
-    "build_platform_bundle",
     "build_pump_interface",
-    "build_scheme_system",
     "empty_reservoir_alarm_program",
     "empty_reservoir_alarm_test_case",
     "empty_reservoir_stop_program",
     "empty_reservoir_stop_test_case",
     "gpca_requirements",
     "gpca_scenario_space",
-    "make_scheme1_system",
-    "make_scheme2_system",
-    "make_scheme3_system",
-    "make_system",
     "req1_bolus_start",
     "req2_empty_reservoir_alarm",
     "req3_empty_reservoir_stop",
     "req4_alarm_clear",
     "scheme_factory",
-    "scheme_name",
 ]

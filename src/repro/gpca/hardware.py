@@ -1,35 +1,27 @@
-"""Hardware profile of the case-study platform and platform-bundle assembly.
+"""Hardware profile and closed-loop dynamics of the case-study platform.
 
 The paper's test bench is a Baxter PCA syringe pump interfaced to an ARM7
-micro-controller running FreeRTOS.  This module provides:
+micro-controller running FreeRTOS.  The pump's devices are declared as specs
+in :mod:`repro.systems.gpca`; this module provides what is not a device:
 
 * :func:`arm7_execution_model` — per-transition execution costs calibrated so
   that the measured Trans1 / Trans2 delays land near the 11 ms / 20 ms values
   the paper reports for its platform;
-* :func:`build_platform_bundle` — one fresh simulated platform (simulator,
-  recorder, devices, environment, interfacing code, stimulus routing) ready to
-  be handed to an implementation scheme.
+* :func:`attach_reservoir` — the platform's dynamics hook: a drug reservoir
+  drained while the pump motor physically runs, whose empty condition drives
+  the level sensor.  This gives the extended GPCA scenarios (empty-reservoir
+  alarm and stop) a physically meaningful trigger.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..codegen.execution_model import ExecutionTimeModel
-from ..core.four_variables import TraceRecorder
-from ..integration.base import EngineProfile, PlatformBundle
-from ..integration.interfacing import (
-    EventInputBinding,
-    InputInterfacing,
-    LevelInputBinding,
-    OutputBinding,
-    OutputInterfacing,
-)
-from ..platform.environment import PatientEnvironment, PumpHardware
-from ..platform.kernel.random import RandomSource, uniform
-from ..platform.kernel.simulator import Simulator
+from ..integration.base import PlatformBundle
+from ..platform.kernel.random import uniform
 from ..platform.kernel.time import ms, us
-from .interface import build_pump_interface
 from .model import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION
 
 
@@ -52,90 +44,73 @@ def arm7_execution_model() -> ExecutionTimeModel:
     return model
 
 
-def build_platform_bundle(
-    *,
-    seed: int = 0,
-    input_variables: Optional[Iterable[str]] = None,
-    engine: Optional[EngineProfile] = None,
-) -> PlatformBundle:
-    """Assemble one fresh simulated pump platform.
+#: Volume of a full syringe, in ml.
+FULL_RESERVOIR_ML = 100.0
 
-    ``input_variables`` restricts the input interfacing code to the i-variables
-    the generated chart actually declares (the Fig. 2 fragment, for example,
-    has no occlusion or door inputs); with ``None`` every binding is created.
 
-    ``engine`` selects the runtime engine (kernel + trace recorder).  The
-    default is the optimised production engine; equivalence tests and
-    benchmarks pass ``repro._reference.seed_engine.SEED_ENGINE`` to run the
-    same system on the frozen seed implementations.
+@dataclass
+class ReservoirModel:
+    """A simple drug reservoir drained by the running pump motor."""
+
+    volume_ml: float = FULL_RESERVOIR_ML
+    #: Delivery rate per motor speed unit, in ml per second.
+    ml_per_second_per_speed: float = 0.05
+
+    def drain(self, speed: float, duration_s: float) -> float:
+        """Remove volume for running at ``speed`` for ``duration_s`` seconds.
+
+        Returns the volume actually delivered (bounded by what remains).
+        """
+        requested = speed * self.ml_per_second_per_speed * duration_s
+        delivered = min(requested, self.volume_ml)
+        self.volume_ml -= delivered
+        return delivered
+
+    @property
+    def empty(self) -> bool:
+        return self.volume_ml <= 1e-9
+
+
+def attach_reservoir(bundle: PlatformBundle) -> None:
+    """Dynamics hook of the GPCA platform: the syringe reservoir.
+
+    Attaches a full :class:`ReservoirModel` as ``bundle.environment.reservoir``.
+    Each physical motor run drains it when the motor stops, and a run that
+    empties it sets the reservoir sensor.  It also adds the caregiver's
+    ``m-EmptyReservoir`` (syringe removed) and ``m-ReservoirRefill`` (syringe
+    replaced) stimulus actions, which set volume and sensor together.
     """
-    if engine is None:
-        simulator = Simulator()
-        recorder = TraceRecorder(lambda: simulator.now)
-        device_wrapper = None
-        scheduler_class = None
-    else:
-        simulator = engine.simulator_factory()
-        recorder = engine.recorder_factory(lambda: simulator.now)
-        device_wrapper = engine.device_wrapper
-        scheduler_class = engine.scheduler_class
-    randomness = RandomSource(seed)
-    hardware = PumpHardware(
-        simulator, recorder, randomness=randomness, device_wrapper=device_wrapper
-    )
-    environment = PatientEnvironment(simulator, hardware)
-    interface = build_pump_interface()
+    simulator = bundle.simulator
+    sensor = bundle.hardware.reservoir_sensor
+    reservoir = bundle.environment.reservoir = ReservoirModel()
+    # ``(start_us, speed)`` of the motor run in progress, if any.
+    run: Optional[Tuple[int, float]] = None
 
-    wanted = set(input_variables) if input_variables is not None else None
+    def on_motor_change(value: float, timestamp_us: int) -> None:
+        nonlocal run
+        if value and run is None:
+            run = (timestamp_us, float(value))
+        elif not value and run is not None:
+            start_us, speed = run
+            run = None
+            reservoir.drain(speed, (timestamp_us - start_us) / 1_000_000)
+            if reservoir.empty:
+                sensor.set_physical(True)
 
-    def include(variable: str) -> bool:
-        return wanted is None or variable in wanted
+    def schedule_empty(at_us: int) -> None:
+        def empty() -> None:
+            reservoir.volume_ml = 0.0
+            sensor.set_physical(True)
 
-    input_interfacing = InputInterfacing()
-    if include("i-BolusReq"):
-        input_interfacing.add(EventInputBinding(hardware.bolus_button, "i-BolusReq"))
-    if include("i-ClearAlarm"):
-        input_interfacing.add(EventInputBinding(hardware.clear_alarm_button, "i-ClearAlarm"))
-    if include("i-EmptyAlarm"):
-        input_interfacing.add(LevelInputBinding(hardware.reservoir_sensor, "i-EmptyAlarm"))
-    if include("i-Occlusion"):
-        input_interfacing.add(LevelInputBinding(hardware.occlusion_sensor, "i-Occlusion"))
-    if include("i-DoorOpen"):
-        input_interfacing.add(LevelInputBinding(hardware.door_sensor, "i-DoorOpen"))
-    if include("i-DoorClose"):
-        input_interfacing.add(
-            LevelInputBinding(hardware.door_sensor, "i-DoorClose", trigger_value=False)
-        )
+        simulator.schedule_at(at_us, empty, label="env:reservoir_empty")
 
-    output_interfacing = OutputInterfacing(
-        [
-            OutputBinding("o-MotorState", hardware.pump_motor),
-            OutputBinding("o-BuzzerState", hardware.buzzer),
-            OutputBinding("o-AlarmLedState", hardware.alarm_led),
-        ]
-    )
+    def schedule_refill(at_us: int) -> None:
+        def refill() -> None:
+            reservoir.volume_ml = FULL_RESERVOIR_ML
+            sensor.set_physical(False)
 
-    stimulus_actions = {
-        "m-BolusReq": environment.schedule_bolus_request,
-        "m-ClearAlarm": environment.schedule_clear_alarm,
-        "m-EmptyReservoir": environment.schedule_reservoir_empty,
-        "m-Occlusion": environment.schedule_occlusion,
-        "m-DoorOpen": environment.schedule_door_open,
-        # Setup/recovery actions used by multi-step scenarios (not measured
-        # m-events of any requirement): the caregiver replaces the syringe /
-        # closes the pump door.
-        "m-ReservoirRefill": environment.schedule_reservoir_refill,
-        "m-DoorClose": environment.schedule_door_close,
-    }
+        simulator.schedule_at(at_us, refill, label="env:reservoir_refill")
 
-    return PlatformBundle(
-        simulator=simulator,
-        recorder=recorder,
-        scheduler_class=scheduler_class,
-        hardware=hardware,
-        environment=environment,
-        interface=interface,
-        input_interfacing=input_interfacing,
-        output_interfacing=output_interfacing,
-        stimulus_actions=stimulus_actions,
-    )
+    bundle.hardware.pump_motor.add_observer(on_motor_change)
+    bundle.stimulus_actions["m-EmptyReservoir"] = schedule_empty
+    bundle.stimulus_actions["m-ReservoirRefill"] = schedule_refill

@@ -1,26 +1,15 @@
-"""Assembly of complete implemented pump systems (model -> code -> platform).
+"""Implemented pump systems (model -> code -> platform) for the GPCA pump.
 
-These factories run the whole model-based implementation pipeline of Fig. 1:
-build (or accept) a statechart, generate CODE(M) from it, assemble a fresh
-simulated platform and integrate the two with one of the three implementation
-schemes.  The returned objects are :class:`SystemUnderTest` instances ready
-for R-testing and M-testing.
+The GPCA pack (:mod:`repro.systems.gpca`) builds an implemented pump like any
+other pack: ``get_pack("gpca").build_system(scheme, ...)`` generates CODE(M)
+from a statechart, assembles a fresh simulated platform and integrates the
+two with one of the three implementation schemes.  :func:`scheme_factory`
+wraps that call as a :class:`SutFactory` for the R-test runners.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
-
-from ..codegen.generator import GeneratedArtifacts, generate_code
-from ..core.instrumentation import ProbeConfiguration
 from ..core.sut import SutFactory
-from ..integration.base import EngineProfile, SchemeConfig
-from ..integration.interference import InterferedConfig, InterferedSystem
-from ..integration.multi_threaded import MultiThreadedConfig, MultiThreadedSystem
-from ..integration.single_threaded import SingleThreadedConfig, SingleThreadedSystem
-from .hardware import arm7_execution_model, build_platform_bundle
-from .model import build_extended_statechart, build_fig2_statechart
 
 #: The scheme identifiers used throughout the benchmarks and examples.
 SCHEME_SINGLE_THREADED = 1
@@ -29,158 +18,11 @@ SCHEME_INTERFERED = 3
 ALL_SCHEMES = (SCHEME_SINGLE_THREADED, SCHEME_MULTI_THREADED, SCHEME_INTERFERED)
 
 
-@dataclass
-class PumpBuildOptions:
-    """Options shared by the scheme factories."""
-
-    seed: int = 0
-    use_extended_model: bool = False
-    probes: ProbeConfiguration = None  # defaults to full M-level probes
-    artifacts: Optional[GeneratedArtifacts] = None
-    #: Runtime engine override (kernel + recorder); None = production engine.
-    engine: Optional[EngineProfile] = None
-    #: CODE(M) executor factory override; None = ``artifacts.new_instance()``.
-    #: The compiled-C backend threads its factory through here.
-    code_factory: Optional[Callable[[], Any]] = None
-
-    def resolve_artifacts(self) -> GeneratedArtifacts:
-        if self.artifacts is not None:
-            return self.artifacts
-        chart = build_extended_statechart() if self.use_extended_model else build_fig2_statechart()
-        return generate_code(chart)
-
-
-def _prepare(options: Optional[PumpBuildOptions]) -> tuple:
-    options = options or PumpBuildOptions()
-    artifacts = options.resolve_artifacts()
-    bundle = build_platform_bundle(
-        seed=options.seed,
-        input_variables=artifacts.code_model.input_names,
-        engine=options.engine,
-    )
-    probes = options.probes or ProbeConfiguration.m_level()
-    return options, artifacts, bundle, probes
-
-
-def _apply_common_config(config: SchemeConfig, options: PumpBuildOptions, probes: ProbeConfiguration) -> None:
-    config.execution_model = arm7_execution_model()
-    config.probes = probes
-    config.seed = options.seed
-    config.code_factory = options.code_factory
-
-
-def make_scheme1_system(
-    options: Optional[PumpBuildOptions] = None,
-    config: Optional[SingleThreadedConfig] = None,
-) -> SingleThreadedSystem:
-    """Scheme 1: the single-threaded 25 ms loop."""
-    options, artifacts, bundle, probes = _prepare(options)
-    config = config or SingleThreadedConfig()
-    _apply_common_config(config, options, probes)
-    return SingleThreadedSystem(bundle, artifacts, config)
-
-
-def make_scheme2_system(
-    options: Optional[PumpBuildOptions] = None,
-    config: Optional[MultiThreadedConfig] = None,
-) -> MultiThreadedSystem:
-    """Scheme 2: sensing / CODE(M) / actuation threads with FIFO queues."""
-    options, artifacts, bundle, probes = _prepare(options)
-    config = config or MultiThreadedConfig()
-    _apply_common_config(config, options, probes)
-    return MultiThreadedSystem(bundle, artifacts, config)
-
-
-def make_scheme3_system(
-    options: Optional[PumpBuildOptions] = None,
-    config: Optional[InterferedConfig] = None,
-) -> InterferedSystem:
-    """Scheme 3: scheme 2 plus the three interfering threads."""
-    options, artifacts, bundle, probes = _prepare(options)
-    config = config or InterferedConfig()
-    _apply_common_config(config, options, probes)
-    return InterferedSystem(bundle, artifacts, config)
-
-
-def make_system(scheme: int, options: Optional[PumpBuildOptions] = None):
-    """Build the implemented system for a numeric scheme identifier (1, 2 or 3)."""
-    if scheme == SCHEME_SINGLE_THREADED:
-        return make_scheme1_system(options)
-    if scheme == SCHEME_MULTI_THREADED:
-        return make_scheme2_system(options)
-    if scheme == SCHEME_INTERFERED:
-        return make_scheme3_system(options)
-    raise ValueError(f"unknown implementation scheme {scheme!r} (expected 1, 2 or 3)")
-
-
-def build_scheme_system(
-    scheme: int,
-    *,
-    seed: int = 0,
-    use_extended_model: bool = False,
-    period_us: Optional[int] = None,
-    interference_scale: Optional[float] = None,
-    artifacts: Optional[GeneratedArtifacts] = None,
-    probes: Optional[ProbeConfiguration] = None,
-    engine: Optional[EngineProfile] = None,
-    code_factory: Optional[Callable[[], Any]] = None,
-):
-    """Build one implemented system from plain parameters.
-
-    This is the declarative counterpart of :func:`make_system`: every knob the
-    campaign grid sweeps — the polling period of scheme 1, the interference
-    scaling of scheme 3 — is a keyword argument of a built-in type, so a run
-    can be described by a picklable spec and assembled inside a worker
-    process.  ``artifacts`` lets callers share one generated CODE(M) across
-    many systems (the campaign engine's content-keyed artifact cache).
-
-    ``probes`` overrides the measurement-probe level (default full M-level);
-    ``engine`` overrides the runtime engine; ``code_factory`` overrides the
-    CODE(M) executor (the compiled-C backend).  All three default to the
-    production configuration.
-    """
-    if period_us is not None and scheme != SCHEME_SINGLE_THREADED:
-        raise ValueError("period_us only applies to scheme 1 (single-threaded)")
-    if interference_scale is not None and scheme != SCHEME_INTERFERED:
-        raise ValueError("interference_scale only applies to scheme 3 (interfered)")
-    options = PumpBuildOptions(
-        seed=seed,
-        use_extended_model=use_extended_model,
-        probes=probes,
-        artifacts=artifacts,
-        engine=engine,
-        code_factory=code_factory,
-    )
-    if scheme == SCHEME_SINGLE_THREADED:
-        config = SingleThreadedConfig()
-        if period_us is not None:
-            config.period_us = period_us
-        return make_scheme1_system(options, config)
-    if scheme == SCHEME_MULTI_THREADED:
-        return make_scheme2_system(options)
-    if scheme == SCHEME_INTERFERED:
-        config = InterferedConfig()
-        if interference_scale is not None:
-            config = config.scaled_interference(interference_scale)
-        return make_scheme3_system(options, config)
-    raise ValueError(f"unknown implementation scheme {scheme!r} (expected 1, 2 or 3)")
-
-
 def scheme_factory(scheme: int, *, seed: int = 0, use_extended_model: bool = False) -> SutFactory:
-    """A :class:`SutFactory` producing a fresh system per test-case execution."""
+    """A :class:`SutFactory` producing a fresh pump system per test-case execution."""
+    # Imported here: ``repro.systems`` registers the GPCA pack from this package.
+    from ..systems import get_pack
 
-    def factory():
-        return make_system(
-            scheme, PumpBuildOptions(seed=seed, use_extended_model=use_extended_model)
-        )
-
-    return factory
-
-
-def scheme_name(scheme: int) -> str:
-    """Human-readable scheme name used in reports and table headers."""
-    return {
-        SCHEME_SINGLE_THREADED: "Scheme 1 (single-threaded)",
-        SCHEME_MULTI_THREADED: "Scheme 2 (multi-threaded)",
-        SCHEME_INTERFERED: "Scheme 3 (multi-threaded + interference)",
-    }[scheme]
+    build_system = get_pack("gpca").build_system
+    model = "extended" if use_extended_model else "fig2"
+    return lambda: build_system(scheme, model=model, seed=seed)

@@ -19,7 +19,6 @@ from ..core.instrumentation import MeasurementProbes, ProbeConfiguration
 from ..core.sut import SystemUnderTest
 from ..core.test_generation import Stimulus
 from ..model.declarations import OutputWrite
-from ..platform.environment import PatientEnvironment, PumpHardware
 from ..platform.kernel.random import RandomSource
 from ..platform.kernel.simulator import Simulator
 from ..platform.kernel.time import US_PER_MODEL_TICK
@@ -40,8 +39,8 @@ class EngineProfile:
     frozen pre-optimisation engine kept as a byte-identity oracle.  The
     factories are duck-typed — anything with the ``Simulator`` /
     ``TraceRecorder`` surface works — so equivalence tests and benchmarks can
-    run whole systems on either engine through
-    :func:`repro.gpca.hardware.build_platform_bundle`.
+    run whole systems on either engine through any pack's
+    ``build_system(..., engine=...)``.
     """
 
     name: str
@@ -69,7 +68,7 @@ DEFAULT_ENGINE = EngineProfile(
 class PlatformBundle:
     """Everything the integration layer needs from the platform and case study.
 
-    The case-study package (``repro.gpca``) builds one of these per run: the
+    A system pack's platform builder makes one of these per run: the
     simulator, the recorder, the concrete hardware and environment, the
     four-variable interface declaration, the interfacing code and the mapping
     from monitored variables to environment stimulus actions.
@@ -77,8 +76,11 @@ class PlatformBundle:
 
     simulator: Simulator
     recorder: TraceRecorder
-    hardware: PumpHardware
-    environment: PatientEnvironment
+    #: The device collection: ``start()`` begins every input device's
+    #: sampling, and each device is an attribute (the fault models' target).
+    hardware: Any
+    #: The environment that schedules the stimulus actions' physical changes.
+    environment: Any
     interface: FourVariableInterface
     input_interfacing: InputInterfacing
     output_interfacing: OutputInterfacing

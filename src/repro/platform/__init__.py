@@ -1,22 +1,19 @@
-"""Target-platform simulation: DES kernel, RTOS, devices and environment.
+"""Target-platform simulation: DES kernel, RTOS and device drivers.
 
-This package is the substitute for the paper's physical test bench (Baxter PCA
-syringe pump + ARM7 micro-controller + FreeRTOS).  It produces the same kind
-of artefact the paper's measurements rely on: timestamped event traces at the
-m/i/o/c boundaries of the implemented system.
+This package is the substitute for the paper's physical test bench (an ARM7
+micro-controller running FreeRTOS, with its sensors and actuators).  It
+produces the same kind of artefact the paper's measurements rely on:
+timestamped event traces at the m/i/o/c boundaries of the implemented system.
+It holds no case-study code: each system declares its devices as specs
+(:mod:`repro.systems.platform`).
 """
 
 from . import devices, kernel, rtos
-from .environment import DeliveryRecord, PatientEnvironment, PumpHardware, ReservoirModel
 from .kernel import JitterModel, RandomSource, Simulator, constant, ms, seconds, uniform, us
 
 __all__ = [
-    "DeliveryRecord",
     "JitterModel",
-    "PatientEnvironment",
-    "PumpHardware",
     "RandomSource",
-    "ReservoirModel",
     "Simulator",
     "constant",
     "devices",

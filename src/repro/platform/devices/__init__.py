@@ -1,27 +1,11 @@
 """Simulated sensors, actuators and their device drivers."""
 
-from .actuators import AlarmLed, Buzzer, PumpMotor
 from .device import Device, DeviceEvent, EventInputDevice, OutputDevice, StateInputDevice
-from .sensors import (
-    BolusRequestButton,
-    ClearAlarmButton,
-    DoorSensor,
-    OcclusionSensor,
-    ReservoirLevelSensor,
-)
 
 __all__ = [
-    "AlarmLed",
-    "BolusRequestButton",
-    "Buzzer",
-    "ClearAlarmButton",
     "Device",
     "DeviceEvent",
-    "DoorSensor",
     "EventInputDevice",
-    "OcclusionSensor",
     "OutputDevice",
-    "PumpMotor",
-    "ReservoirLevelSensor",
     "StateInputDevice",
 ]

@@ -12,7 +12,8 @@ codegen, the declarative platform assembly and the three integration schemes.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from functools import partial
+from typing import Any, Tuple
 
 from ..codegen.execution_model import ExecutionTimeModel
 from ..core.four_variables import FourVariableInterface
@@ -38,9 +39,9 @@ from .platform import (
     ButtonSpec,
     LevelAction,
     LevelSpec,
+    PackPlatform,
     PressAction,
-    build_pack_bundle,
-    build_pack_scheme_system,
+    build_pack_system,
 )
 
 #: Hold-off after a brake-pedal override before re-engagement is possible.
@@ -154,49 +155,6 @@ def build_cruise_interface() -> FourVariableInterface:
     return interface
 
 
-_BUTTONS = (
-    ButtonSpec("engage_button", "m-Engage", "i-Engage", sampling_period_us=ms(2)),
-    ButtonSpec("cancel_button", "m-Cancel", "i-Cancel", sampling_period_us=ms(5)),
-    ButtonSpec("brake_pedal", "m-BrakePedal", "i-BrakePedal", sampling_period_us=ms(2)),
-)
-_LEVELS = (
-    LevelSpec(
-        "radar",
-        "m-Obstacle",
-        "i-Obstacle",
-        falling_input="i-ObstacleClear",
-        sampling_period_us=ms(10),
-    ),
-)
-_ACTUATORS = (
-    ActuatorSpec(
-        "throttle_actuator",
-        "o-ThrottleState",
-        "c-Throttle",
-        actuation_latency=uniform(ms(2), us(500)),
-    ),
-    ActuatorSpec(
-        "brake_actuator",
-        "o-BrakeState",
-        "c-BrakeActuator",
-        actuation_latency=uniform(ms(3), ms(1)),
-    ),
-    ActuatorSpec(
-        "warning_buzzer",
-        "o-WarnState",
-        "c-WarnLamp",
-        actuation_latency=uniform(us(800), us(200)),
-    ),
-)
-_STIMULI = {
-    "m-Engage": PressAction("engage_button"),
-    "m-Cancel": PressAction("cancel_button"),
-    "m-BrakePedal": PressAction("brake_pedal"),
-    "m-Obstacle": LevelAction("radar", True),
-    "m-ObstacleClear": LevelAction("radar", False),
-}
-
-
 def cruise_execution_model() -> ExecutionTimeModel:
     """Execution costs of an automotive body-controller class MCU."""
     model = ExecutionTimeModel(
@@ -212,48 +170,51 @@ def cruise_execution_model() -> ExecutionTimeModel:
     return model
 
 
-def build_cruise_bundle(*, seed: int = 0, input_variables: Any = None, engine: Any = None):
-    """One fresh simulated cruise-control platform."""
-    return build_pack_bundle(
-        buttons=_BUTTONS,
-        levels=_LEVELS,
-        actuators=_ACTUATORS,
-        stimuli=_STIMULI,
-        interface_builder=build_cruise_interface,
-        seed=seed,
-        input_variables=input_variables,
-        engine=engine,
-    )
-
-
-def build_cruise_system(
-    scheme: int,
-    *,
-    model: str = "cruise",
-    seed: int = 0,
-    period_us: Optional[int] = None,
-    interference_scale: Optional[float] = None,
-    artifacts: Any = None,
-    probes: Any = None,
-    engine: Any = None,
-    code_factory: Any = None,
-):
-    """Assemble one implemented cruise-control system (schemes 1-3)."""
-    if model != "cruise":
-        raise ValueError(f"unknown cruise model {model!r} (known: cruise)")
-    return build_pack_scheme_system(
-        scheme,
-        bundle_builder=build_cruise_bundle,
-        execution_model_factory=cruise_execution_model,
-        chart_builder=build_cruise_statechart,
-        seed=seed,
-        period_us=period_us,
-        interference_scale=interference_scale,
-        artifacts=artifacts,
-        probes=probes,
-        engine=engine,
-        code_factory=code_factory,
-    )
+CRUISE_PLATFORM = PackPlatform(
+    buttons=(
+        ButtonSpec("engage_button", "m-Engage", "i-Engage", sampling_period_us=ms(2)),
+        ButtonSpec("cancel_button", "m-Cancel", "i-Cancel", sampling_period_us=ms(5)),
+        ButtonSpec("brake_pedal", "m-BrakePedal", "i-BrakePedal", sampling_period_us=ms(2)),
+    ),
+    levels=(
+        LevelSpec(
+            "radar",
+            "m-Obstacle",
+            "i-Obstacle",
+            falling_input="i-ObstacleClear",
+            sampling_period_us=ms(10),
+        ),
+    ),
+    actuators=(
+        ActuatorSpec(
+            "throttle_actuator",
+            "o-ThrottleState",
+            "c-Throttle",
+            actuation_latency=uniform(ms(2), us(500)),
+        ),
+        ActuatorSpec(
+            "brake_actuator",
+            "o-BrakeState",
+            "c-BrakeActuator",
+            actuation_latency=uniform(ms(3), ms(1)),
+        ),
+        ActuatorSpec(
+            "warning_buzzer",
+            "o-WarnState",
+            "c-WarnLamp",
+            actuation_latency=uniform(us(800), us(200)),
+        ),
+    ),
+    stimuli={
+        "m-Engage": PressAction("engage_button"),
+        "m-Cancel": PressAction("cancel_button"),
+        "m-BrakePedal": PressAction("brake_pedal"),
+        "m-Obstacle": LevelAction("radar", True),
+        "m-ObstacleClear": LevelAction("radar", False),
+    },
+    interface=build_cruise_interface,
+    execution_model=cruise_execution_model,
+)
 
 
 # ----------------------------------------------------------------------
@@ -443,14 +404,16 @@ def _fault_suite() -> Tuple[Any, ...]:
     )
 
 
+_MODELS = {"cruise": build_cruise_statechart}
+
 CRUISE_PACK = SystemPack(
     system_id="cruise",
     title="Cruise control with autonomous emergency braking",
     description="Automotive cruise controller with brake override and AEB",
     default_model="cruise",
-    model_builders={"cruise": build_cruise_statechart},
+    model_builders=_MODELS,
     build_interface=build_cruise_interface,
-    build_system=build_cruise_system,
+    build_system=partial(build_pack_system, "cruise", CRUISE_PLATFORM, _MODELS, model="cruise"),
     case_builders={
         "engage": lambda samples, seed: engage_test_case(samples),
         "driver-override": lambda samples, seed: driver_override_test_case(samples),

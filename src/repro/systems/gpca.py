@@ -1,19 +1,20 @@
 """The GPCA infusion pump as the default registered system pack.
 
-This pack only *delegates*: the pump's charts, platform, interface,
-requirements and scenarios all live in :mod:`repro.gpca`, whose public API is
-unchanged.  Registering it first makes ``"gpca"`` the default system, so
-every spec, store coordinate and snapshot that predates the registry keeps
-its meaning — and its bytes — unchanged.
+The pump's charts, interface, requirements, scenarios and reservoir dynamics
+live in :mod:`repro.gpca`; this module states its simulated platform as
+device specs and registers it.  Registering it first makes ``"gpca"`` the
+default system, so every spec, store coordinate and snapshot that predates
+the registry keeps its meaning — and its bytes — unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from functools import partial
+from typing import Any, Tuple
 
+from ..gpca.hardware import arm7_execution_model, attach_reservoir
 from ..gpca.interface import build_pump_interface
 from ..gpca.model import build_extended_statechart, build_fig2_statechart
-from ..gpca.pump import build_scheme_system, scheme_name
 from ..gpca.requirements import gpca_requirements
 from ..gpca.scenarios import (
     alarm_clear_test_case,
@@ -22,37 +23,83 @@ from ..gpca.scenarios import (
     empty_reservoir_stop_test_case,
     gpca_scenario_space,
 )
-from ..platform.kernel.time import ms
+from ..platform.kernel.random import uniform
+from ..platform.kernel.time import ms, us
 from .base import SystemPack
+from .platform import (
+    ActuatorSpec,
+    ButtonSpec,
+    LevelAction,
+    LevelSpec,
+    PackPlatform,
+    PressAction,
+    build_pack_system,
+)
 
 #: Stimulus-schedule shift for runs against the extended GPCA model: its
 #: 500 ms power-on self test ignores early stimuli, so schedules move past it.
 EXTENDED_MODEL_SHIFT_US = ms(650)
 
+#: The simulated pump: the paper's Baxter PCA syringe pump on an ARM7.
+#: Sampling periods of a few milliseconds and sub-millisecond conversion
+#: latencies leave the software polling periods of the implementation schemes
+#: as the dominant Input-Delay contributors, as in the paper.  The reservoir
+#: sensor's trace name differs from its attribute and random stream.
+GPCA_PLATFORM = PackPlatform(
+    buttons=(
+        ButtonSpec("bolus_button", "m-BolusReq", "i-BolusReq", sampling_period_us=ms(2)),
+        ButtonSpec(
+            "clear_alarm_button", "m-ClearAlarm", "i-ClearAlarm", sampling_period_us=ms(5)
+        ),
+    ),
+    levels=(
+        LevelSpec(
+            "reservoir_sensor",
+            "m-EmptyReservoir",
+            "i-EmptyAlarm",
+            device_name="reservoir_level_sensor",
+        ),
+        LevelSpec("occlusion_sensor", "m-Occlusion", "i-Occlusion"),
+        LevelSpec(
+            "door_sensor",
+            "m-DoorOpen",
+            "i-DoorOpen",
+            falling_input="i-DoorClose",
+            sampling_period_us=ms(20),
+        ),
+    ),
+    actuators=(
+        ActuatorSpec(
+            "pump_motor", "o-MotorState", "c-PumpMotor", actuation_latency=uniform(ms(3), ms(1))
+        ),
+        ActuatorSpec(
+            "buzzer", "o-BuzzerState", "c-Buzzer", actuation_latency=uniform(us(800), us(200))
+        ),
+        ActuatorSpec(
+            "alarm_led",
+            "o-AlarmLedState",
+            "c-AlarmLed",
+            actuation_latency=uniform(us(500), us(100)),
+        ),
+    ),
+    # m-EmptyReservoir and m-ReservoirRefill come from the reservoir dynamics;
+    # m-DoorClose is the recovery of a door-open pause.
+    stimuli={
+        "m-BolusReq": PressAction("bolus_button"),
+        "m-ClearAlarm": PressAction("clear_alarm_button"),
+        "m-Occlusion": LevelAction("occlusion_sensor", True),
+        "m-DoorOpen": LevelAction("door_sensor", True),
+        "m-DoorClose": LevelAction("door_sensor", False),
+    },
+    interface=build_pump_interface,
+    execution_model=arm7_execution_model,
+    dynamics=attach_reservoir,
+)
 
-def _build_system(
-    scheme: int,
-    *,
-    model: str = "fig2",
-    seed: int = 0,
-    period_us: Optional[int] = None,
-    interference_scale: Optional[float] = None,
-    artifacts: Any = None,
-    probes: Any = None,
-    engine: Any = None,
-    code_factory: Any = None,
-):
-    return build_scheme_system(
-        scheme,
-        seed=seed,
-        use_extended_model=model == "extended",
-        period_us=period_us,
-        interference_scale=interference_scale,
-        artifacts=artifacts,
-        probes=probes,
-        engine=engine,
-        code_factory=code_factory,
-    )
+_MODELS = {
+    "fig2": build_fig2_statechart,
+    "extended": build_extended_statechart,
+}
 
 
 # The campaign scenario axis builds cases as ``builder(samples, seed)``; only
@@ -85,13 +132,10 @@ GPCA_PACK = SystemPack(
     title="GPCA infusion pump",
     description="The paper's case study: a patient-controlled analgesia pump",
     default_model="fig2",
-    model_builders={
-        "fig2": build_fig2_statechart,
-        "extended": build_extended_statechart,
-    },
+    model_builders=_MODELS,
     model_shifts_us={"extended": EXTENDED_MODEL_SHIFT_US},
     build_interface=build_pump_interface,
-    build_system=_build_system,
+    build_system=partial(build_pack_system, "gpca", GPCA_PLATFORM, _MODELS, model="fig2"),
     case_builders={
         "bolus-request": _bolus,
         "empty-reservoir-alarm": _empty_alarm,
@@ -101,5 +145,4 @@ GPCA_PACK = SystemPack(
     requirements=gpca_requirements,
     scenario_space=gpca_scenario_space,
     fault_suite=_fault_suite,
-    scheme_name=scheme_name,
 )

@@ -15,7 +15,8 @@ the same R-/M-testing machinery as the GPCA pump.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from functools import partial
+from typing import Any, Tuple
 
 from ..codegen.execution_model import ExecutionTimeModel
 from ..core.four_variables import FourVariableInterface
@@ -39,9 +40,9 @@ from .platform import (
     ButtonSpec,
     LevelAction,
     LevelSpec,
+    PackPlatform,
     PressAction,
-    build_pack_bundle,
-    build_pack_scheme_system,
+    build_pack_system,
 )
 
 #: Lower-rate-limit pacing interval: pace after 1000 ms without a beat.
@@ -185,58 +186,6 @@ def build_pacemaker_interface() -> FourVariableInterface:
     return interface
 
 
-#: Device specs of the simulated pacemaker platform.  The sense electrode is
-#: edge-triggered (a beat is an event); the magnet and accelerometer are
-#: sampled level sensors whose falling edges feed the *Off/Rest i-variables,
-#: mirroring the GPCA door sensor's open/close pairing.
-_BUTTONS = (
-    ButtonSpec("sense_electrode", "m-Sense", "i-Sense", sampling_period_us=ms(2)),
-)
-_LEVELS = (
-    LevelSpec(
-        "magnet_switch",
-        "m-Magnet",
-        "i-Magnet",
-        falling_input="i-MagnetOff",
-        sampling_period_us=ms(10),
-    ),
-    LevelSpec(
-        "activity_sensor",
-        "m-ActivityHigh",
-        "i-ActivityHigh",
-        falling_input="i-ActivityRest",
-        sampling_period_us=ms(20),
-    ),
-)
-_ACTUATORS = (
-    ActuatorSpec(
-        "pace_driver",
-        "o-PaceState",
-        "c-PaceLine",
-        actuation_latency=uniform(ms(1), us(300)),
-    ),
-    ActuatorSpec(
-        "marker_led",
-        "o-MarkerState",
-        "c-SenseMarker",
-        actuation_latency=uniform(us(500), us(100)),
-    ),
-    ActuatorSpec(
-        "rate_led",
-        "o-RateState",
-        "c-RateLed",
-        actuation_latency=uniform(us(500), us(100)),
-    ),
-)
-_STIMULI = {
-    "m-Sense": PressAction("sense_electrode"),
-    "m-Magnet": LevelAction("magnet_switch", True),
-    "m-MagnetOff": LevelAction("magnet_switch", False),
-    "m-ActivityHigh": LevelAction("activity_sensor", True),
-    "m-ActivityRest": LevelAction("activity_sensor", False),
-}
-
-
 def pacemaker_execution_model() -> ExecutionTimeModel:
     """Execution costs of a low-power implant micro-controller."""
     model = ExecutionTimeModel(
@@ -251,50 +200,60 @@ def pacemaker_execution_model() -> ExecutionTimeModel:
     return model
 
 
-def build_pacemaker_bundle(
-    *, seed: int = 0, input_variables: Any = None, engine: Any = None
-):
-    """One fresh simulated pacemaker platform."""
-    return build_pack_bundle(
-        buttons=_BUTTONS,
-        levels=_LEVELS,
-        actuators=_ACTUATORS,
-        stimuli=_STIMULI,
-        interface_builder=build_pacemaker_interface,
-        seed=seed,
-        input_variables=input_variables,
-        engine=engine,
-    )
-
-
-def build_pacemaker_system(
-    scheme: int,
-    *,
-    model: str = "pacemaker",
-    seed: int = 0,
-    period_us: Optional[int] = None,
-    interference_scale: Optional[float] = None,
-    artifacts: Any = None,
-    probes: Any = None,
-    engine: Any = None,
-    code_factory: Any = None,
-):
-    """Assemble one implemented pacemaker system (schemes 1-3)."""
-    if model != "pacemaker":
-        raise ValueError(f"unknown pacemaker model {model!r} (known: pacemaker)")
-    return build_pack_scheme_system(
-        scheme,
-        bundle_builder=build_pacemaker_bundle,
-        execution_model_factory=pacemaker_execution_model,
-        chart_builder=build_pacemaker_statechart,
-        seed=seed,
-        period_us=period_us,
-        interference_scale=interference_scale,
-        artifacts=artifacts,
-        probes=probes,
-        engine=engine,
-        code_factory=code_factory,
-    )
+#: Device specs of the simulated pacemaker platform.  The sense electrode is
+#: edge-triggered (a beat is an event); the magnet and accelerometer are
+#: sampled level sensors whose falling edges feed the *Off/Rest i-variables,
+#: mirroring the GPCA door sensor's open/close pairing.
+PACEMAKER_PLATFORM = PackPlatform(
+    buttons=(
+        ButtonSpec("sense_electrode", "m-Sense", "i-Sense", sampling_period_us=ms(2)),
+    ),
+    levels=(
+        LevelSpec(
+            "magnet_switch",
+            "m-Magnet",
+            "i-Magnet",
+            falling_input="i-MagnetOff",
+            sampling_period_us=ms(10),
+        ),
+        LevelSpec(
+            "activity_sensor",
+            "m-ActivityHigh",
+            "i-ActivityHigh",
+            falling_input="i-ActivityRest",
+            sampling_period_us=ms(20),
+        ),
+    ),
+    actuators=(
+        ActuatorSpec(
+            "pace_driver",
+            "o-PaceState",
+            "c-PaceLine",
+            actuation_latency=uniform(ms(1), us(300)),
+        ),
+        ActuatorSpec(
+            "marker_led",
+            "o-MarkerState",
+            "c-SenseMarker",
+            actuation_latency=uniform(us(500), us(100)),
+        ),
+        ActuatorSpec(
+            "rate_led",
+            "o-RateState",
+            "c-RateLed",
+            actuation_latency=uniform(us(500), us(100)),
+        ),
+    ),
+    stimuli={
+        "m-Sense": PressAction("sense_electrode"),
+        "m-Magnet": LevelAction("magnet_switch", True),
+        "m-MagnetOff": LevelAction("magnet_switch", False),
+        "m-ActivityHigh": LevelAction("activity_sensor", True),
+        "m-ActivityRest": LevelAction("activity_sensor", False),
+    },
+    interface=build_pacemaker_interface,
+    execution_model=pacemaker_execution_model,
+)
 
 
 # ----------------------------------------------------------------------
@@ -484,14 +443,16 @@ def _fault_suite() -> Tuple[Any, ...]:
     )
 
 
+_MODELS = {"pacemaker": build_pacemaker_statechart}
+
 PACEMAKER_PACK = SystemPack(
     system_id="pacemaker",
     title="Rate-adaptive cardiac pacemaker",
     description="Single-chamber rate-adaptive pacemaker with magnet test mode",
     default_model="pacemaker",
-    model_builders={"pacemaker": build_pacemaker_statechart},
+    model_builders=_MODELS,
     build_interface=build_pacemaker_interface,
-    build_system=build_pacemaker_system,
+    build_system=partial(build_pack_system, "pacemaker", PACEMAKER_PLATFORM, _MODELS, model="pacemaker"),
     case_builders={
         "sense-inhibit": lambda samples, seed: sense_inhibit_test_case(samples, seed=seed),
         "magnet-pace": lambda samples, seed: magnet_pace_test_case(samples),

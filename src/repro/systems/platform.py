@@ -1,17 +1,18 @@
 """Declarative platform assembly for system packs.
 
-The GPCA pump hand-builds its simulated platform (``repro.gpca.hardware``);
-new case studies describe theirs declaratively instead: a list of device
-specs (edge-triggered buttons, sampled level sensors, actuators) plus a map
-of stimulus actions, and :func:`build_pack_bundle` assembles the same
-:class:`repro.integration.base.PlatformBundle` shape — devices, environment,
-four-variable interfacing code and stimulus routing — that every integration
-scheme consumes.
+Every case study describes its simulated platform as data: one
+:class:`PackPlatform` value listing device specs (edge-triggered buttons,
+sampled level sensors, actuators), a map of stimulus actions, the
+four-variable interface, the execution-time model and optional closed-loop
+dynamics.  :func:`build_pack_bundle` assembles that value into the
+:class:`repro.integration.base.PlatformBundle` every integration scheme
+consumes — devices, environment, four-variable interfacing code and stimulus
+routing — and :func:`build_pack_system` wires a bundle and a model's
+generated CODE(M) into any of the paper's three implementation schemes.
 
-:func:`build_pack_scheme_system` is the declarative counterpart of
-``repro.gpca.pump.build_scheme_system`` for such packs: it wires a bundle
-builder, an execution-time model and a chart builder into any of the paper's
-three implementation schemes.
+A pack's ``build_system`` is :func:`build_pack_system` with the pack's id,
+platform value and model builders bound, so every pack builds through the
+same function.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..codegen.execution_model import ExecutionTimeModel
 from ..codegen.generator import GeneratedArtifacts, generate_code
 from ..core.instrumentation import ProbeConfiguration
 from ..core.four_variables import TraceRecorder
@@ -61,6 +63,10 @@ class LevelSpec:
     sampling_period_us: int = ms(10)
     conversion_latency: Optional[JitterModel] = None
     initial_value: bool = False
+    #: Name the device records in its trace events' ``device`` meta, when it
+    #: differs from ``attribute`` (the hardware attribute, fault target and
+    #: random stream, which keep the attribute).
+    device_name: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -89,13 +95,33 @@ class LevelAction:
     value: bool = True
 
 
+@dataclass(frozen=True)
+class PackPlatform:
+    """One case study's simulated platform, stated as data."""
+
+    buttons: Tuple[ButtonSpec, ...]
+    levels: Tuple[LevelSpec, ...]
+    actuators: Tuple[ActuatorSpec, ...]
+    #: Monitored variable -> :class:`PressAction` / :class:`LevelAction`.
+    stimuli: Mapping[str, Any]
+    #: Builds the four-variable interface declaration.
+    interface: Callable[[], Any]
+    execution_model: Callable[[], ExecutionTimeModel] = ExecutionTimeModel
+    #: Closed-loop dynamics, ``dynamics(bundle)``, run once per bundle after
+    #: assembly: it may observe devices, attach state to the environment and
+    #: add stimulus actions, but must not schedule events or draw randomness.
+    dynamics: Optional[Callable[[PlatformBundle], None]] = None
+
+
 class PackHardware:
     """Device collection built from declarative specs.
 
     Devices are exposed as attributes named by their spec (``attribute`` is
-    simultaneously the device name and the named random stream), which is the
-    contract the sensor fault models rely on
-    (``getattr(system.bundle.hardware, fault.device)``).
+    also the named random stream and, unless a level spec names another, the
+    device name), which is the contract the sensor fault models rely on
+    (``getattr(system.bundle.hardware, fault.device)``).  Devices are created
+    buttons first, then levels, then actuators; input devices start in that
+    order, which fixes the kernel's sequence numbers for their samples.
     """
 
     def __init__(
@@ -129,7 +155,7 @@ class PackHardware:
             self._input_devices.append(device)
         for spec in levels:
             device = wrap(StateInputDevice)(
-                spec.attribute,
+                spec.device_name or spec.attribute,
                 spec.monitored_variable,
                 simulator,
                 recorder,
@@ -173,11 +199,9 @@ class PackEnvironment:
     def __init__(self, simulator: Simulator, hardware: PackHardware) -> None:
         self.simulator = simulator
         self.hardware = hardware
-        self.scheduled_stimuli: List[Dict[str, object]] = []
 
     def schedule_press(self, device: EventInputDevice, at_us: int, kind: str) -> None:
         """Press an edge device at ``at_us``; released 50 ms later."""
-        self.scheduled_stimuli.append({"kind": kind, "at_us": at_us, "value": True})
         self.simulator.schedule_at(at_us, lambda: device.trigger(True), label=f"env:{kind}")
         self.simulator.schedule_at(at_us + ms(50), device.release, label=f"env:{kind}:release")
 
@@ -185,30 +209,25 @@ class PackEnvironment:
         self, device: StateInputDevice, at_us: int, value: bool, kind: str
     ) -> None:
         """Drive a level sensor's physical value at ``at_us``."""
-        self.scheduled_stimuli.append({"kind": kind, "at_us": at_us, "value": value})
         self.simulator.schedule_at(
             at_us, lambda: device.set_physical(value), label=f"env:{kind}"
         )
 
 
 def build_pack_bundle(
+    platform: PackPlatform,
     *,
-    buttons: Sequence[ButtonSpec],
-    levels: Sequence[LevelSpec],
-    actuators: Sequence[ActuatorSpec],
-    stimuli: Mapping[str, Any],
-    interface_builder: Callable[[], Any],
     seed: int = 0,
     input_variables: Optional[Iterable[str]] = None,
     engine: Optional[EngineProfile] = None,
 ) -> PlatformBundle:
-    """Assemble one fresh simulated platform from declarative specs.
+    """Assemble one fresh simulated platform from ``platform``.
 
-    Mirrors ``repro.gpca.hardware.build_platform_bundle``: ``input_variables``
-    restricts the interfacing code to the i-variables the generated chart
-    declares; ``engine`` selects the runtime engine (production by default).
-    ``stimuli`` maps monitored variables to :class:`PressAction` /
-    :class:`LevelAction` records that become the bundle's stimulus routing.
+    ``input_variables`` restricts the interfacing code to the i-variables the
+    generated chart declares (with ``None`` every binding is created);
+    ``engine`` selects the runtime engine (production by default; tests and
+    benchmarks pass ``repro._reference.SEED_ENGINE`` to run the same platform
+    on the frozen seed implementations).
     """
     if engine is None:
         simulator = Simulator()
@@ -220,18 +239,16 @@ def build_pack_bundle(
         recorder = engine.recorder_factory(lambda: simulator.now)
         device_wrapper = engine.device_wrapper
         scheduler_class = engine.scheduler_class
-    randomness = RandomSource(seed)
     hardware = PackHardware(
         simulator,
         recorder,
-        buttons,
-        levels,
-        actuators,
-        randomness=randomness,
+        platform.buttons,
+        platform.levels,
+        platform.actuators,
+        randomness=RandomSource(seed),
         device_wrapper=device_wrapper,
     )
     environment = PackEnvironment(simulator, hardware)
-    interface = interface_builder()
 
     wanted = set(input_variables) if input_variables is not None else None
 
@@ -239,12 +256,12 @@ def build_pack_bundle(
         return wanted is None or variable in wanted
 
     input_interfacing = InputInterfacing()
-    for spec in buttons:
+    for spec in platform.buttons:
         if include(spec.input_variable):
             input_interfacing.add(
                 EventInputBinding(getattr(hardware, spec.attribute), spec.input_variable)
             )
-    for spec in levels:
+    for spec in platform.levels:
         device = getattr(hardware, spec.attribute)
         if include(spec.rising_input):
             input_interfacing.add(LevelInputBinding(device, spec.rising_input))
@@ -256,12 +273,12 @@ def build_pack_bundle(
     output_interfacing = OutputInterfacing(
         [
             OutputBinding(spec.output_variable, getattr(hardware, spec.attribute))
-            for spec in actuators
+            for spec in platform.actuators
         ]
     )
 
     stimulus_actions: Dict[str, Callable[[int], None]] = {}
-    for variable, action in stimuli.items():
+    for variable, action in platform.stimuli.items():
         device = getattr(hardware, action.attribute)
         if isinstance(action, PressAction):
 
@@ -278,25 +295,37 @@ def build_pack_bundle(
 
             stimulus_actions[variable] = level
 
-    return PlatformBundle(
+    bundle = PlatformBundle(
         simulator=simulator,
         recorder=recorder,
         scheduler_class=scheduler_class,
         hardware=hardware,
         environment=environment,
-        interface=interface,
+        interface=platform.interface(),
         input_interfacing=input_interfacing,
         output_interfacing=output_interfacing,
         stimulus_actions=stimulus_actions,
     )
+    if platform.dynamics is not None:
+        platform.dynamics(bundle)
+    return bundle
 
 
-def build_pack_scheme_system(
+#: Scheme id -> (configuration class, system class).
+_SCHEMES = {
+    1: (SingleThreadedConfig, SingleThreadedSystem),
+    2: (MultiThreadedConfig, MultiThreadedSystem),
+    3: (InterferedConfig, InterferedSystem),
+}
+
+
+def build_pack_system(
+    system_id: str,
+    platform: PackPlatform,
+    model_builders: Mapping[str, Callable[[], Any]],
     scheme: int,
     *,
-    bundle_builder: Callable[..., PlatformBundle],
-    execution_model_factory: Callable[[], Any],
-    chart_builder: Callable[[], Any],
+    model: str,
     seed: int = 0,
     period_us: Optional[int] = None,
     interference_scale: Optional[float] = None,
@@ -305,43 +334,37 @@ def build_pack_scheme_system(
     engine: Optional[EngineProfile] = None,
     code_factory: Optional[Callable[[], Any]] = None,
 ):
-    """Assemble one implemented system for a declaratively specified pack.
+    """Assemble one implemented system of a pack (model -> code -> platform).
 
-    ``bundle_builder(seed=..., input_variables=..., engine=...)`` produces a
-    fresh platform; everything else follows the GPCA scheme factory: scheme 1
-    accepts a polling period, scheme 3 an interference scaling, and
-    ``artifacts`` / ``probes`` / ``engine`` / ``code_factory`` default to the
-    production configuration.
+    Scheme 1 accepts a polling period, scheme 3 an interference scaling.
+    ``artifacts`` shares one generated CODE(M) across many systems (default:
+    generate it from ``model``'s chart); ``probes`` overrides the full
+    M-level probes, ``engine`` the runtime engine and ``code_factory`` the
+    CODE(M) executor (the compiled-C backend).
     """
+    chart_builder = model_builders.get(model)
+    if chart_builder is None:
+        known = ", ".join(sorted(model_builders))
+        raise ValueError(f"unknown {system_id} model {model!r} (known: {known})")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown implementation scheme {scheme!r} (expected 1, 2 or 3)")
     if period_us is not None and scheme != 1:
         raise ValueError("period_us only applies to scheme 1 (single-threaded)")
     if interference_scale is not None and scheme != 3:
         raise ValueError("interference_scale only applies to scheme 3 (interfered)")
     if artifacts is None:
         artifacts = generate_code(chart_builder())
-    bundle = bundle_builder(
-        seed=seed, input_variables=artifacts.code_model.input_names, engine=engine
+    bundle = build_pack_bundle(
+        platform, seed=seed, input_variables=artifacts.code_model.input_names, engine=engine
     )
-    probes = probes or ProbeConfiguration.m_level()
-    config: Any
-    system_class: Any
-    if scheme == 1:
-        config = SingleThreadedConfig()
-        if period_us is not None:
-            config.period_us = period_us
-        system_class = SingleThreadedSystem
-    elif scheme == 2:
-        config = MultiThreadedConfig()
-        system_class = MultiThreadedSystem
-    elif scheme == 3:
-        config = InterferedConfig()
-        if interference_scale is not None:
-            config = config.scaled_interference(interference_scale)
-        system_class = InterferedSystem
-    else:
-        raise ValueError(f"unknown implementation scheme {scheme!r} (expected 1, 2 or 3)")
-    config.execution_model = execution_model_factory()
-    config.probes = probes
+    config_class, system_class = _SCHEMES[scheme]
+    config = config_class()
+    if period_us is not None:
+        config.period_us = period_us
+    if interference_scale is not None:
+        config = config.scaled_interference(interference_scale)
+    config.execution_model = platform.execution_model()
+    config.probes = probes or ProbeConfiguration.m_level()
     config.seed = seed
     config.code_factory = code_factory
     return system_class(bundle, artifacts, config)
@@ -354,7 +377,8 @@ __all__: Tuple[str, ...] = (
     "LevelSpec",
     "PackEnvironment",
     "PackHardware",
+    "PackPlatform",
     "PressAction",
     "build_pack_bundle",
-    "build_pack_scheme_system",
+    "build_pack_system",
 )

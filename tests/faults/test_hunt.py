@@ -46,10 +46,11 @@ def test_mc_signature_is_blind_to_internal_events():
     """The kill oracle observes monitored/controlled variables only."""
     from repro.core.r_testing import execute_r_test
     from repro.gpca import bolus_request_test_case
-    from repro.gpca.pump import build_scheme_system
+    from repro.systems import get_pack
 
     report = execute_r_test(
-        lambda: build_scheme_system(2, seed=11), bolus_request_test_case(samples=1, seed=1)
+        lambda: get_pack("gpca").build_system(2, seed=11),
+        bolus_request_test_case(samples=1, seed=1),
     )
     verdicts, c_events = mc_signature(report)
     assert len(verdicts) == 1

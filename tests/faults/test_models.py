@@ -18,12 +18,14 @@ from repro.faults import (
     fault_from_dict,
 )
 from repro.core.four_variables import EventKind
-from repro.gpca.pump import build_scheme_system
 from repro.platform.kernel.random import JitterModel, RandomSource
 from repro.platform.kernel.simulator import Simulator
 from repro.platform.kernel.time import ms
 from repro.platform.rtos.directives import Compute
 from repro.platform.rtos.scheduler import RTOSScheduler
+from repro.systems import get_pack
+
+build_system = get_pack("gpca").build_system
 
 
 class _StubSystem:
@@ -178,7 +180,7 @@ class TestPriorityInversion:
 
 class TestSensorFaults:
     def test_stuck_level_sensor_freezes_reads(self):
-        system = build_scheme_system(1, seed=3)
+        system = build_system(1, seed=3)
         SensorStuckFault(device="reservoir_sensor", stuck_value=False).instrument(
             system, _rng()
         )
@@ -199,10 +201,10 @@ class TestSensorFaults:
         # The interfacing code must read the sensor through the wrapped
         # ``read()``, so the empty reservoir never reaches the software.
         def alarms(fault):
-            system = build_scheme_system(2, seed=3)
+            system = build_system(2, seed=3)
             if fault is not None:
                 fault.instrument(system, _rng())
-            system.bundle.environment.schedule_reservoir_empty(ms(500))
+            system.bundle.stimulus_actions["m-EmptyReservoir"](ms(500))
             system.run(ms(2000))
             return system.trace.select(EventKind.I, "i-EmptyAlarm")
 
@@ -210,7 +212,7 @@ class TestSensorFaults:
         assert alarms(fault) == []
 
     def test_stuck_button_swallows_polled_events(self):
-        system = build_scheme_system(1, seed=3)
+        system = build_system(1, seed=3)
         SensorStuckFault(device="bolus_button").instrument(system, _rng())
         button = system.bundle.hardware.bolus_button
         button.trigger(True)
@@ -219,7 +221,7 @@ class TestSensorFaults:
         assert button.poll() == []
 
     def test_glitch_drops_a_seeded_fraction_of_events(self):
-        system = build_scheme_system(1, seed=3)
+        system = build_system(1, seed=3)
         SensorGlitchFault(device="clear_alarm_button", drop_probability=0.5).instrument(
             system, _rng()
         )
@@ -235,7 +237,7 @@ class TestSensorFaults:
 
 class TestFaultPlan:
     def test_empty_plan_instrument_is_identity(self):
-        system = build_scheme_system(1, seed=1)
+        system = build_system(1, seed=1)
         before = (
             system.bundle.simulator.schedule,
             system.scheduler._advance,

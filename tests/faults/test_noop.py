@@ -17,7 +17,7 @@ from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_dict
 from repro.faults import FaultPlan
 from repro.gpca import bolus_request_test_case, build_pump_interface
-from repro.gpca.pump import build_scheme_system
+from repro.systems import get_pack
 
 
 def trace_signature(trace):
@@ -32,10 +32,11 @@ def test_empty_plan_keeps_traces_and_reports_byte_identical(scheme):
     test_case = bolus_request_test_case(samples=3, seed=7)
 
     def clean_factory():
-        return build_scheme_system(scheme, seed=scheme * 11)
+        return get_pack("gpca").build_system(scheme, seed=scheme * 11)
 
     def instrumented_factory():
-        return FaultPlan().instrument(build_scheme_system(scheme, seed=scheme * 11), seed=5)
+        system = get_pack("gpca").build_system(scheme, seed=scheme * 11)
+        return FaultPlan().instrument(system, seed=5)
 
     clean = execute_r_test(clean_factory, test_case)
     instrumented = execute_r_test(instrumented_factory, test_case)

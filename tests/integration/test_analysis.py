@@ -6,7 +6,8 @@ from repro.analysis.figures import SweepPoint, render_sweep, sweep_point
 from repro.analysis.statistics import Summary, percentile, to_milliseconds, violation_rate
 from repro.analysis.tables import SchemeResult, TableOne
 from repro.core import RTestRunner
-from repro.gpca import bolus_request_test_case, scheme_factory, scheme_name
+from repro.gpca import bolus_request_test_case, scheme_factory
+from repro.systems import generic_scheme_name
 
 
 class TestStatistics:
@@ -66,7 +67,7 @@ class TestTableOneEdgeCases:
 
     def test_scheme_without_m_report(self):
         report = RTestRunner(scheme_factory(2, seed=1)).run(bolus_request_test_case(samples=2, seed=1))
-        result = SchemeResult(2, scheme_name(2), report, m_report=None)
+        result = SchemeResult(2, generic_scheme_name(2), report, m_report=None)
         table = TableOne([result])
         row = table.rows()[0]
         assert row["scheme2_input"] == "-"

@@ -19,8 +19,8 @@ from repro.gpca import (
     build_pump_interface,
     req1_bolus_start,
     scheme_factory,
-    scheme_name,
 )
+from repro.systems import generic_scheme_name
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def small_table():
         m_report = MTestAnalyzer(build_pump_interface(), req1_bolus_start()).analyze(
             r_report.trace, sut_name=r_report.sut_name
         )
-        table.add(SchemeResult(scheme, scheme_name(scheme), r_report, m_report))
+        table.add(SchemeResult(scheme, generic_scheme_name(scheme), r_report, m_report))
     return table
 
 

@@ -12,8 +12,8 @@ from repro.gpca import (
     build_pump_interface,
     req1_bolus_start,
     scheme_factory,
-    scheme_name,
 )
+from repro.systems import generic_scheme_name
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ class TestTableOneAssembly:
     def test_table_contains_all_schemes_and_samples(self, scheme3_run, scheme3_m_report):
         _, r_report = scheme3_run
         table = TableOne()
-        table.add(SchemeResult(3, scheme_name(3), r_report, scheme3_m_report))
+        table.add(SchemeResult(3, generic_scheme_name(3), r_report, scheme3_m_report))
         rows = table.rows()
         assert len(rows) == 5
         assert any("*" in row["scheme3_r"] or row["scheme3_r"] == "MAX" for row in rows)
@@ -84,7 +84,7 @@ class TestTableOneAssembly:
 
     def test_summary_rows(self, scheme3_run, scheme3_m_report):
         _, r_report = scheme3_run
-        result = SchemeResult(3, scheme_name(3), r_report, scheme3_m_report)
+        result = SchemeResult(3, generic_scheme_name(3), r_report, scheme3_m_report)
         summary = result.summary_row()
         assert summary["violations"] > 0
         assert summary["dominant_segment"] in {"input", "code", "output"}

@@ -4,18 +4,13 @@ import pytest
 
 from repro.core import EventKind, RTestRunner
 from repro.core.test_generation import Stimulus
-from repro.gpca import (
-    PumpBuildOptions,
-    bolus_request_test_case,
-    make_scheme1_system,
-    make_scheme2_system,
-    make_scheme3_system,
-    make_system,
-    scheme_factory,
-)
+from repro.gpca import bolus_request_test_case, scheme_factory
 from repro.integration.multi_threaded import MultiThreadedConfig
 from repro.integration.single_threaded import SingleThreadedConfig
 from repro.platform.kernel.time import ms, seconds
+from repro.systems import get_pack
+
+build_system = get_pack("gpca").build_system
 
 
 def run_single_bolus(system, at_us=ms(100), until_us=seconds(6)):
@@ -26,7 +21,7 @@ def run_single_bolus(system, at_us=ms(100), until_us=seconds(6)):
 
 class TestScheme1:
     def test_bolus_request_reaches_motor(self):
-        trace = run_single_bolus(make_scheme1_system(PumpBuildOptions(seed=1)))
+        trace = run_single_bolus(build_system(1, seed=1))
         m_events = trace.select(kind=EventKind.M, variable="m-BolusReq")
         c_events = trace.select(kind=EventKind.C, variable="c-PumpMotor")
         assert len(m_events) == 1
@@ -34,7 +29,7 @@ class TestScheme1:
         assert c_events[0].timestamp_us > m_events[0].timestamp_us
 
     def test_motor_stops_after_bolus_duration(self):
-        trace = run_single_bolus(make_scheme1_system(PumpBuildOptions(seed=1)))
+        trace = run_single_bolus(build_system(1, seed=1))
         changes = trace.value_changes(EventKind.C, "c-PumpMotor")
         assert [value for _, value in changes[:2]] == [1, 0]
         start, stop = changes[0][0], changes[1][0]
@@ -42,25 +37,25 @@ class TestScheme1:
         assert seconds(3.9) < stop - start < seconds(4.3)
 
     def test_io_and_transition_events_recorded(self):
-        trace = run_single_bolus(make_scheme1_system(PumpBuildOptions(seed=1)))
+        trace = run_single_bolus(build_system(1, seed=1))
         assert trace.select(kind=EventKind.I, variable="i-BolusReq")
         assert trace.select(kind=EventKind.O, variable="o-MotorState")
         assert trace.select(kind=EventKind.TRANSITION_START, variable="t_bolus_req")
 
     def test_single_task_created(self):
-        system = make_scheme1_system(PumpBuildOptions(seed=1))
+        system = build_system(1, seed=1)
         system.build()
         assert [task.name for task in system.scheduler.tasks] == ["codem_loop"]
 
     def test_unknown_stimulus_variable_rejected(self):
-        system = make_scheme1_system(PumpBuildOptions(seed=1))
+        system = build_system(1, seed=1)
         with pytest.raises(KeyError):
             system.apply_stimulus(Stimulus(ms(1), "m-Nonexistent"))
 
 
 class TestScheme2:
     def test_pipeline_tasks_and_queues_created(self):
-        system = make_scheme2_system(PumpBuildOptions(seed=2))
+        system = build_system(2, seed=2)
         system.build()
         names = {task.name for task in system.scheduler.tasks}
         assert names == {"sensing", "codem", "actuation"}
@@ -71,7 +66,7 @@ class TestScheme2:
         assert config.period_sum_us < ms(100)
 
     def test_bolus_latency_within_deadline(self):
-        system = make_scheme2_system(PumpBuildOptions(seed=2))
+        system = build_system(2, seed=2)
         trace = run_single_bolus(system)
         m_event = trace.first(kind=EventKind.M, variable="m-BolusReq")
         c_event = trace.first(
@@ -80,7 +75,7 @@ class TestScheme2:
         assert c_event.timestamp_us - m_event.timestamp_us <= ms(100)
 
     def test_queues_carry_traffic(self):
-        system = make_scheme2_system(PumpBuildOptions(seed=2))
+        system = build_system(2, seed=2)
         run_single_bolus(system)
         assert system.input_queue.stats.sent >= 1
         assert system.output_queue.stats.sent >= 1
@@ -89,7 +84,7 @@ class TestScheme2:
 
 class TestScheme3:
     def test_interference_tasks_created_with_relative_priorities(self):
-        system = make_scheme3_system(PumpBuildOptions(seed=3))
+        system = build_system(3, seed=3)
         system.build()
         by_name = {task.name: task for task in system.scheduler.tasks}
         codem_priority = by_name["codem"].priority
@@ -106,18 +101,18 @@ class TestScheme3:
             )
             return c_event.timestamp_us - m_event.timestamp_us
 
-        clean = latency(make_scheme2_system(PumpBuildOptions(seed=4)))
-        interfered = latency(make_scheme3_system(PumpBuildOptions(seed=4)))
+        clean = latency(build_system(2, seed=4))
+        interfered = latency(build_system(3, seed=4))
         assert interfered > clean
 
     def test_codem_thread_is_preempted(self):
-        system = make_scheme3_system(PumpBuildOptions(seed=3))
+        system = build_system(3, seed=3)
         run_single_bolus(system)
         stats = system.task_statistics()
         assert stats["codem"].preemptions > 0
 
     def test_interference_utilization_reported(self):
-        system = make_scheme3_system(PumpBuildOptions(seed=3))
+        system = build_system(3, seed=3)
         assert system.config.interference_utilization > 0.5
 
 
@@ -142,12 +137,12 @@ class TestSchemeComparison:
         scheme3 = RTestRunner(scheme_factory(3, seed=11)).run(case)
         assert scheme3.violation_count >= scheme1.violation_count
 
-    def test_make_system_dispatch(self):
-        assert make_system(1).scheme_name.startswith("scheme1")
-        assert make_system(2).scheme_name.startswith("scheme2")
-        assert make_system(3).scheme_name.startswith("scheme3")
+    def test_build_system_dispatch(self):
+        assert build_system(1).scheme_name.startswith("scheme1")
+        assert build_system(2).scheme_name.startswith("scheme2")
+        assert build_system(3).scheme_name.startswith("scheme3")
         with pytest.raises(ValueError):
-            make_system(4)
+            build_system(4)
 
     def test_scheme1_transitions_per_cycle_default(self):
         assert SingleThreadedConfig().transitions_per_cycle == 1

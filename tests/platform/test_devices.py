@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.four_variables import EventKind
-from repro.platform.devices.actuators import Buzzer, PumpMotor
 from repro.platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
-from repro.platform.devices.sensors import BolusRequestButton, ReservoirLevelSensor
 from repro.platform.kernel.random import constant
 from repro.platform.kernel.time import ms
+from repro.systems.gpca import GPCA_PLATFORM
+from repro.systems.platform import build_pack_bundle
 
 
 class TestEventInputDevice:
@@ -134,20 +134,29 @@ class TestOutputDevice:
 
 
 class TestConcreteDevices:
-    def test_bolus_button_default_variable(self, simulator, recorder):
-        button = BolusRequestButton(simulator, recorder)
+    """The GPCA pump's devices as its pack platform builds them."""
+
+    @pytest.fixture
+    def bundle(self):
+        return build_pack_bundle(GPCA_PLATFORM)
+
+    def test_bolus_button_default_variable(self, bundle):
+        button = bundle.hardware.bolus_button
         assert button.monitored_variable == "m-BolusReq"
+        assert button.sampling_period_us == ms(2)
 
-    def test_reservoir_sensor_default_variable(self, simulator, recorder):
-        sensor = ReservoirLevelSensor(simulator, recorder)
+    def test_reservoir_sensor_default_variable(self, bundle):
+        sensor = bundle.hardware.reservoir_sensor
         assert sensor.monitored_variable == "m-EmptyReservoir"
+        # Traced under its device name; attribute and random stream differ.
+        assert sensor.name == "reservoir_level_sensor"
 
-    def test_pump_motor_running_property(self, simulator, recorder):
-        motor = PumpMotor(simulator, recorder, actuation_latency=constant(0))
-        assert not motor.running
-        simulator.schedule_at(ms(1), lambda: motor.write(3))
-        simulator.run_until(ms(2))
-        assert motor.running
+    def test_pump_motor_running_property(self, bundle):
+        motor = bundle.hardware.pump_motor
+        assert not motor.physical_value  # stopped
+        bundle.simulator.schedule_at(ms(1), lambda: motor.write(3))
+        bundle.simulator.run_until(ms(6))  # past the 3 +/- 1 ms actuation latency
+        assert motor.physical_value == 3  # running at the commanded speed
 
-    def test_buzzer_controlled_variable(self, simulator, recorder):
-        assert Buzzer(simulator, recorder).controlled_variable == "c-Buzzer"
+    def test_buzzer_controlled_variable(self, bundle):
+        assert bundle.hardware.buzzer.controlled_variable == "c-Buzzer"

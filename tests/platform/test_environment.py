@@ -1,83 +1,78 @@
-"""Unit tests for the physical environment model (patient, syringe, caregiver)."""
+"""The GPCA pump's physical environment (patient, syringe, caregiver).
+
+The pump platform is the pack-built one: device specs plus the reservoir
+dynamics hook of :mod:`repro.gpca.hardware`.
+"""
 
 import pytest
 
-from repro.core.four_variables import EventKind, TraceRecorder
-from repro.platform.environment import PatientEnvironment, PumpHardware, ReservoirModel
-from repro.platform.kernel.simulator import Simulator
+from repro.core.four_variables import EventKind
+from repro.gpca.hardware import ReservoirModel
 from repro.platform.kernel.time import ms, seconds
+from repro.systems.gpca import GPCA_PLATFORM
+from repro.systems.platform import build_pack_bundle
 
 
 @pytest.fixture
 def environment():
-    simulator = Simulator()
-    recorder = TraceRecorder(lambda: simulator.now)
-    hardware = PumpHardware(simulator, recorder)
-    return simulator, recorder, hardware, PatientEnvironment(simulator, hardware)
+    bundle = build_pack_bundle(GPCA_PLATFORM)
+    return bundle.simulator, bundle.recorder, bundle.hardware, bundle
 
 
 class TestStimulusInjection:
     def test_bolus_request_press_records_m_event(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.schedule_bolus_request(ms(20))
+        simulator, recorder, hardware, bundle = environment
+        bundle.stimulus_actions["m-BolusReq"](ms(20))
         simulator.run_until(ms(30))
         events = recorder.trace.select(kind=EventKind.M, variable="m-BolusReq")
         assert [event.timestamp_us for event in events] == [ms(20)]
 
     def test_reservoir_empty_changes_sensor(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.schedule_reservoir_empty(ms(50))
+        simulator, recorder, hardware, bundle = environment
+        bundle.stimulus_actions["m-EmptyReservoir"](ms(50))
         simulator.run_until(ms(60))
         assert hardware.reservoir_sensor.physical_value is True
-        assert env.reservoir.empty
+        assert bundle.environment.reservoir.empty
 
     def test_reservoir_refill_clears_condition(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.schedule_reservoir_empty(ms(10))
-        env.schedule_reservoir_refill(ms(30), volume_ml=50.0)
+        simulator, recorder, hardware, bundle = environment
+        bundle.stimulus_actions["m-EmptyReservoir"](ms(10))
+        bundle.stimulus_actions["m-ReservoirRefill"](ms(30))
         simulator.run_until(ms(40))
         assert hardware.reservoir_sensor.physical_value is False
-        assert env.reservoir.volume_ml == 50.0
+        assert bundle.environment.reservoir.volume_ml == 100.0
 
     def test_occlusion_and_door(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.schedule_occlusion(ms(5))
-        env.schedule_door_open(ms(6))
+        simulator, recorder, hardware, bundle = environment
+        bundle.stimulus_actions["m-Occlusion"](ms(5))
+        bundle.stimulus_actions["m-DoorOpen"](ms(6))
         simulator.run_until(ms(10))
         assert hardware.occlusion_sensor.physical_value is True
         assert hardware.door_sensor.physical_value is True
 
-    def test_stimuli_are_logged(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.schedule_bolus_request(ms(1))
-        env.schedule_clear_alarm(ms(2))
-        assert [item["kind"] for item in env.scheduled_stimuli] == [
-            "bolus_request",
-            "clear_alarm",
-        ]
-
 
 class TestClosedLoopDynamics:
     def test_motor_run_delivers_volume(self, environment):
-        simulator, recorder, hardware, env = environment
+        simulator, recorder, hardware, bundle = environment
         motor = hardware.pump_motor
         simulator.schedule_at(ms(10), lambda: motor.write(2))
         simulator.schedule_at(seconds(4), lambda: motor.write(0))
         simulator.run_until(seconds(5))
-        assert env.bolus_count == 1
-        record = env.deliveries[0]
-        assert record.end_us is not None and record.end_us > record.start_us
-        assert env.total_delivered_ml == pytest.approx(record.delivered_ml)
-        assert record.delivered_ml > 0
+        (start, _), (stop, _) = recorder.trace.value_changes(EventKind.C, "c-PumpMotor")
+        reservoir = bundle.environment.reservoir
+        delivered = 2 * reservoir.ml_per_second_per_speed * (stop - start) / 1_000_000
+        assert delivered > 0
+        assert reservoir.volume_ml == pytest.approx(100.0 - delivered)
+        assert hardware.reservoir_sensor.physical_value is False
 
     def test_reservoir_empties_after_enough_delivery(self, environment):
-        simulator, recorder, hardware, env = environment
-        env.reservoir.volume_ml = 0.05
+        simulator, recorder, hardware, bundle = environment
+        bundle.environment.reservoir.volume_ml = 0.05
         motor = hardware.pump_motor
         simulator.schedule_at(ms(10), lambda: motor.write(5))
         simulator.schedule_at(seconds(10), lambda: motor.write(0))
         simulator.run_until(seconds(11))
-        assert env.reservoir.empty
+        assert bundle.environment.reservoir.empty
         assert hardware.reservoir_sensor.physical_value is True
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from repro.campaign import ArtifactCache
 from repro.cli import main
-from repro.gpca import build_scheme_system, gpca_scenario_space
+from repro.gpca import gpca_scenario_space
 from repro.scenarios import CoverageGuidedExplorer
+from repro.systems import get_pack
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def fig2_artifacts_cached():
 
 def build_explorer(artifacts, seed=0):
     def factory():
-        return build_scheme_system(1, seed=11, artifacts=artifacts)
+        return get_pack("gpca").build_system(1, seed=11, artifacts=artifacts)
 
     return CoverageGuidedExplorer(
         gpca_scenario_space(), factory, artifacts.code_model, seed=seed

@@ -23,7 +23,6 @@ for bit.  These tests prove it against the frozen seed implementations in
 from __future__ import annotations
 
 import copy
-import json
 import random
 
 import pytest
@@ -50,12 +49,13 @@ from repro.core.serialization import m_report_to_dict, r_report_to_json
 from repro.faults import ClockDriftFault, FaultPlan
 from repro.gpca.interface import build_pump_interface
 from repro.gpca.model import build_fig2_statechart
-from repro.gpca.pump import ALL_SCHEMES, build_scheme_system
+from repro.gpca.pump import ALL_SCHEMES
 from repro.gpca.scenarios import all_requirement_test_cases
 from repro.platform.devices.device import StateInputDevice
 from repro.platform.kernel.simulator import SimulationError, Simulator
 from repro.platform.kernel.time import ms
 from repro.store.keys import run_key
+from repro.systems import get_pack
 
 requires_cc = pytest.mark.skipif(
     find_c_compiler() is None, reason="no host C compiler available"
@@ -70,7 +70,7 @@ CASE_IDS = [case.name for case in CASES]
 
 def _run_case(case, scheme, *, engine=None, code_factory=None):
     def factory():
-        return build_scheme_system(
+        return get_pack("gpca").build_system(
             scheme, seed=1234, engine=engine, code_factory=code_factory
         )
 
@@ -207,7 +207,7 @@ class TestKernelDispatchOrder:
 
 def _dormancy_system(engine, drift):
     """A scheme-2 pump on ``engine``, optionally under clock drift."""
-    system = build_scheme_system(2, seed=77, engine=engine)
+    system = get_pack("gpca").build_system(2, seed=77, engine=engine)
     if drift is not None:
         FaultPlan((ClockDriftFault(drift=drift),)).instrument(system, seed=0)
     return system
