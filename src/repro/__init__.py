@@ -35,9 +35,11 @@ The package is organised by layer, mirroring the paper's methodology:
   incremental (resumable) campaigns, snapshot regression diffs and the
   ``repro serve`` JSON query API.
 
-``docs/architecture.md`` draws the layer diagram and collects the design
-notes behind the campaign engine, the trace index and the scenario
-subsystem.
+``import repro`` loads none of these subpackages: import the one you use,
+as the quickstarts below do.  ``docs/architecture.md`` draws the layer
+diagram, states the order in which the subpackages may import each other,
+and collects the design notes behind the campaign engine, the trace index
+and the scenario subsystem.
 
 Quickstart::
 
@@ -60,33 +62,8 @@ Campaign quickstart (the Table I grid, sharded across four workers)::
     print(result.table_one().render())
 """
 
-from . import (
-    analysis,
-    baselines,
-    campaign,
-    codegen,
-    core,
-    gpca,
-    integration,
-    model,
-    platform,
-    store,
-    systems,
-)
-
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",
-    "analysis",
-    "baselines",
-    "campaign",
-    "codegen",
-    "core",
-    "gpca",
-    "integration",
-    "model",
-    "platform",
-    "store",
-    "systems",
 ]

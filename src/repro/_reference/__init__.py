@@ -14,10 +14,8 @@ Nothing here is part of the public API and nothing outside tests and
 benchmarks should import it.
 """
 
-from .seed_engine import (  # noqa: F401
-    SEED_ENGINE,
-    EngineProfile,
-    SeedSimulator,
-    SeedTrace,
-    SeedTraceRecorder,
-)
+from .seed_engine import SEED_ENGINE
+
+__all__ = [
+    "SEED_ENGINE",
+]

@@ -1,39 +1,16 @@
 """Analysis and reporting: statistics, Table I rendering, figure data series."""
 
-from .export import (
-    sweep_to_csv,
-    sweep_to_markdown,
-    table_one_to_csv,
-    table_one_to_markdown,
-)
 from .figures import (
-    Fig3View,
-    ModelTimingView,
-    SweepPoint,
     fig3_views,
     model_timing_view,
     render_sweep,
-    sweep_point,
 )
-from .statistics import Summary, percentile, to_milliseconds, violation_rate
 from .tables import SchemeResult, TableOne
 
 __all__ = [
-    "Fig3View",
-    "ModelTimingView",
     "SchemeResult",
-    "Summary",
-    "SweepPoint",
     "TableOne",
     "fig3_views",
     "model_timing_view",
-    "percentile",
     "render_sweep",
-    "sweep_point",
-    "sweep_to_csv",
-    "sweep_to_markdown",
-    "table_one_to_csv",
-    "table_one_to_markdown",
-    "to_milliseconds",
-    "violation_rate",
 ]

@@ -1,20 +1,14 @@
 """Baselines from the paper's related work: black-box online testing and
 functional (SIL-style) conformance checking."""
 
-from .blackbox_online import BlackBoxOnlineTester, BlackBoxReport, OnlineVerdict
+from .blackbox_online import BlackBoxOnlineTester
 from .functional_conformance import (
-    ConformanceReport,
     FunctionalConformanceChecker,
     FunctionalStep,
-    OutputDifference,
 )
 
 __all__ = [
     "BlackBoxOnlineTester",
-    "BlackBoxReport",
-    "ConformanceReport",
     "FunctionalConformanceChecker",
     "FunctionalStep",
-    "OnlineVerdict",
-    "OutputDifference",
 ]

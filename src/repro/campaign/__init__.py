@@ -29,22 +29,16 @@ grid); see ``docs/architecture.md`` for the engine's design notes.
 """
 
 from .cache import ArtifactCache, chart_fingerprint, model_fingerprint, process_cache
-from .profiler import ProfileResult, profile_run
-from .results import SUMMARY_FIELDS, CampaignResult, RunRecord
+from .profiler import profile_run
+from .results import SUMMARY_FIELDS, CampaignResult
 from .runner import CampaignRunner, default_worker_count, run_campaign, shard_grid
 from .spec import (
-    CASE_BUILDERS,
-    M_TEST_ALL,
-    M_TEST_NONE,
-    M_TEST_POLICIES,
-    M_TEST_VIOLATIONS,
     PRESETS,
     CampaignSpec,
     CasePoint,
     RunSpec,
     SchemePoint,
     build_case,
-    case_requirement,
     derive_seed,
     full_grid_spec,
     interference_sweep_spec,
@@ -53,32 +47,23 @@ from .spec import (
     scenario_grid_spec,
     table_one_spec,
 )
-from .worker import execute_run, execute_shard, execution_count
+from .worker import execute_run, execution_count
 
 __all__ = [
     "ArtifactCache",
-    "CASE_BUILDERS",
     "SUMMARY_FIELDS",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
     "CasePoint",
-    "M_TEST_ALL",
-    "M_TEST_NONE",
-    "M_TEST_POLICIES",
-    "M_TEST_VIOLATIONS",
     "PRESETS",
-    "ProfileResult",
-    "RunRecord",
     "RunSpec",
     "SchemePoint",
     "build_case",
-    "case_requirement",
     "chart_fingerprint",
     "default_worker_count",
     "derive_seed",
     "execute_run",
-    "execute_shard",
     "execution_count",
     "model_fingerprint",
     "full_grid_spec",

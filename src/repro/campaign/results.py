@@ -26,7 +26,7 @@ from ..analysis.tables import SchemeResult, TableOne
 from ..core.m_testing import MTestReport
 from ..core.r_testing import RTestReport
 from ..core.serialization import m_report_from_dict, r_report_from_dict
-from ..systems import get_pack
+from ..systems import generic_scheme_name
 from .spec import CampaignSpec, RunSpec, case_requirement
 
 RESULT_FORMAT_VERSION = 1
@@ -184,13 +184,10 @@ class CampaignResult:
         for record in self.records:
             if record.spec.case != case:
                 continue
-            # Scheme labels come from the run's own pack, not a hardwired
-            # GPCA import — mixed-system campaigns label each row correctly.
-            pack = get_pack(record.spec.system)
             table.add(
                 SchemeResult(
                     scheme=record.spec.scheme,
-                    label=pack.scheme_name(record.spec.scheme),
+                    label=generic_scheme_name(record.spec.scheme),
                     r_report=record.r_report(),
                     m_report=record.m_report(),
                 )

@@ -64,7 +64,7 @@ Exit codes, shared by every sub-command:
   unmet requirement, ``rtest`` found violations, ``store diff`` found
   regressions with ``--fail-on-regression``) or a runtime precondition
   failed (e.g. ``--baseline`` could not get a process pool, an unknown
-  snapshot id).
+  snapshot id, a ``store``/``serve`` path that holds no run store).
 * ``2`` — usage error: unknown flag or value rejected by validation
   (argparse also uses 2 for parse failures).
 """
@@ -81,7 +81,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import SchemeResult, TableOne, render_sweep
+from .analysis import render_sweep
 from .analysis.export import table_one_to_csv, table_one_to_markdown
 from .campaign import (
     PRESETS,
@@ -90,6 +90,7 @@ from .campaign import (
     preset_spec,
     process_cache,
     profile_run,
+    table_one_spec,
 )
 from .codegen import generate_code
 from .faults import KillMatrix, SurvivorHunter, default_matrix_spec
@@ -160,6 +161,9 @@ def cmd_codegen(args: argparse.Namespace) -> int:
 
 def cmd_rtest(args: argparse.Namespace) -> int:
     """R-test one implementation scheme against REQ1 (optionally M-test failures)."""
+    if args.samples <= 0:
+        print("repro rtest: error: sample count must be positive", file=sys.stderr)
+        return 2
     requirement = req1_bolus_start()
     test_case = bolus_request_test_case(samples=args.samples, seed=args.seed)
     runner = RTestRunner(scheme_factory(args.scheme, seed=args.seed))
@@ -187,17 +191,11 @@ def cmd_rtest(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Regenerate Table I across all three implementation schemes."""
-    requirement = req1_bolus_start()
-    interface = build_pump_interface()
-    test_case = bolus_request_test_case(samples=args.samples, seed=args.seed)
-    table = TableOne()
-    for scheme in ALL_SCHEMES:
-        r_report = RTestRunner(scheme_factory(scheme, seed=scheme * 11)).run(test_case)
-        m_report = MTestAnalyzer(interface, requirement).analyze(
-            r_report.trace, sut_name=r_report.sut_name
-        )
-        table.add(SchemeResult(scheme, generic_scheme_name(scheme), r_report, m_report))
-    rendered = table.render()
+    if args.samples <= 0:
+        print("repro table1: error: sample count must be positive", file=sys.stderr)
+        return 2
+    spec = table_one_spec(args.samples, case_seed=args.seed)
+    rendered = CampaignRunner(spec).run().table_one().render()
     print(rendered)
     if args.output:
         Path(args.output).write_text(rendered + "\n", encoding="utf-8")
@@ -527,12 +525,26 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_existing_store(command: str, path: str) -> Optional[RunStore]:
+    """Open the run store at ``path`` for reading, or report why not.
+
+    ``RunStore`` creates a missing file, which a read-only command must not
+    do: a mistyped path would print an empty store and leave a new file.
+    """
+    if not Path(path).exists():
+        print(f"repro {command}: error: no run store at {path}", file=sys.stderr)
+        return None
+    try:
+        return RunStore(path)
+    except StoreError as error:
+        print(f"repro {command}: error: {error}", file=sys.stderr)
+        return None
+
+
 def cmd_store(args: argparse.Namespace) -> int:
     """Inspect a persistent run store: snapshots, runs, diffs and exports."""
-    try:
-        store = RunStore(args.db)
-    except StoreError as error:
-        print(f"repro store: error: {error}", file=sys.stderr)
+    store = _open_existing_store("store", args.db)
+    if store is None:
         return 1
     try:
         return _store_action(store, args)
@@ -640,10 +652,11 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a run store as a JSON HTTP API (``repro serve``)."""
-    try:
-        store = RunStore(args.store)
-    except StoreError as error:
-        print(f"repro serve: error: {error}", file=sys.stderr)
+    if not 0 <= args.port <= 65535:
+        print(f"repro serve: error: port {args.port} outside 0..65535", file=sys.stderr)
+        return 2
+    store = _open_existing_store("serve", args.store)
+    if store is None:
         return 1
     server = StoreServer(store, host=args.host, port=args.port, verbose=not args.quiet)
     counts = store.counts()
@@ -757,7 +770,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         pack.scenario_space(), factory, artifacts.code_model, seed=args.seed
     )
     report = explorer.explore(args.episodes)
-    print(f"system: {pack.system_id}, scheme: {pack.scheme_name(args.scheme)}, model: {model}")
+    print(f"system: {pack.system_id}, scheme: {generic_scheme_name(args.scheme)}, model: {model}")
     print(report.summary())
     if args.json:
         Path(args.json).write_text(

@@ -1,26 +1,7 @@
 """Code generation: lowering statecharts to executable CODE(M) artefacts."""
 
-from .c_emitter import emit_c_source
-from .execution_model import ExecutionTimeModel
-from .generated import Firing, GeneratedCode, GeneratedCodeError
-from .generator import CodeGenerator, GeneratedArtifacts, generate_code
-from .ir import ActionIR, CodeModel, LoweringError, TransitionIR, lower_statechart
-from .traceability import TraceabilityMap, TransitionLink
+from .generator import generate_code
 
 __all__ = [
-    "ActionIR",
-    "CodeGenerator",
-    "CodeModel",
-    "ExecutionTimeModel",
-    "Firing",
-    "GeneratedArtifacts",
-    "GeneratedCode",
-    "GeneratedCodeError",
-    "LoweringError",
-    "TraceabilityMap",
-    "TransitionIR",
-    "TransitionLink",
-    "emit_c_source",
     "generate_code",
-    "lower_statechart",
 ]

@@ -1,116 +1,34 @@
 """The paper's contribution: four-variable instrumentation and R/M testing."""
 
 from .coverage import (
-    StateCoverage,
-    SufficiencyAssessment,
     TransitionCoverage,
     assess_sufficiency,
-    samples_needed_for_rate,
-    wilson_interval,
 )
-from .serialization import (
-    m_report_from_dict,
-    m_report_to_dict,
-    m_report_to_json,
-    r_report_from_dict,
-    r_report_to_csv,
-    r_report_to_dict,
-    r_report_to_json,
-    trace_from_dict,
-    trace_from_json,
-    trace_to_dict,
-    trace_to_json,
-)
-from .delays import DelaySegments, SegmentStatistics, TransitionDelay, summarize_segments
 from .four_variables import (
-    Event,
     EventKind,
-    FourVariableInterface,
-    InputMapping,
-    OutputMapping,
-    Trace,
     TraceRecorder,
-    VariableKind,
-    VariableSpec,
 )
-from .instrumentation import MeasurementProbes, ProbeConfiguration
-from .m_testing import MTestAnalyzer, MTestReport, MTestingError
-from .oracle import MatchedPair, ResponseMatcher
-from .r_testing import (
-    RSample,
-    RTestReport,
-    RTestRunner,
-    SampleVerdict,
-    evaluate_r_trace,
-    execute_r_test,
-)
+from .m_testing import MTestAnalyzer
+from .r_testing import RTestRunner
 from .report import render_layered_summary, render_m_report, render_r_report
-from .requirements import EventSpec, MatchMode, RequirementSet, TimingRequirement
-from .sut import SutFactory, SystemUnderTest
+from .requirements import EventSpec, TimingRequirement
 from .test_generation import (
     RTestCase,
-    RTestGenerator,
     Stimulus,
-    TestGenerationConfig,
-    paper_example_test_case,
 )
 
 __all__ = [
-    "DelaySegments",
-    "Event",
     "EventKind",
     "EventSpec",
-    "FourVariableInterface",
-    "InputMapping",
     "MTestAnalyzer",
-    "MTestReport",
-    "MTestingError",
-    "MatchMode",
-    "MatchedPair",
-    "MeasurementProbes",
-    "OutputMapping",
-    "ProbeConfiguration",
-    "RSample",
     "RTestCase",
-    "RTestGenerator",
-    "RTestReport",
     "RTestRunner",
-    "RequirementSet",
-    "ResponseMatcher",
-    "SampleVerdict",
-    "SegmentStatistics",
-    "StateCoverage",
     "Stimulus",
-    "SufficiencyAssessment",
-    "SutFactory",
-    "SystemUnderTest",
-    "TestGenerationConfig",
     "TimingRequirement",
-    "Trace",
     "TraceRecorder",
     "TransitionCoverage",
-    "TransitionDelay",
-    "VariableKind",
-    "VariableSpec",
     "assess_sufficiency",
-    "evaluate_r_trace",
-    "execute_r_test",
-    "m_report_from_dict",
-    "m_report_to_dict",
-    "m_report_to_json",
-    "paper_example_test_case",
-    "r_report_from_dict",
-    "r_report_to_csv",
-    "r_report_to_dict",
-    "r_report_to_json",
     "render_layered_summary",
     "render_m_report",
     "render_r_report",
-    "samples_needed_for_rate",
-    "summarize_segments",
-    "trace_from_dict",
-    "trace_from_json",
-    "trace_to_dict",
-    "trace_to_json",
-    "wilson_interval",
 ]

@@ -28,19 +28,16 @@ Entry points: ``repro faults`` (CLI), ``benchmarks/bench_faults.py``
 the layer sits in the stack.
 """
 
-from .hunt import HuntEpisode, HuntReport, SurvivorHunter
+from .hunt import SurvivorHunter
 from .matrix import (
     FaultMatrixSpec,
     KillMatrix,
-    MatrixCell,
     default_matrix_spec,
     run_kill_matrix,
 )
 from .models import (
-    FAULT_KINDS,
     ClockDriftFault,
     ExecutionInflationFault,
-    FaultModel,
     FaultPlan,
     PriorityInversionFault,
     QueueFault,
@@ -50,26 +47,17 @@ from .models import (
     fault_from_dict,
 )
 from .mutants import (
-    ALL_OPERATORS,
-    DEFAULT_TIMING_SCALES,
     MutantError,
     MutantSpec,
     generate_mutants,
 )
 
 __all__ = [
-    "ALL_OPERATORS",
     "ClockDriftFault",
-    "DEFAULT_TIMING_SCALES",
     "ExecutionInflationFault",
-    "FAULT_KINDS",
     "FaultMatrixSpec",
-    "FaultModel",
     "FaultPlan",
-    "HuntEpisode",
-    "HuntReport",
     "KillMatrix",
-    "MatrixCell",
     "MutantError",
     "MutantSpec",
     "PriorityInversionFault",
@@ -79,6 +67,7 @@ __all__ = [
     "SurvivorHunter",
     "default_fault_suite",
     "default_matrix_spec",
+    "fault_from_dict",
     "generate_mutants",
     "run_kill_matrix",
 ]

@@ -3,36 +3,23 @@
 from .hardware import arm7_execution_model
 from .interface import build_pump_interface
 from .model import (
-    BOLUS_DURATION_TICKS,
-    BOLUS_START_BOUND_TICKS,
-    TRANS_BOLUS_DONE,
     TRANS_BOLUS_REQUEST,
-    TRANS_CLEAR_ALARM,
-    TRANS_EMPTY_ALARM,
     TRANS_START_INFUSION,
     build_extended_statechart,
     build_fig2_statechart,
 )
 from .pump import (
     ALL_SCHEMES,
-    SCHEME_INTERFERED,
-    SCHEME_MULTI_THREADED,
-    SCHEME_SINGLE_THREADED,
     scheme_factory,
 )
 from .requirements import (
     gpca_requirements,
     req1_bolus_start,
     req2_empty_reservoir_alarm,
-    req3_empty_reservoir_stop,
-    req4_alarm_clear,
 )
 from .scenarios import (
-    BOLUS_SPACING_US,
     alarm_clear_program,
     alarm_clear_test_case,
-    all_requirement_programs,
-    all_requirement_test_cases,
     bolus_request_program,
     bolus_request_test_case,
     empty_reservoir_alarm_program,
@@ -44,21 +31,10 @@ from .scenarios import (
 
 __all__ = [
     "ALL_SCHEMES",
-    "BOLUS_DURATION_TICKS",
-    "BOLUS_SPACING_US",
-    "BOLUS_START_BOUND_TICKS",
-    "SCHEME_INTERFERED",
-    "SCHEME_MULTI_THREADED",
-    "SCHEME_SINGLE_THREADED",
-    "TRANS_BOLUS_DONE",
     "TRANS_BOLUS_REQUEST",
-    "TRANS_CLEAR_ALARM",
-    "TRANS_EMPTY_ALARM",
     "TRANS_START_INFUSION",
     "alarm_clear_program",
     "alarm_clear_test_case",
-    "all_requirement_programs",
-    "all_requirement_test_cases",
     "arm7_execution_model",
     "bolus_request_program",
     "bolus_request_test_case",
@@ -73,7 +49,5 @@ __all__ = [
     "gpca_scenario_space",
     "req1_bolus_start",
     "req2_empty_reservoir_alarm",
-    "req3_empty_reservoir_stop",
-    "req4_alarm_clear",
     "scheme_factory",
 ]

@@ -141,16 +141,6 @@ def alarm_clear_program(samples: int = 5) -> ScenarioProgram:
     )
 
 
-def all_requirement_programs(samples: int = 5) -> List[ScenarioProgram]:
-    """One scenario program per GPCA timing requirement."""
-    return [
-        bolus_request_program(samples),
-        empty_reservoir_alarm_program(samples),
-        empty_reservoir_stop_program(samples),
-        alarm_clear_program(samples),
-    ]
-
-
 # ----------------------------------------------------------------------
 # Legacy builder API (compiled from the programs above)
 # ----------------------------------------------------------------------

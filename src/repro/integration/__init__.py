@@ -1,38 +1,8 @@
 """Platform integration: the three implementation schemes of the case study."""
 
-from .base import ImplementedSystem, PlatformBundle, SchemeConfig, StimulusAction
-from .interfacing import (
-    EventInputBinding,
-    InputInterfacing,
-    LevelInputBinding,
-    OutputBinding,
-    OutputInterfacing,
-)
-from .interference import (
-    InterferedConfig,
-    InterferedSystem,
-    InterferenceTaskConfig,
-    default_interference_profile,
-)
-from .multi_threaded import MultiThreadedConfig, MultiThreadedSystem
 from .single_threaded import SingleThreadedConfig, SingleThreadedSystem
 
 __all__ = [
-    "EventInputBinding",
-    "ImplementedSystem",
-    "InputInterfacing",
-    "InterferedConfig",
-    "InterferedSystem",
-    "InterferenceTaskConfig",
-    "LevelInputBinding",
-    "MultiThreadedConfig",
-    "MultiThreadedSystem",
-    "OutputBinding",
-    "OutputInterfacing",
-    "PlatformBundle",
-    "SchemeConfig",
     "SingleThreadedConfig",
     "SingleThreadedSystem",
-    "StimulusAction",
-    "default_interference_profile",
 ]

@@ -8,63 +8,9 @@ requirements by explicit-state exploration.
 """
 
 from .builder import StatechartBuilder
-from .composition import EnvironmentAssumptions, ScenarioGenerator
-from .declarations import (
-    DEFAULT_CLOCK,
-    Assign,
-    InputEvent,
-    LocalVariable,
-    OutputVariable,
-    OutputWrite,
-)
-from .simulation import (
-    ModelExecutionError,
-    ModelExecutor,
-    OutputChange,
-    ScenarioResult,
-    TransitionFiring,
-)
-from .statechart import State, Statechart, StatechartError, Transition
-from .temporal import After, At, Before, after, at, before
-from .validation import Finding, Severity, assert_valid, validate_statechart
-from .verification import (
-    BoundedResponseChecker,
-    BoundedResponseRequirement,
-    VerificationResult,
-    reachable_states,
-)
+from .temporal import before
 
 __all__ = [
-    "After",
-    "Assign",
-    "At",
-    "Before",
-    "BoundedResponseChecker",
-    "BoundedResponseRequirement",
-    "DEFAULT_CLOCK",
-    "EnvironmentAssumptions",
-    "Finding",
-    "InputEvent",
-    "LocalVariable",
-    "ModelExecutionError",
-    "ModelExecutor",
-    "OutputChange",
-    "OutputVariable",
-    "OutputWrite",
-    "ScenarioGenerator",
-    "ScenarioResult",
-    "Severity",
-    "State",
-    "Statechart",
     "StatechartBuilder",
-    "StatechartError",
-    "Transition",
-    "TransitionFiring",
-    "VerificationResult",
-    "after",
-    "assert_valid",
-    "at",
     "before",
-    "reachable_states",
-    "validate_statechart",
 ]

@@ -19,33 +19,21 @@ campaign, store, server — without perturbing it.  Three pieces:
 """
 
 from .metrics import (
-    Counter,
-    DEFAULT_LATENCY_EDGES_S,
     DEFAULT_PHASE_EDGES_S,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     REGISTRY,
-    get_registry,
 )
 from .progress import CampaignProgress
-from .spans import Span, SpanTracer, render_self_time_table
-from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
+from .spans import SpanTracer, render_self_time_table
+from .telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "CampaignProgress",
-    "Counter",
-    "DEFAULT_LATENCY_EDGES_S",
     "DEFAULT_PHASE_EDGES_S",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",
-    "NullTelemetry",
     "REGISTRY",
-    "Span",
     "SpanTracer",
     "Telemetry",
-    "get_registry",
     "render_self_time_table",
 ]

@@ -8,19 +8,8 @@ It holds no case-study code: each system declares its devices as specs
 (:mod:`repro.systems.platform`).
 """
 
-from . import devices, kernel, rtos
-from .kernel import JitterModel, RandomSource, Simulator, constant, ms, seconds, uniform, us
+from .kernel import Simulator
 
 __all__ = [
-    "JitterModel",
-    "RandomSource",
     "Simulator",
-    "constant",
-    "devices",
-    "kernel",
-    "ms",
-    "rtos",
-    "seconds",
-    "uniform",
-    "us",
 ]

@@ -30,11 +30,13 @@ CODE(M) writes the output".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from ...core.four_variables import TraceRecorder
 from ..kernel.random import JitterModel, constant
 from ..kernel.simulator import Simulator
+
+if TYPE_CHECKING:
+    from ...core.four_variables import TraceRecorder
 
 
 @dataclass(frozen=True)

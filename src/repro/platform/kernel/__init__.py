@@ -1,42 +1,7 @@
 """Discrete-event simulation kernel: clock, event queue, randomness."""
 
-from .random import JitterModel, RandomSource, constant, uniform
-from .simulator import EventHandle, SimulationError, Simulator
-from .time import (
-    MS_PER_SECOND,
-    US_PER_MODEL_TICK,
-    US_PER_MS,
-    US_PER_SECOND,
-    SimClock,
-    format_us,
-    ms,
-    seconds,
-    ticks_to_us,
-    to_ms,
-    to_seconds,
-    us,
-    us_to_ticks,
-)
+from .simulator import Simulator
 
 __all__ = [
-    "EventHandle",
-    "JitterModel",
-    "MS_PER_SECOND",
-    "RandomSource",
-    "SimClock",
-    "SimulationError",
     "Simulator",
-    "US_PER_MODEL_TICK",
-    "US_PER_MS",
-    "US_PER_SECOND",
-    "constant",
-    "format_us",
-    "ms",
-    "seconds",
-    "ticks_to_us",
-    "to_ms",
-    "to_seconds",
-    "uniform",
-    "us",
-    "us_to_ticks",
 ]

@@ -6,29 +6,10 @@ queues and counting semaphores.  See :mod:`repro.platform.rtos.scheduler` for
 the scheduling semantics.
 """
 
-from .directives import Compute, Delay, Give, Receive, Send, Take
-from .queue import MessageQueue, QueuedMessage, QueueStats
-from .scheduler import RTOSScheduler, SchedulerError
-from .semaphore import Semaphore, make_binary_semaphore, make_mutex
-from .task import Job, Task, TaskState, TaskStats
+from .directives import Compute
+from .scheduler import RTOSScheduler
 
 __all__ = [
     "Compute",
-    "Delay",
-    "Give",
-    "Job",
-    "MessageQueue",
-    "QueueStats",
-    "QueuedMessage",
     "RTOSScheduler",
-    "Receive",
-    "SchedulerError",
-    "Semaphore",
-    "Send",
-    "Take",
-    "Task",
-    "TaskState",
-    "TaskStats",
-    "make_binary_semaphore",
-    "make_mutex",
 ]

@@ -32,15 +32,12 @@ from .dsl import (
     StimulusPattern,
     StimulusStep,
 )
-from .explore import EXPLOIT_PROBABILITY, CoverageGuidedExplorer, Episode, ExplorationReport
+from .explore import CoverageGuidedExplorer
 from .generator import ScenarioSampler, ScenarioSpace
 
 __all__ = [
     "CoverageGuidedExplorer",
     "CycleSpacing",
-    "EXPLOIT_PROBABILITY",
-    "Episode",
-    "ExplorationReport",
     "ROLE_SETUP",
     "ROLE_TEARDOWN",
     "ScenarioProgram",

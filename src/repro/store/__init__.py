@@ -22,25 +22,19 @@ to a cold execution — re-running a fully stored campaign performs **zero**
 run executions (``benchmarks/bench_store.py`` records the speedup).
 """
 
-from .diff import DRIFT_THRESHOLD_US, RunDelta, SnapshotDiff, diff_snapshots, semantic_key
-from .keys import campaign_key, run_coordinate, run_key
-from .server import ENDPOINTS, StoreHTTPServer, StoreRequestHandler, StoreServer
-from .store import STORE_SCHEMA_VERSION, RunStore, StoreError
+from .diff import DRIFT_THRESHOLD_US, SnapshotDiff, diff_snapshots
+from .keys import run_coordinate, run_key
+from .server import ENDPOINTS, StoreServer
+from .store import RunStore, StoreError
 
 __all__ = [
     "DRIFT_THRESHOLD_US",
     "ENDPOINTS",
-    "RunDelta",
     "RunStore",
-    "STORE_SCHEMA_VERSION",
     "SnapshotDiff",
     "StoreError",
-    "StoreHTTPServer",
-    "StoreRequestHandler",
     "StoreServer",
-    "campaign_key",
     "diff_snapshots",
     "run_coordinate",
     "run_key",
-    "semantic_key",
 ]

@@ -299,10 +299,6 @@ class StoreHTTPServer(ThreadingHTTPServer):
                 offset = int(query["offset"])
         except ValueError as error:
             raise _BadRequest(f"bad integer parameter: {error}") from None
-        if limit is not None and limit < 0:
-            raise _BadRequest("limit cannot be negative")
-        if offset < 0:
-            raise _BadRequest("offset cannot be negative")
         order = query.get("order", "newest")
         filters = {
             "scheme": scheme,

@@ -360,6 +360,10 @@ class RunStore:
         """
         if order not in ("newest", "slowest"):
             raise ValueError(f"unknown run ordering {order!r}")
+        if limit is not None and limit < 0:
+            raise ValueError("limit cannot be negative")
+        if offset < 0:
+            raise ValueError("offset cannot be negative")
         clauses = []
         parameters: List[Any] = []
         for column, value in (

@@ -14,7 +14,6 @@ entry point takes a ``system`` parameter resolved through this registry.
 """
 
 from .base import (
-    ALL_SCHEMES,
     DEFAULT_SYSTEM,
     MODEL_BUILDERS,
     SystemPack,
@@ -36,7 +35,6 @@ register_pack(PACEMAKER_PACK)
 register_pack(CRUISE_PACK)
 
 __all__ = [
-    "ALL_SCHEMES",
     "CRUISE_PACK",
     "DEFAULT_SYSTEM",
     "GPCA_PACK",

@@ -39,7 +39,7 @@ ALL_SCHEMES = (1, 2, 3)
 
 
 def generic_scheme_name(scheme: int) -> str:
-    """The scheme names shared by every pack (packs may override)."""
+    """The scheme names shared by every pack."""
     return {
         1: "Scheme 1 (single-threaded)",
         2: "Scheme 2 (multi-threaded)",
@@ -75,7 +75,6 @@ class SystemPack:
     #: Fault plans for the kill matrix; implementations lazily import
     #: ``repro.faults.models`` (layering: faults sits above systems).
     fault_suite: Callable[[], Tuple[Any, ...]]
-    scheme_name: Callable[[int], str] = generic_scheme_name
     schemes: Tuple[int, ...] = ALL_SCHEMES
     #: Per-model stimulus-schedule shift applied to compiled cases (the GPCA
     #: extended chart needs stimuli delayed past its power-on self test).

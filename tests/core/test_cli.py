@@ -83,6 +83,17 @@ class TestTable1Command:
         assert "Scheme 3" in target.read_text()
 
 
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [["rtest", "--scheme", "1", "--samples", "0"], ["table1", "--samples", "0"]],
+        ids=["rtest", "table1"],
+    )
+    def test_a_non_positive_sample_count_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"repro {argv[0]}: error: sample count must be positive\n"
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -152,6 +152,45 @@ def test_store_export_writes_artifacts(tmp_path, capsys):
     assert table_csv.read_text().splitlines()[0].startswith("sample,")
 
 
+@pytest.mark.parametrize("flag", ["--limit", "--offset"])
+def test_store_runs_rejects_a_negative_window(tmp_path, capsys, flag):
+    db = str(tmp_path / "runs.db")
+    RunStore(db).close()
+    assert main(["store", "runs", "--db", db, flag, "-3"]) == 2
+    name = flag.lstrip("-")
+    assert capsys.readouterr().err == f"repro store: error: {name} cannot be negative\n"
+
+
+def _no_server(*args, **kwargs):
+    raise AssertionError("repro serve started")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["store", "list", "--db"],
+        ["store", "runs", "--db"],
+        ["store", "diff", "latest", "prev", "--db"],
+        ["store", "export", "--db"],
+        ["serve", "--port", "0", "--store"],
+    ],
+    ids=["store-list", "store-runs", "store-diff", "store-export", "serve"],
+)
+def test_read_only_commands_refuse_a_missing_store(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("repro.cli.StoreServer", _no_server)
+    typo = tmp_path / "typo.db"
+    assert main([*argv, str(typo)]) == 1
+    assert f"no run store at {typo}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_rejects_a_port_out_of_range(tmp_path, capsys):
+    db = tmp_path / "runs.db"
+    assert main(["serve", "--store", str(db), "--port", "70000"]) == 2
+    assert capsys.readouterr().err == "repro serve: error: port 70000 outside 0..65535\n"
+    assert not db.exists()
+
+
 def test_faults_store_resume(tmp_path, capsys, monkeypatch):
     """The kill-matrix CLI shares the same persistence plumbing.
 

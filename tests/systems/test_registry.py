@@ -94,8 +94,6 @@ class TestPackInventories:
         assert len(pack.requirements()) >= 3
         space = pack.scenario_space()
         assert space.requirements
-        for scheme in pack.schemes:
-            assert pack.scheme_name(scheme)
 
     @pytest.mark.parametrize("pack", [PACEMAKER_PACK, CRUISE_PACK])
     def test_new_pack_fault_suites_are_lazy_and_nonempty(self, pack):
