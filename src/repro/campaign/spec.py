@@ -19,28 +19,25 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # imported lazily to keep campaign free of a faults dependency
     from ..faults.models import FaultPlan
     from ..faults.mutants import MutantSpec
 
 from ..core.requirements import TimingRequirement
-from ..core.test_generation import RTestCase, Stimulus
+from ..core.test_generation import RTestCase
 from .cache import MODEL_BUILDERS
 from ..gpca.scenarios import gpca_scenario_space
 from ..platform.kernel.time import ms
 from ..scenarios import ScenarioProgram, ScenarioSampler
 from ..systems import DEFAULT_SYSTEM, get_pack, model_system
-from ..systems.gpca import EXTENDED_MODEL_SHIFT_US, GPCA_PACK
 
 __all__ = [
     "BACKEND_C",
     "BACKEND_PYTHON",
-    "CASE_BUILDERS",
     "CampaignSpec",
     "CasePoint",
-    "EXTENDED_MODEL_SHIFT_US",
     "KNOWN_BACKENDS",
     "KNOWN_MODELS",
     "M_TEST_ALL",
@@ -93,37 +90,15 @@ def derive_seed(base_seed: int, *coordinates: object) -> int:
 
 
 # ----------------------------------------------------------------------
-# Scenario registry
+# Named scenarios
 # ----------------------------------------------------------------------
-#: Scenario name -> builder for the default system.  Builders take
-#: (samples, seed); scenarios with a fixed deterministic schedule simply
-#: ignore the seed.  Kept as a module constant for backwards compatibility —
-#: the authoritative per-system registry is ``get_pack(system).case_builders``.
-CASE_BUILDERS: Dict[str, Callable[[int, int], RTestCase]] = dict(GPCA_PACK.case_builders)
-
-
-def _shifted_case(case: RTestCase, delta_us: int) -> RTestCase:
-    """A copy of a test case with every stimulus delayed by ``delta_us``."""
-    return RTestCase(
-        name=case.name,
-        requirement=case.requirement,
-        stimuli=tuple(
-            Stimulus(stimulus.at_us + delta_us, stimulus.variable) for stimulus in case.stimuli
-        ),
-        description=case.description,
-    )
-
-
 def build_case(
     case: str, samples: int, seed: int, *, model: str = "fig2", system: str = DEFAULT_SYSTEM
 ) -> RTestCase:
-    """Instantiate a named scenario's stimulus schedule (deterministic).
+    """Instantiate a named scenario's stimulus schedule against ``model``.
 
-    Models that declare a stimulus shift (e.g. the extended GPCA model, whose
-    power-on self test ignores early events) get their whole schedule delayed
-    by the pack-declared amount — a stimulus delivered during the self test is
-    ignored by the model (and therefore by a conformant implementation), which
-    would turn into artifact MAX verdicts.
+    Deterministic; the pack's :meth:`~repro.systems.SystemPack.schedule`
+    applies the model's stimulus shift, if it declares one.
     """
     pack = get_pack(system)
     try:
@@ -131,11 +106,7 @@ def build_case(
     except KeyError:
         known = ", ".join(sorted(pack.case_builders))
         raise ValueError(f"unknown campaign scenario {case!r} (known: {known})") from None
-    built = builder(samples, seed)
-    shift_us = pack.model_shifts_us.get(model)
-    if shift_us:
-        built = _shifted_case(built, shift_us)
-    return built
+    return pack.schedule(builder(samples), seed, model)
 
 
 def case_requirement(
@@ -182,7 +153,7 @@ class SchemePoint:
 class CasePoint:
     """One scenario on the campaign's test-case axis.
 
-    A point either names a stock scenario from :data:`CASE_BUILDERS` or
+    A point either names one of its pack's ``case_builders`` or
     carries a :class:`repro.scenarios.ScenarioProgram` directly — the DSL
     programs are frozen and picklable, so a generated scenario crosses the
     worker boundary exactly like a named one.
@@ -267,11 +238,9 @@ class RunSpec:
     def test_case(self) -> RTestCase:
         """Regenerate this run's stimulus schedule (deterministic)."""
         if self.program is not None:
-            built = self.program.with_samples(self.samples).compile(self.case_seed)
-            shift_us = get_pack(self.system).model_shifts_us.get(self.model)
-            if shift_us:
-                built = _shifted_case(built, shift_us)
-            return built
+            return get_pack(self.system).schedule(
+                self.program.with_samples(self.samples), self.case_seed, self.model
+            )
         return build_case(
             self.case, self.samples, self.case_seed, model=self.model, system=self.system
         )
@@ -560,7 +529,10 @@ def full_grid_spec(samples: int = 5, base_seed: int = 0) -> CampaignSpec:
     return CampaignSpec(
         name="full",
         schemes=tuple(SchemePoint(scheme) for scheme in (1, 2, 3)),
-        cases=tuple(CasePoint(case, samples=samples) for case in sorted(CASE_BUILDERS)),
+        cases=tuple(
+            CasePoint(case, samples=samples)
+            for case in sorted(get_pack(DEFAULT_SYSTEM).case_builders)
+        ),
         base_seed=base_seed,
         m_test=M_TEST_VIOLATIONS,
     )

@@ -767,7 +767,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         )
 
     explorer = CoverageGuidedExplorer(
-        pack.scenario_space(), factory, artifacts.code_model, seed=args.seed
+        pack.scenario_space(),
+        factory,
+        artifacts.code_model,
+        seed=args.seed,
+        schedule=lambda program, seed: pack.schedule(program, seed, model),
     )
     report = explorer.explore(args.episodes)
     print(f"system: {pack.system_id}, scheme: {generic_scheme_name(args.scheme)}, model: {model}")

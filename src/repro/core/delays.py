@@ -79,10 +79,6 @@ class DelaySegments:
         return self._diff(self.c_time_us, self.m_time_us)
 
     @property
-    def total_transition_delay_us(self) -> int:
-        return sum(delay.duration_us for delay in self.transition_delays)
-
-    @property
     def complete(self) -> bool:
         """True when every boundary event was observed."""
         return None not in (self.m_time_us, self.i_time_us, self.o_time_us, self.c_time_us)

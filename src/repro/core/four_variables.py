@@ -91,16 +91,6 @@ class EventKind(enum.Enum):
     TRANSITION_START = "trans_start"
     TRANSITION_END = "trans_end"
 
-    @classmethod
-    def for_variable(cls, kind: VariableKind) -> "EventKind":
-        """Map a variable kind to its event kind."""
-        return {
-            VariableKind.MONITORED: cls.M,
-            VariableKind.INPUT: cls.I,
-            VariableKind.OUTPUT: cls.O,
-            VariableKind.CONTROLLED: cls.C,
-        }[kind]
-
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -222,14 +212,6 @@ class FourVariableInterface:
 
     def names(self, kind: Optional[VariableKind] = None) -> List[str]:
         return [spec.name for spec in self.variables(kind)]
-
-    @property
-    def input_mappings(self) -> Sequence[InputMapping]:
-        return tuple(self._input_mappings)
-
-    @property
-    def output_mappings(self) -> Sequence[OutputMapping]:
-        return tuple(self._output_mappings)
 
     def input_for_monitored(self, monitored: str) -> Optional[str]:
         for mapping in self._input_mappings:

@@ -141,9 +141,6 @@ class RTestRunner:
         """Build a fresh system, inject the stimuli, run, and judge every sample."""
         return execute_r_test(self._sut_factory, test_case)
 
-    def run_many(self, test_cases: List[RTestCase]) -> List[RTestReport]:
-        return [self.run(test_case) for test_case in test_cases]
-
     # ------------------------------------------------------------------
     @staticmethod
     def evaluate(sut_name: str, test_case: RTestCase, trace: Trace) -> RTestReport:

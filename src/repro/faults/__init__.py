@@ -22,10 +22,10 @@ notice:
   exploration loop re-aimed at mutants the fixed scenarios cannot kill
   (differential testing over generated scenario programs).
 
-Entry points: ``repro faults`` (CLI), ``benchmarks/bench_faults.py``
-(throughput + the recorded detection results in ``BENCH_faults.json``) and
-``examples/fault_kill_matrix.py``.  See ``docs/architecture.md`` for where
-the layer sits in the stack.
+Entry points: ``repro faults`` (CLI) and ``examples/fault_kill_matrix.py``.
+The stock GPCA matrix's verdicts are pinned by ``tests/faults/test_matrix.py``
+and its speed is measured by ``python3 ledger/run.py --workload faults-gpca``.
+See ``docs/architecture.md`` for where the layer sits in the stack.
 """
 
 from .hunt import SurvivorHunter

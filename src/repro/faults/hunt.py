@@ -15,9 +15,9 @@ Each episode:
    draw from the space and a mutation of an archived *killer* program (a
    program that already killed some mutant distinguishes behaviour well and
    is a good parent);
-3. compiles the program once and executes it against a fresh **original**
-   system and a fresh **mutant** system built with the same seeds — a
-   differential R-test;
+3. compiles the program once into its schedule for the hunted model and
+   executes it against a fresh **original** system and a fresh **mutant**
+   system built with the same seeds — a differential R-test;
 4. compares the two runs at the **m/c boundary** — the per-sample verdict
    vector plus the full c-event sequence (variable, value, timestamp).  Any
    difference kills the mutant, and the program is archived as a killer.
@@ -210,7 +210,7 @@ class SurvivorHunter:
         if self.samples is not None:
             program = program.with_samples(self.samples)
         compile_seed = self._source.fork(f"compile:{index}").seed
-        test_case = program.compile(compile_seed)
+        test_case = get_pack(self.system).schedule(program, compile_seed, self.model)
 
         original = execute_r_test(self._factory(None), test_case)
         mutated = execute_r_test(self._factory(mutant), test_case)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..campaign.results import CampaignResult, RunRecord
 from ..campaign.runner import CampaignRunner
-from ..campaign.spec import CASE_BUILDERS, M_TEST_NONE, M_TEST_POLICIES, RunSpec, derive_seed
+from ..campaign.spec import M_TEST_NONE, M_TEST_POLICIES, RunSpec, derive_seed
 from ..systems import DEFAULT_SYSTEM, get_pack, model_system
 from .models import FaultPlan
 from .mutants import MutantSpec, generate_mutants
@@ -59,7 +59,7 @@ class FaultMatrixSpec:
     #: Schemes the mutant axis runs on (a conformant scheme, so kills are
     #: attributable to the mutation rather than to platform timing).
     mutant_schemes: Tuple[int, ...] = (2,)
-    cases: Tuple[str, ...] = tuple(sorted(CASE_BUILDERS))
+    cases: Tuple[str, ...] = tuple(sorted(get_pack(DEFAULT_SYSTEM).case_builders))
     samples: int = 4
     base_seed: int = 0
     model: str = "fig2"

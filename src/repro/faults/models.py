@@ -522,8 +522,7 @@ def default_fault_suite() -> Tuple[FaultPlan, ...]:
 
     Severities are deliberately aggressive — each class is meant to be
     *detectable* by at least one GPCA requirement on at least one
-    implementation scheme, which ``benchmarks/bench_faults.py`` records in
-    ``BENCH_faults.json`` on every run.
+    implementation scheme, which ``tests/faults/test_matrix.py`` pins.
     """
     return (
         FaultPlan((ClockDriftFault(drift=1.5),), name="clock-drift"),

@@ -63,12 +63,11 @@ def bolus_request_program(
 ) -> ScenarioProgram:
     """The Table I scenario as a program: repeated bolus requests vs REQ1.
 
-    A *pure stimulus* program (no setup/teardown), so it lowers through
-    :class:`repro.core.test_generation.RTestGenerator` exactly like the
-    original hand-written builder.  ``start_offset_us`` delays the first
-    request; runs against the extended GPCA model must start after its
-    500 ms power-on self test, since a request issued during the self test
-    is ignored by the model (and therefore by a conformant implementation).
+    A *pure stimulus* program (no setup/teardown): it compiles to exactly
+    the schedule :class:`repro.core.test_generation.RTestGenerator` builds,
+    like the original hand-written builder.  ``start_offset_us`` delays the
+    first request; runs against the extended GPCA model are moved past its
+    500 ms power-on self test by :meth:`repro.systems.SystemPack.schedule`.
     """
     requirement = requirement or req1_bolus_start()
     if randomized:

@@ -145,7 +145,3 @@ class OutputInterfacing:
     def apply_all(self, writes: Sequence[OutputWrite]) -> int:
         """Apply several writes; returns how many reached a device."""
         return sum(1 for write in writes if self.apply(write))
-
-    @property
-    def bound_variables(self) -> List[str]:
-        return list(self._by_variable.keys())

@@ -71,11 +71,6 @@ class Transition:
     def is_temporal(self) -> bool:
         return self.temporal is not None
 
-    @property
-    def output_actions(self) -> Tuple[Assign, ...]:
-        """The subset of actions assigning output variables (resolved by the chart)."""
-        return self.actions
-
 
 class StatechartError(ValueError):
     """Raised when a statechart is structurally malformed."""
@@ -182,9 +177,6 @@ class Statechart:
 
     def has_output_variable(self, name: str) -> bool:
         return name in self._output_variables
-
-    def has_local_variable(self, name: str) -> bool:
-        return name in self._local_variables
 
     def initial_outputs(self) -> Dict[str, Any]:
         """Initial values of all output variables."""

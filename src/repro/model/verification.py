@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from .statechart import Statechart, Transition
 
@@ -146,9 +146,6 @@ class BoundedResponseChecker:
             trigger_states=trigger_states,
             witness=[] if passed else [f"worst-case response {worst_case} ticks"],
         )
-
-    def check_all(self, requirements: Sequence[BoundedResponseRequirement]) -> List[VerificationResult]:
-        return [self.check(requirement) for requirement in requirements]
 
     # ------------------------------------------------------------------
     def _trigger_states(self, requirement: BoundedResponseRequirement) -> List[str]:

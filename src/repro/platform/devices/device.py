@@ -130,10 +130,6 @@ class EventInputDevice(Device):
         """Return the physical line to its inactive state (not an m-event of interest)."""
         self._line_state = False
 
-    @property
-    def line_state(self) -> bool:
-        return self._line_state
-
     # ------------------------------------------------------------------
     # Driver side
     # ------------------------------------------------------------------

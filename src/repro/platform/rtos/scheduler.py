@@ -182,14 +182,6 @@ class RTOSScheduler:
             self._schedule_dispatch()
         return accepted
 
-    def give_semaphore(self, semaphore: Semaphore) -> bool:
-        """Give a semaphore from outside task context and wake a waiter."""
-        given = semaphore.give()
-        if given:
-            self._wake_semaphore_waiter(semaphore)
-            self._schedule_dispatch()
-        return given
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------

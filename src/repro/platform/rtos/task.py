@@ -42,12 +42,6 @@ class TaskStats:
     def max_response_us(self) -> int:
         return max(self.response_times_us) if self.response_times_us else 0
 
-    @property
-    def mean_response_us(self) -> float:
-        if not self.response_times_us:
-            return 0.0
-        return sum(self.response_times_us) / len(self.response_times_us)
-
 
 class Task:
     """A schedulable task.

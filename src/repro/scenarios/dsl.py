@@ -10,11 +10,11 @@ seeded jitter distribution.
 
 Programs *compile* to plain :class:`repro.core.test_generation.RTestCase`
 schedules, so everything downstream — R-testing, M-testing, the campaign
-engine — consumes them unchanged.  Programs whose cycle is a bare measured
-stimulus lower through :class:`repro.core.test_generation.RTestGenerator`, so
-their compiled cases are *byte-identical* to the generator's output (this is
-what lets the hand-written GPCA scenarios be re-expressed as programs without
-changing a single pinned test case).
+engine — consumes them unchanged.  A program whose cycle is a bare measured
+stimulus compiles to exactly the schedule
+:class:`repro.core.test_generation.RTestGenerator` builds for the same
+spacing and seed, which is what let the hand-written GPCA scenarios be
+re-expressed as programs without changing a single pinned test case.
 
 Programs are frozen, hashable and picklable, which is what allows the
 campaign grid to use them directly as scenario-axis points, and they have a
@@ -30,12 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.requirements import TimingRequirement
 from ..core.serialization import requirement_from_dict, requirement_to_dict
-from ..core.test_generation import (
-    RTestCase,
-    RTestGenerator,
-    Stimulus,
-    TestGenerationConfig,
-)
+from ..core.test_generation import RTestCase, Stimulus
 from ..platform.kernel.random import RandomSource
 from ..platform.kernel.time import ms
 
@@ -190,10 +185,9 @@ class ScenarioProgram:
                 "burst gap is below the requirement's minimum stimulus separation "
                 f"({self.stimulus.burst_gap_us} < {minimum})"
             )
-        # Checked even for single-sample programs: the pure-stimulus path
-        # feeds the spacing to RTestGenerator, which validates it against the
-        # requirement unconditionally — failing here keeps programs correct
-        # by construction instead of deferring the error to compile().
+        # Checked even for single-sample programs: RTestGenerator rejects the
+        # same spacing for any sample count, and a pure program must compile
+        # exactly where the generator does.
         if self.spacing.min_us - self.stimulus.span_us < minimum:
             raise ValueError(
                 "cycle spacing minus the burst span is below the requirement's "
@@ -211,20 +205,6 @@ class ScenarioProgram:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def is_pure_stimulus(self) -> bool:
-        """No setup/teardown, single stimulus at the cycle base.
-
-        Pure programs lower through :class:`RTestGenerator`, the paper's
-        original generation path.
-        """
-        return (
-            not self.setup
-            and not self.teardown
-            and self.stimulus.burst == 1
-            and self.stimulus.offset_us == 0
-        )
-
-    @property
     def stimuli_per_cycle(self) -> int:
         return len(self.setup) + self.stimulus.burst + len(self.teardown)
 
@@ -241,8 +221,6 @@ class ScenarioProgram:
         ``seed`` only matters when the spacing is jittered; fixed-spacing
         programs compile to the same schedule for every seed.
         """
-        if self.is_pure_stimulus:
-            return self._compile_via_generator(seed)
         rng = RandomSource(seed).stream(self.seed_stream)
         stimuli: List[Stimulus] = []
         base = self.start_offset_us
@@ -271,24 +249,6 @@ class ScenarioProgram:
                 f"for {self.requirement.requirement_id}"
             ),
         )
-
-    def _compile_via_generator(self, seed: int) -> RTestCase:
-        """Pure programs go through the core generator (byte-identical path)."""
-        config = TestGenerationConfig(
-            sample_count=self.samples,
-            start_offset_us=self.start_offset_us,
-            min_separation_us=self.spacing.min_us,
-            max_separation_us=self.spacing.max_us,
-            seed=seed,
-        )
-        generator = RTestGenerator(self.requirement, config)
-        if self.spacing.jittered:
-            case = generator.randomized(name=self.name, stream=self.seed_stream)
-        else:
-            case = generator.uniform(name=self.name)
-        if self.description:
-            case = replace(case, description=self.description)
-        return case
 
     # ------------------------------------------------------------------
     # Canonical encoding

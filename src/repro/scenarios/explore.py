@@ -7,8 +7,9 @@ systematically generated".  Each *episode*:
 1. picks a scenario program — either a fresh draw from the space, or a
    mutation of an archived program that previously uncovered new behaviour
    (seeded epsilon-greedy choice);
-2. compiles it to an :class:`RTestCase` and executes it against a fresh
-   system from the factory (:func:`repro.core.r_testing.execute_r_test`);
+2. compiles it to an :class:`RTestCase` — through the caller's ``schedule``
+   step, which applies a model's stimulus shift — and executes it against a
+   fresh system from the factory (:func:`repro.core.r_testing.execute_r_test`);
 3. feeds the executed trace into :class:`repro.core.coverage`'s transition
    and state coverage, and archives the program if it covered generated
    transitions no earlier episode had reached.
@@ -17,18 +18,20 @@ The bias is what makes the loop *guided*: programs that reach unexplored
 model behaviour are kept and varied, programs that retread known ground are
 discarded.  Everything — sampling, mutation, archive selection — draws from
 named streams of one :class:`RandomSource` seed, so a whole exploration is a
-pure function of ``(space, factory, seed)`` and can be replayed exactly.
+pure function of ``(space, factory, schedule, seed)`` and can be replayed
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..codegen.ir import CodeModel
 from ..core.coverage import StateCoverage, TransitionCoverage
 from ..core.r_testing import RTestReport, execute_r_test
 from ..core.sut import SutFactory
+from ..core.test_generation import RTestCase
 from ..platform.kernel.random import RandomSource
 from .dsl import ScenarioProgram
 from .generator import ScenarioSampler, ScenarioSpace
@@ -139,10 +142,14 @@ class CoverageGuidedExplorer:
         code_model: CodeModel,
         *,
         seed: int = 0,
+        schedule: Callable[[ScenarioProgram, int], RTestCase] = ScenarioProgram.compile,
     ) -> None:
         self.space = space
         self.sut_factory = sut_factory
         self.seed = seed
+        #: ``(program, compile seed) -> RTestCase``; callers running against
+        #: a pack model pass ``SystemPack.schedule`` bound to that model.
+        self.schedule = schedule
         self.sampler = ScenarioSampler(space, seed=seed)
         self.transition_coverage = TransitionCoverage.for_code_model(code_model)
         self.state_coverage = StateCoverage.for_code_model(code_model)
@@ -167,7 +174,7 @@ class CoverageGuidedExplorer:
         rng = self._source.stream(f"episode:{index}")
         program, source = self._pick_program(rng)
         compile_seed = self._source.fork(f"compile:{index}").seed
-        test_case = program.compile(compile_seed)
+        test_case = self.schedule(program, compile_seed)
         r_report = execute_r_test(self.sut_factory, test_case)
 
         before = set(self.transition_coverage.covered)

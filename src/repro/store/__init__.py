@@ -19,7 +19,8 @@ byte-reproducible, a store-backed :class:`repro.campaign.CampaignRunner`
 with ``resume=True`` executes only the grid points the store has never seen
 and reassembles a ``CampaignResult`` whose ``to_json()`` is byte-identical
 to a cold execution — re-running a fully stored campaign performs **zero**
-run executions (``benchmarks/bench_store.py`` records the speedup).
+run executions (``tests/store/test_resume.py`` requires it to be at least
+10x faster than the cold run).
 """
 
 from .diff import DRIFT_THRESHOLD_US, SnapshotDiff, diff_snapshots

@@ -28,7 +28,7 @@ the call).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
 
 #: The system every pre-registry spec implicitly targeted.
@@ -66,8 +66,8 @@ class SystemPack:
     #: ``build_system(scheme, *, model, seed, period_us, interference_scale,
     #: artifacts, probes, engine, code_factory)`` -> implemented system.
     build_system: Callable[..., Any]
-    #: Named scenario cases: ``name -> builder(samples, seed) -> RTestCase``.
-    case_builders: Mapping[str, Callable[[int, int], Any]]
+    #: Named scenario cases: ``name -> builder(samples) -> ScenarioProgram``.
+    case_builders: Mapping[str, Callable[[int], Any]]
     #: The timing-requirement suite (a ``RequirementSet``).
     requirements: Callable[[], Any]
     #: The generated-scenario universe for the coverage-guided explorer.
@@ -76,8 +76,7 @@ class SystemPack:
     #: ``repro.faults.models`` (layering: faults sits above systems).
     fault_suite: Callable[[], Tuple[Any, ...]]
     schemes: Tuple[int, ...] = ALL_SCHEMES
-    #: Per-model stimulus-schedule shift applied to compiled cases (the GPCA
-    #: extended chart needs stimuli delayed past its power-on self test).
+    #: Per-model stimulus-schedule shift (see :meth:`schedule`).
     model_shifts_us: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -94,6 +93,21 @@ class SystemPack:
                     f"shifted model {model!r} of system {self.system_id!r} "
                     "has no registered builder"
                 )
+
+    def schedule(self, program: Any, seed: int, model: str) -> Any:
+        """The stimulus schedule ``program`` runs as against ``model``.
+
+        A model that declares a shift (the extended GPCA chart, whose 500 ms
+        power-on self test ignores early stimuli) gets the program's start
+        offset moved by it: a stimulus inside the self test is ignored by the
+        model, and so by a conformant implementation, and would come out as
+        an artifact MAX verdict.  Every named and generated scenario reaches
+        a run through this method.
+        """
+        shift_us = self.model_shifts_us.get(model)
+        if shift_us:
+            program = replace(program, start_offset_us=program.start_offset_us + shift_us)
+        return program.compile(seed)
 
 
 _PACKS: Dict[str, SystemPack] = {}

@@ -18,7 +18,6 @@ from typing import Any, Tuple
 from ..codegen.execution_model import ExecutionTimeModel
 from ..core.four_variables import FourVariableInterface
 from ..core.requirements import EventSpec, RequirementSet, TimingRequirement
-from ..core.test_generation import RTestCase
 from ..model.builder import StatechartBuilder
 from ..model.statechart import Statechart
 from ..model.temporal import at
@@ -332,18 +331,6 @@ def aeb_stop_program(samples: int = 5) -> ScenarioProgram:
     )
 
 
-def engage_test_case(samples: int = 6) -> RTestCase:
-    return engage_program(samples).compile()
-
-
-def driver_override_test_case(samples: int = 5) -> RTestCase:
-    return driver_override_program(samples).compile()
-
-
-def aeb_stop_test_case(samples: int = 5) -> RTestCase:
-    return aeb_stop_program(samples).compile()
-
-
 def cruise_scenario_space() -> ScenarioSpace:
     """The bounded universe of generated cruise-control scenarios.
 
@@ -415,9 +402,9 @@ CRUISE_PACK = SystemPack(
     build_interface=build_cruise_interface,
     build_system=partial(build_pack_system, "cruise", CRUISE_PLATFORM, _MODELS, model="cruise"),
     case_builders={
-        "engage": lambda samples, seed: engage_test_case(samples),
-        "driver-override": lambda samples, seed: driver_override_test_case(samples),
-        "aeb-stop": lambda samples, seed: aeb_stop_test_case(samples),
+        "engage": engage_program,
+        "driver-override": driver_override_program,
+        "aeb-stop": aeb_stop_program,
     },
     requirements=cruise_requirements,
     scenario_space=cruise_scenario_space,

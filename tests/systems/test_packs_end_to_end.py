@@ -26,7 +26,7 @@ def artifact_cache():
 
 
 def run_pack_case(pack, case, scheme, *, samples=3, seed=5, artifacts=None):
-    test_case = pack.case_builders[case](samples, seed)
+    test_case = pack.case_builders[case](samples).compile(seed)
 
     def factory():
         return pack.build_system(scheme, seed=11, artifacts=artifacts)
