@@ -40,7 +40,6 @@ from repro.campaign.cache import process_cache
 from repro.campaign.profiler import profile_run
 from repro.campaign.spec import M_TEST_NONE, M_TEST_VIOLATIONS, derive_seed
 from repro.campaign.worker import execute_run
-from repro.codegen.c_backend import resolve_backend
 from repro.core.instrumentation import ProbeConfiguration
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
@@ -64,8 +63,8 @@ def _execute_run_stripped(spec):
     """``execute_run`` with the obs layer deleted.
 
     Mirrors :func:`repro.campaign.worker.execute_run` stage for stage — same
-    cache, same probe gating, same backend resolution — minus the phase
-    stamps, the registry folds and the ``phase_seconds`` side channel.  This
+    cache, same probe gating — minus the phase stamps, the registry folds and
+    the ``phase_seconds`` side channel.  This
     is the baseline the disabled-overhead gate compares against.
     """
     pack = get_pack(spec.system)
@@ -75,7 +74,6 @@ def _execute_run_stripped(spec):
     else:
         artifacts = cache.artifacts_for_model(spec.model)
     test_case = spec.test_case()
-    resolution = resolve_backend(spec.backend, artifacts)
     probes = ProbeConfiguration.r_level() if spec.m_test == M_TEST_NONE else None
 
     def factory():
@@ -87,7 +85,6 @@ def _execute_run_stripped(spec):
             interference_scale=spec.interference_scale,
             artifacts=artifacts,
             probes=probes,
-            code_factory=resolution.code_factory,
         )
         if spec.faults is not None and not spec.faults.empty:
             spec.faults.instrument(

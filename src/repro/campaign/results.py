@@ -57,9 +57,6 @@ class RunRecord:
     m_payload: Optional[Dict[str, Any]] = None
     #: Worker-side wall-clock of this run; excluded from the canonical dict.
     elapsed_s: float = 0.0
-    #: Backend resolution of this run (requested/effective/reason); ``None``
-    #: for default-backend runs, so pre-backend payloads are unchanged.
-    backend_payload: Optional[Dict[str, Any]] = None
     #: Worker-side per-phase wall-clock (codegen/execute/analyze seconds).
     #: Timing side channel like ``elapsed_s``: excluded from the canonical
     #: dict, persisted separately by the store so ``repro store runs`` can
@@ -112,14 +109,11 @@ class RunRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """The canonical (deterministic) rendering of this record."""
-        payload: Dict[str, Any] = {
+        return {
             "spec": self.spec.to_dict(),
             "r": self.r_payload,
             "m": self.m_payload,
         }
-        if self.backend_payload is not None:
-            payload["backend"] = self.backend_payload
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
@@ -133,7 +127,6 @@ class RunRecord:
             spec=RunSpec.from_dict(payload["spec"]),
             r_payload=payload["r"],
             m_payload=payload.get("m"),
-            backend_payload=payload.get("backend"),
         )
 
 
@@ -179,19 +172,35 @@ class CampaignResult:
     # Bridges into repro.analysis
     # ------------------------------------------------------------------
     def table_one(self, case: str = "bolus-request") -> TableOne:
-        """Rebuild the paper's Table I from this campaign's records."""
+        """Rebuild the paper's Table I from this campaign's clean runs at ``case``.
+
+        A clean run has no fault plan and no mutant, so a kill matrix's table
+        holds only its baselines.  Table I has one column group per scheme:
+        raises :class:`LookupError` when ``case`` has no clean run, or when
+        one scheme has two (a period or interference sweep).
+        """
         table = TableOne()
         for record in self.records:
-            if record.spec.case != case:
+            spec = record.spec
+            if spec.case != case or spec.mutant is not None:
                 continue
+            if spec.faults is not None and not spec.faults.empty:
+                continue
+            if any(result.scheme == spec.scheme for result in table.results):
+                raise LookupError(
+                    f"Table I needs one clean run per scheme, but scheme {spec.scheme} "
+                    f"has several at case {case!r}"
+                )
             table.add(
                 SchemeResult(
-                    scheme=record.spec.scheme,
-                    label=generic_scheme_name(record.spec.scheme),
+                    scheme=spec.scheme,
+                    label=generic_scheme_name(spec.scheme),
                     r_report=record.r_report(),
                     m_report=record.m_report(),
                 )
             )
+        if not table.results:
+            raise LookupError(f"no clean run at case {case!r} to build Table I from")
         return table
 
     def sweep_points(self, axis: str) -> List[SweepPoint]:

@@ -13,12 +13,16 @@ Round-robin sharding (``runs[i::N]``) balances the load when the grid is
 sorted by configuration: expensive points (e.g. interfered-scheme runs) end
 up spread across shards instead of stacked on one worker.
 
-Telemetry (``CampaignRunner(telemetry=...)``) rides alongside, never inside:
-the runner keeps a :class:`repro.obs.CampaignProgress` accumulator up to date
-as runs and shards complete, persists throttled snapshots into the attached
-store (serving ``/progress/<campaign>``), and folds campaign counters into
-the telemetry registry — all outside the workers, so enabling it cannot
+Progress rides alongside, never inside: the runner keeps a
+:class:`repro.obs.CampaignProgress` accumulator up to date as runs and shards
+complete, persists throttled snapshots into the attached store (serving
+``/progress/<campaign>``), and folds campaign counters into the process
+:data:`repro.obs.REGISTRY` — all outside the workers, so none of it can
 change a record.
+
+A process pool that breaks mid-campaign (a killed worker, no fork support)
+costs only the shards that had not finished: they re-run in-process, and
+every shard that already returned keeps its records.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence, Tuple
 
-from ..obs import NULL_TELEMETRY, CampaignProgress
+from ..obs import REGISTRY, CampaignProgress
 from .results import CampaignResult, RunRecord
 from .spec import CampaignSpec, RunSpec
 from .worker import execute_shard
@@ -45,8 +49,7 @@ def default_worker_count() -> int:
     rather than ``os.cpu_count()``, which reports the host's physical count
     even inside a 1-CPU container cgroup.  Auto-detected worker counts based
     on ``cpu_count`` over-shard on such containers and misreport parallel
-    speedup (see ``BENCH_campaign.json`` from a 1-CPU dev container).
-    Falls back to ``cpu_count`` on platforms without CPU affinity.
+    speedup.  Falls back to ``cpu_count`` on platforms without CPU affinity.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
@@ -80,19 +83,14 @@ class CampaignRunner:
         workers: int = 1,
         store=None,
         resume: bool = False,
-        telemetry=None,
     ) -> None:
         """``workers=0`` means auto-detect: one worker per schedulable CPU.
 
         ``store`` is a :class:`repro.store.RunStore` (duck-typed: anything
-        with ``lookup`` / ``put_records`` / ``save_campaign``); ``resume``
+        with ``lookup`` / ``save_campaign`` / ``save_progress``); ``resume``
         additionally reuses stored records instead of re-executing them.
-
-        ``telemetry`` is a :class:`repro.obs.Telemetry` (defaults to the null
-        sink).  When enabled, campaign counters land in its registry and —
-        with a store attached — live progress snapshots are persisted for
-        ``/progress/<campaign>``.  Telemetry observes the runner only; the
-        records are byte-identical either way.
+        With a store attached, live progress snapshots are persisted for
+        ``/progress/<campaign>``; the records are byte-identical either way.
         """
         if workers < 0:
             raise ValueError("worker count cannot be negative")
@@ -102,8 +100,7 @@ class CampaignRunner:
         self.workers = workers if workers > 0 else default_worker_count()
         self.store = store
         self.resume = resume
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Live progress of the current/last :meth:`run` (telemetry-enabled).
+        #: Live progress of the current/last :meth:`run`.
         self.progress: Optional[CampaignProgress] = None
         #: Set after :meth:`run` when a pool failure forced the serial path.
         self.fell_back_to_serial = False
@@ -122,14 +119,10 @@ class CampaignRunner:
         """Execute every (missing) run of the grid and aggregate in grid order."""
         runs = self.spec.expand()
         started = time.perf_counter()
-        telemetry = self.telemetry
-        progress: Optional[CampaignProgress] = None
-        if telemetry.enabled:
-            progress = CampaignProgress(
-                self.spec.name, len(runs), workers=self.workers
-            )
-            self.progress = progress
-            self._last_progress_write = 0.0
+        progress = self.progress = CampaignProgress(
+            self.spec.name, len(runs), workers=self.workers
+        )
+        self._last_progress_write = 0.0
         reused: List[RunRecord] = []
         missing: Sequence[RunSpec] = runs
         if self.resume:
@@ -140,21 +133,17 @@ class CampaignRunner:
                     missing.append(spec)
                 else:
                     reused.append(record)
-            if progress is not None and reused:
+            if reused:
                 progress.record_cached(len(reused))
-                self._persist_progress(progress)
+                self._persist_progress()
         fresh: List[RunRecord] = []
         workers_used = 1
         if missing:
-            if progress is not None:
-                progress.record_started(len(missing))
+            progress.record_started(len(missing))
             if self.workers <= 1 or len(missing) <= 1:
-                fresh = execute_shard(
-                    missing,
-                    progress=None if progress is None else self._on_run_complete,
-                )
+                fresh = execute_shard(missing, progress=self._on_run_complete)
             else:
-                fresh = self._run_sharded(missing, progress)
+                fresh = self._run_sharded(missing)
                 workers_used = 1 if self.fell_back_to_serial else min(self.workers, len(missing))
         self.executed_count = len(fresh)
         self.reused_count = len(reused)
@@ -168,66 +157,69 @@ class CampaignRunner:
             # save_campaign persists every record (fresh ones included) plus
             # the snapshot in one pass — no separate put_records needed.
             self.campaign_id = self.store.save_campaign(result)
-        if progress is not None:
-            progress.finish()
-            self._persist_progress(progress, force=True)
-            telemetry.count("campaign_runs_completed", len(fresh))
-            telemetry.count("campaign_runs_cached", len(reused))
-            telemetry.observe("campaign_wall_seconds", result.wall_seconds)
+        progress.finish()
+        self._persist_progress(force=True)
+        REGISTRY.counter("campaign_runs_completed").inc(len(fresh))
+        REGISTRY.counter("campaign_runs_cached").inc(len(reused))
+        REGISTRY.histogram("campaign_wall_seconds").observe(result.wall_seconds)
         return result
 
     # ------------------------------------------------------------------
     def _on_run_complete(self, record: RunRecord) -> None:
         """Serial-path progress hook: one record finished in-process."""
-        progress = self.progress
-        progress.record_completed()
-        self._persist_progress(progress)
+        self._record_completed(1)
 
-    def _persist_progress(self, progress: CampaignProgress, force: bool = False) -> None:
+    def _record_completed(self, count: int) -> None:
+        self.progress.record_completed(count)
+        self._persist_progress()
+
+    def _persist_progress(self, force: bool = False) -> None:
         """Write a progress snapshot to the store, throttled to one every
         :data:`PROGRESS_WRITE_INTERVAL_S` (progress is advisory; hammering
         SQLite once per run of a 10k-run campaign is not)."""
-        store = self.store
-        if store is None:
-            return
-        save = getattr(store, "save_progress", None)
-        if save is None:
+        if self.store is None:
             return
         now = time.perf_counter()
         if not force and now - self._last_progress_write < PROGRESS_WRITE_INTERVAL_S:
             return
         self._last_progress_write = now
-        save(progress.snapshot())
+        self.store.save_progress(self.progress.snapshot())
 
     # ------------------------------------------------------------------
-    def _run_sharded(
-        self, runs: Sequence[RunSpec], progress: Optional[CampaignProgress] = None
-    ) -> List[RunRecord]:
+    def _run_sharded(self, runs: Sequence[RunSpec]) -> List[RunRecord]:
         shards = shard_grid(runs, self.workers)
+        # Per-shard futures instead of executor.map: progress is recorded as
+        # each shard lands.  Results reassemble in shard order, and
+        # CampaignResult re-sorts by grid index anyway, so completion order
+        # can never leak into the aggregate.
+        results: List[Optional[List[RunRecord]]] = [None] * len(shards)
+        failure: Optional[BaseException] = None
         try:
             with ProcessPoolExecutor(max_workers=len(shards)) as executor:
-                # Per-shard futures instead of executor.map: progress can be
-                # recorded as each shard lands.  Results reassemble in shard
-                # order, and CampaignResult re-sorts by grid index anyway, so
-                # completion order can never leak into the aggregate.
                 futures = {
                     executor.submit(execute_shard, shard): position
                     for position, shard in enumerate(shards)
                 }
-                shard_results: List[Optional[List[RunRecord]]] = [None] * len(shards)
                 for future in as_completed(futures):
-                    records = future.result()
-                    shard_results[futures[future]] = records
-                    if progress is not None:
-                        progress.record_completed(len(records))
-                        self._persist_progress(progress)
-        except (OSError, BrokenProcessPool) as error:  # pool unavailable: run serially
+                    try:
+                        records = future.result()
+                    except BrokenProcessPool as error:
+                        failure = error
+                        continue
+                    results[futures[future]] = records
+                    self._record_completed(len(records))
+        except (OSError, BrokenProcessPool) as error:  # no pool to submit to
+            failure = error
+        if failure is not None:
+            # Records are pure functions of their specs: every shard that
+            # returned before the pool broke stands, and only the shards with
+            # no result re-run, in-process.
             self.fell_back_to_serial = True
-            self.fallback_reason = str(error)
-            return execute_shard(
-                runs, progress=None if progress is None else self._on_run_complete
-            )
-        return [record for shard_records in shard_results for record in shard_records]
+            self.fallback_reason = str(failure)
+            for position, shard in enumerate(shards):
+                if results[position] is None:
+                    results[position] = execute_shard(shard, progress=self._on_run_complete)
+        return [record for shard_records in results for record in shard_records]
 
 
 def run_campaign(

@@ -34,11 +34,8 @@ from ..scenarios import ScenarioProgram, ScenarioSampler
 from ..systems import DEFAULT_SYSTEM, get_pack, model_system
 
 __all__ = [
-    "BACKEND_C",
-    "BACKEND_PYTHON",
     "CampaignSpec",
     "CasePoint",
-    "KNOWN_BACKENDS",
     "KNOWN_MODELS",
     "M_TEST_ALL",
     "M_TEST_NONE",
@@ -64,14 +61,6 @@ M_TEST_ALL = "all"
 M_TEST_VIOLATIONS = "violations"
 M_TEST_NONE = "none"
 M_TEST_POLICIES = (M_TEST_ALL, M_TEST_VIOLATIONS, M_TEST_NONE)
-
-#: SUT backends a campaign can request per run.  "python" is the default
-#: interpreter-executed CODE(M); "c" compiles and executes the emitted C
-#: (degrading gracefully to python when no compiler is available — the
-#: degradation is recorded in the run record, see repro.codegen.c_backend).
-BACKEND_PYTHON = "python"
-BACKEND_C = "c"
-KNOWN_BACKENDS = (BACKEND_PYTHON, BACKEND_C)
 
 #: Models the grid can target — derived from the artifact cache's builder
 #: registry so spec validation and worker resolution share one source of truth.
@@ -219,8 +208,6 @@ class RunSpec:
     faults: Optional["FaultPlan"] = None
     #: Model mutation applied before code generation (original model when None).
     mutant: Optional["MutantSpec"] = None
-    #: SUT backend executing CODE(M) ("python" or "c").
-    backend: str = BACKEND_PYTHON
     #: Registered system pack whose SUT this run executes.
     system: str = DEFAULT_SYSTEM
 
@@ -276,7 +263,6 @@ class RunSpec:
             program=None if program is None else ScenarioProgram.from_dict(program),
             faults=faults,
             mutant=mutant,
-            backend=payload.get("backend", BACKEND_PYTHON),
             system=payload.get("system", DEFAULT_SYSTEM),
         )
 
@@ -297,10 +283,6 @@ class RunSpec:
             "faults": None if self.faults is None else self.faults.to_dict(),
             "mutant": None if self.mutant is None else self.mutant.to_dict(),
         }
-        # The default backend is omitted so pre-backend serialized specs (and
-        # the store keys derived from them) stay byte-identical.
-        if self.backend != BACKEND_PYTHON:
-            payload["backend"] = self.backend
         # The default system is omitted so pre-systems serialized specs (and
         # the store keys derived from them) stay byte-identical.
         if self.system != DEFAULT_SYSTEM:
@@ -318,7 +300,6 @@ class CampaignSpec:
     base_seed: int = 0
     model: str = "fig2"
     m_test: str = M_TEST_ALL
-    backend: str = BACKEND_PYTHON
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -329,8 +310,6 @@ class CampaignSpec:
             raise ValueError(f"unknown model {self.model!r} (known: {KNOWN_MODELS})")
         if self.m_test not in M_TEST_POLICIES:
             raise ValueError(f"unknown m_test policy {self.m_test!r} (known: {M_TEST_POLICIES})")
-        if self.backend not in KNOWN_BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r} (known: {KNOWN_BACKENDS})")
 
     @property
     def size(self) -> int:
@@ -388,7 +367,6 @@ class CampaignSpec:
                     interference_scale=scheme_point.interference_scale,
                     m_test=self.m_test,
                     program=case_point.program,
-                    backend=self.backend,
                     system=case_point.system,
                 )
             )
@@ -408,7 +386,6 @@ class CampaignSpec:
             base_seed=int(payload.get("base_seed", 0)),
             model=payload.get("model", "fig2"),
             m_test=payload.get("m_test", M_TEST_ALL),
-            backend=payload.get("backend", BACKEND_PYTHON),
             schemes=tuple(
                 SchemePoint(
                     scheme=int(point["scheme"]),
@@ -433,7 +410,7 @@ class CampaignSpec:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "name": self.name,
             "base_seed": self.base_seed,
             "model": self.model,
@@ -450,9 +427,6 @@ class CampaignSpec:
             ],
             "cases": [self._case_payload(point) for point in self.cases],
         }
-        if self.backend != BACKEND_PYTHON:
-            payload["backend"] = self.backend
-        return payload
 
     @staticmethod
     def _case_payload(point: CasePoint) -> Dict[str, object]:

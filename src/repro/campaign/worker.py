@@ -18,7 +18,6 @@ import contextlib
 import time
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from ..codegen.c_backend import resolve_backend
 from ..core.instrumentation import ProbeConfiguration
 from ..core.m_testing import MTestAnalyzer
 from ..core.r_testing import execute_r_test
@@ -28,7 +27,7 @@ from ..obs.spans import SIMULATION_PID
 from ..systems import get_pack
 from .cache import process_cache
 from .results import RunRecord
-from .spec import BACKEND_PYTHON, M_TEST_NONE, M_TEST_VIOLATIONS, RunSpec, derive_seed
+from .spec import M_TEST_NONE, M_TEST_VIOLATIONS, RunSpec, derive_seed
 
 #: Process-local count of actual run executions.  The store's incremental
 #: tests assert on it: resuming a fully stored campaign must leave it
@@ -116,12 +115,6 @@ def execute_run_counted(
         else:
             artifacts = cache.artifacts_for_model(spec.model)
         test_case = spec.test_case()
-
-        # Resolve the SUT backend once per run; the compiled library is cached
-        # per chart per process, so repeated runs reuse one compile.
-        # Degradation (e.g. no C compiler) falls back to the Python executor
-        # and is recorded in the run record.
-        resolution = resolve_backend(spec.backend, artifacts)
     codegen_done = time.perf_counter()
 
     # Runs that skip M-testing only need the R-level (M/C) trace events;
@@ -145,7 +138,6 @@ def execute_run_counted(
                 interference_scale=spec.interference_scale,
                 artifacts=artifacts,
                 probes=probes,
-                code_factory=resolution.code_factory,
             )
             if spec.faults is not None and not spec.faults.empty:
                 spec.faults.instrument(
@@ -200,9 +192,6 @@ def execute_run_counted(
         r_payload=r_payload,
         m_payload=m_payload,
         elapsed_s=finished - started,
-        backend_payload=(
-            None if spec.backend == BACKEND_PYTHON else resolution.to_payload()
-        ),
         phase_seconds={k: round(v, 6) for k, v in phase_seconds.items()},
     )
     return record, counters
@@ -216,7 +205,7 @@ def execute_shard(
 
     ``progress`` (serial path only — callables do not cross the process
     boundary) is invoked with each record as it completes, which is how the
-    runner feeds live campaign telemetry without touching the workers.
+    runner keeps its campaign progress without touching the workers.
     """
     if progress is None:
         return [execute_run(spec) for spec in specs]

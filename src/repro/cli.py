@@ -10,7 +10,7 @@ case-study systems (the GPCA pump by default)::
     python -m repro table1    [--samples N] [--output FILE]
     python -m repro campaign  [--grid NAME] [--workers N] [--samples N]
                               [--seed S] [--json FILE] [--csv FILE]
-                              [--baseline FILE] [--store DB] [--resume]
+                              [--store DB] [--resume]
     python -m repro systems   [--list] [--json FILE]
     python -m repro explore   [--scheme {1,2,3}] [--system ID] [--model NAME]
                               [--episodes N] [--seed S] [--json FILE]
@@ -26,8 +26,9 @@ Every command prints its report to stdout; the optional file arguments
 additionally write machine-readable artefacts (JSON/CSV/C source/text).
 ``repro campaign`` runs a whole R-/M-testing grid — optionally sharded across
 worker processes (``--workers 0`` auto-detects one worker per schedulable
-CPU) — and ``--baseline`` measures serial versus parallel wall-clock
-(verifying the aggregates are byte-identical first).
+CPU) — on the generated Python CODE(M); its aggregate is byte-identical for
+any worker count, so ``--json`` at ``--workers 1`` and ``--workers N`` can be
+compared with ``cmp``.
 ``repro systems`` lists the registered system packs (:mod:`repro.systems`);
 ``explore`` and ``faults`` take ``--system`` to aim at any registered pack.
 ``repro explore`` runs the seeded coverage-guided scenario generator
@@ -42,17 +43,18 @@ the coverage-guided survivor hunter at any mutants the fixed scenarios miss.
 Persistence (:mod:`repro.store`): ``--store DB`` on ``campaign``/``faults``
 records every run and a campaign snapshot into a SQLite run store, and
 ``--resume`` re-executes only the grid points the store has never seen
-(reassembled aggregates are byte-identical to cold runs).  ``repro store``
-inspects a store — ``list`` (snapshots), ``runs`` (stored runs), ``diff``
-(regression analysis between two snapshots), ``export`` (Table I / CSV from
-a snapshot) — and ``repro serve`` exposes it as a JSON HTTP API with ETag
-caching, live ``/metrics`` (JSON or Prometheus text) and ``/progress/<name>``
-campaign telemetry, plus one structured JSON log line per request (silence
-with ``--quiet``).  ``repro profile`` executes one grid coordinate with the
-span tracer attached (:mod:`repro.obs`) and writes a Chrome-trace timeline
-that opens in ``chrome://tracing`` or Perfetto; the profiled record is
-byte-identical to the equivalent campaign run.  ``repro --version`` prints
-the installed package version.
+(reassembled aggregates are byte-identical to cold runs); a store-backed
+run also persists its live progress there.  ``repro store`` inspects a
+store — ``list`` (snapshots), ``runs`` (stored runs), ``diff`` (regression
+analysis between two snapshots), ``export`` (Table I / CSV from a
+snapshot) — and ``repro serve`` exposes it as a JSON HTTP API with ETag
+caching, live ``/metrics`` (JSON or Prometheus text) and
+``/progress/<name>`` campaign progress, plus one structured JSON log line
+per request (silence with ``--quiet``).  ``repro profile`` executes one grid
+coordinate with the span tracer attached (:mod:`repro.obs`) and writes a
+Chrome-trace timeline that opens in ``chrome://tracing`` or Perfetto; the
+profiled record is byte-identical to the equivalent campaign run.
+``repro --version`` prints the installed package version.
 
 Exit codes, shared by every sub-command:
 
@@ -63,8 +65,8 @@ Exit codes, shared by every sub-command:
 * ``1`` — the command ran but the verdict was negative (``verify`` found an
   unmet requirement, ``rtest`` found violations, ``store diff`` found
   regressions with ``--fail-on-regression``) or a runtime precondition
-  failed (e.g. ``--baseline`` could not get a process pool, an unknown
-  snapshot id, a ``store``/``serve`` path that holds no run store).
+  failed (e.g. an unknown snapshot id, a snapshot with no Table I at the
+  requested case, a ``store``/``serve`` path that holds no run store).
 * ``2`` — usage error: unknown flag or value rejected by validation
   (argparse also uses 2 for parse failures).
 """
@@ -72,12 +74,8 @@ Exit codes, shared by every sub-command:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
-import platform as platform_module
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -86,7 +84,6 @@ from .analysis.export import table_one_to_csv, table_one_to_markdown
 from .campaign import (
     PRESETS,
     CampaignRunner,
-    default_worker_count,
     preset_spec,
     process_cache,
     profile_run,
@@ -107,7 +104,6 @@ from .gpca import (
     scheme_factory,
 )
 from .model.verification import BoundedResponseChecker
-from .obs import Telemetry
 from .scenarios import CoverageGuidedExplorer
 from .store import ENDPOINTS, RunStore, StoreError, StoreServer, diff_snapshots
 from .systems import DEFAULT_SYSTEM, generic_scheme_name, get_pack, iter_packs, pack_ids
@@ -263,55 +259,19 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = preset_spec(args.grid, samples=args.samples, seed=args.seed)
-        if args.backend != "python":
-            spec = dataclasses.replace(spec, backend=args.backend)
     except ValueError as error:
         print(f"repro campaign: error: {error}", file=sys.stderr)
         return 2
-
     if args.resume and not args.store:
         print("repro campaign: error: --resume needs --store", file=sys.stderr)
         return 2
-    if args.baseline and args.store:
-        # Baseline mode runs the grid twice for timing; persisting one leg
-        # silently would be misleading — make the user pick one mode.
-        print(
-            "repro campaign: error: --baseline and --store are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.baseline:
-        return _campaign_baseline(spec, args)
 
-    try:
-        store = None if not args.store else RunStore(args.store)
-    except StoreError as error:
-        print(f"repro campaign: error: {error}", file=sys.stderr)
+    ran = _run_campaign("campaign", spec, args)
+    if ran is None:
         return 1
-    # With a store attached, enable telemetry so live progress snapshots land
-    # in it for `repro serve` /progress/<name>.  Records stay byte-identical.
-    telemetry = Telemetry() if store is not None else None
-    try:
-        runner = CampaignRunner(
-            spec, workers=args.workers, store=store, resume=args.resume, telemetry=telemetry
-        )
-        result = runner.run()
-    finally:
-        if store is not None:
-            store.close()
-    if runner.fell_back_to_serial:
-        print(f"warning: process pool unavailable ({runner.fallback_reason}); ran serially")
+    result, footer = ran
     print(result.render_summary())
-    print(
-        f"wall clock: {result.wall_seconds:.2f} s "
-        f"({result.workers} worker{'s' if result.workers != 1 else ''})"
-    )
-    if store is not None:
-        reuse = f", {runner.reused_count} reused from store" if args.resume else ""
-        print(
-            f"store: {runner.executed_count} run(s) executed{reuse}; "
-            f"snapshot {runner.campaign_id} saved to {args.store}"
-        )
+    print(footer)
     if args.grid == "table1":
         print()
         print(result.table_one().render())
@@ -322,101 +282,50 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print()
         print(render_sweep(result.sweep_points("interference_scale"), "interference scale"))
 
-    _write_campaign_outputs(result, args)
-    # Violating schemes are an expected campaign outcome (they are the paper's
-    # result), so completion — not conformance — determines the exit code.
-    return 0
-
-
-def _write_campaign_outputs(result, args: argparse.Namespace) -> None:
-    """Honour the campaign sub-command's --json/--csv export flags."""
     if args.json:
         Path(args.json).write_text(result.to_json(indent=2) + "\n", encoding="utf-8")
         print(f"campaign result written to {args.json}")
     if args.csv:
         Path(args.csv).write_text(result.to_csv(), encoding="utf-8")
         print(f"campaign summary written to {args.csv}")
-
-
-def _campaign_baseline(spec, args: argparse.Namespace) -> int:
-    """Measure serial vs parallel wall-clock and record the baseline JSON.
-
-    Runs the grid twice — once in-process, once sharded across
-    ``args.workers`` processes — verifies the canonical aggregates are
-    byte-identical, and writes the measured timings (plus enough host
-    metadata to interpret them) to ``args.baseline``.
-    """
-    # The parallel leg defaults to the *schedulable* CPU count (floored at 2,
-    # since a 1-worker leg would verify nothing).  Using cpu_count here
-    # over-shards inside CPU-limited containers and misreports speedup.
-    workers = args.workers if args.workers > 1 else max(2, default_worker_count())
-    if args.workers <= 1:
-        print(f"note: --baseline needs a parallel leg; using {workers} workers for it")
-    # Warm the parent's artifact cache before timing either leg so the serial
-    # leg does not pay the one-time codegen cost alone.  This makes the two
-    # legs symmetric under the fork start method (Linux), where workers
-    # inherit the warmed cache; under spawn each worker re-generates inside
-    # its timed window, which is why the start method is recorded in the
-    # baseline's host metadata.
-    import multiprocessing
-
-    process_cache().artifacts_for_model(spec.model)
-
-    print(f"baseline: running {spec.name!r} grid ({spec.size} runs) serially ...")
-    started = time.perf_counter()
-    serial = CampaignRunner(spec, workers=1).run()
-    serial_s = time.perf_counter() - started
-
-    print(f"baseline: running {spec.name!r} grid with {workers} workers ...")
-    started = time.perf_counter()
-    parallel_runner = CampaignRunner(spec, workers=workers)
-    parallel = parallel_runner.run()
-    parallel_s = time.perf_counter() - started
-
-    if parallel_runner.fell_back_to_serial:
-        # A serial-vs-serial comparison verifies nothing; fail loudly rather
-        # than letting a CI determinism check go green without multiprocessing.
-        print(
-            "error: process pool unavailable "
-            f"({parallel_runner.fallback_reason}); baseline requires a real "
-            "parallel run",
-            file=sys.stderr,
-        )
-        return 1
-
-    identical = serial.to_json() == parallel.to_json()
-    print(f"aggregates byte-identical: {identical}")
-    if not identical:
-        print("error: serial and parallel campaign aggregates differ", file=sys.stderr)
-        return 1
-
-    # The aggregates are identical, so --json/--csv can be honoured from the
-    # serial run rather than silently dropped in baseline mode.
-    _write_campaign_outputs(serial, args)
-
-    payload = {
-        "campaign": spec.to_dict(),
-        "serial_seconds": round(serial_s, 3),
-        "parallel_seconds": round(parallel_s, 3),
-        "parallel_workers": workers,
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else None,
-        "byte_identical": identical,
-        "fell_back_to_serial": parallel_runner.fell_back_to_serial,
-        "host": {
-            "mp_start_method": multiprocessing.get_start_method(),
-            "cpu_count": os.cpu_count(),
-            "schedulable_cpus": default_worker_count(),
-            "python": platform_module.python_version(),
-            "platform": platform_module.platform(),
-        },
-    }
-    Path(args.baseline).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(
-        f"serial {serial_s:.2f} s, parallel {parallel_s:.2f} s "
-        f"(speedup {payload['speedup']}x on {payload['host']['schedulable_cpus']} "
-        f"schedulable CPUs); baseline written to {args.baseline}"
-    )
+    # Violating schemes are an expected campaign outcome (they are the paper's
+    # result), so completion — not conformance — determines the exit code.
     return 0
+
+
+def _run_campaign(command: str, spec, args: argparse.Namespace):
+    """Run ``spec`` the way ``repro campaign`` and ``repro faults`` do.
+
+    Opens the ``--store`` (``None`` after printing the error when it is not
+    a usable run store), runs the grid on ``--workers`` with ``--resume``,
+    closes the store and prints the pool-fallback warning.  Returns the
+    result and the footer — the wall-clock line and, with a store, the
+    ``store:`` line — that the command prints after its own report.
+    """
+    try:
+        store = RunStore(args.store) if args.store else None
+    except StoreError as error:
+        print(f"repro {command}: error: {error}", file=sys.stderr)
+        return None
+    try:
+        runner = CampaignRunner(spec, workers=args.workers, store=store, resume=args.resume)
+        result = runner.run()
+    finally:
+        if store is not None:
+            store.close()
+    if runner.fell_back_to_serial:
+        print(f"warning: process pool unavailable ({runner.fallback_reason}); ran serially")
+    footer = [
+        f"wall clock: {result.wall_seconds:.2f} s "
+        f"({result.workers} worker{'s' if result.workers != 1 else ''})"
+    ]
+    if store is not None:
+        reuse = f", {runner.reused_count} reused from store" if args.resume else ""
+        footer.append(
+            f"store: {runner.executed_count} run(s) executed{reuse}; "
+            f"snapshot {runner.campaign_id} saved to {args.store}"
+        )
+    return result, "\n".join(footer)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -461,34 +370,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
         f"x schemes {spec.baseline_schemes} x {len(spec.cases)} scenarios "
         f"({spec.size} runs, {args.samples} samples each)"
     )
-    try:
-        store = None if not args.store else RunStore(args.store)
-    except StoreError as error:
-        print(f"repro faults: error: {error}", file=sys.stderr)
+    ran = _run_campaign("faults", spec, args)
+    if ran is None:
         return 1
-    telemetry = Telemetry() if store is not None else None
-    try:
-        runner = CampaignRunner(
-            spec, workers=args.workers, store=store, resume=args.resume, telemetry=telemetry
-        )
-        result = runner.run()
-    finally:
-        if store is not None:
-            store.close()
-    if runner.fell_back_to_serial:
-        print(f"warning: process pool unavailable ({runner.fallback_reason}); ran serially")
+    result, footer = ran
     matrix = KillMatrix.from_campaign(spec, result)
     print(matrix.render())
-    print(
-        f"wall clock: {result.wall_seconds:.2f} s "
-        f"({result.workers} worker{'s' if result.workers != 1 else ''})"
-    )
-    if store is not None:
-        reuse = f", {runner.reused_count} reused from store" if args.resume else ""
-        print(
-            f"store: {runner.executed_count} run(s) executed{reuse}; "
-            f"snapshot {runner.campaign_id} saved to {args.store}"
-        )
+    print(footer)
 
     hunt_report = None
     if args.hunt > 0 and matrix.surviving_mutants():
@@ -625,6 +513,15 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
         campaign_id = store.resolve_campaign_id(args.campaign, name=args.name)
         result = store.load_campaign(campaign_id)
         print(f"snapshot {campaign_id}: campaign {result.spec.name!r}, {len(result)} runs")
+        table = None
+        if args.table1 or args.table1_csv:
+            # Built before any file is written, so a snapshot with no
+            # Table I at this case leaves no partial export behind.
+            try:
+                table = result.table_one(args.case)
+            except LookupError as error:
+                print(f"repro store: error: {error}", file=sys.stderr)
+                return 1
         if args.json:
             Path(args.json).write_text(result.to_json(indent=2) + "\n", encoding="utf-8")
             print(f"campaign result written to {args.json}")
@@ -632,7 +529,6 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
             Path(args.csv).write_text(result.to_csv(), encoding="utf-8")
             print(f"per-run summary written to {args.csv}")
         if args.table1:
-            table = result.table_one(args.case)
             text = (
                 table_one_to_markdown(table)
                 if args.table1.endswith(".md")
@@ -641,9 +537,7 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
             Path(args.table1).write_text(text, encoding="utf-8")
             print(f"Table I written to {args.table1}")
         if args.table1_csv:
-            Path(args.table1_csv).write_text(
-                table_one_to_csv(result.table_one(args.case)), encoding="utf-8"
-            )
+            Path(args.table1_csv).write_text(table_one_to_csv(table), encoding="utf-8")
             print(f"Table I rows written to {args.table1_csv}")
         return 0
 
@@ -881,21 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--seed", type=int, default=None, help="campaign seed (default: grid-specific)"
     )
-    campaign.add_argument(
-        "--backend",
-        choices=("python", "c"),
-        default="python",
-        help="CODE(M) executor: the Python runtime or the compiled emitted C "
-        "(falls back to python, with the reason recorded per run, when no C "
-        "compiler is available)",
-    )
     campaign.add_argument("--json", help="write the full campaign aggregate as JSON")
     campaign.add_argument("--csv", help="write the per-run summary as CSV")
-    campaign.add_argument(
-        "--baseline",
-        help="measure serial vs parallel wall-clock (verifying byte-identical "
-        "aggregates) and write the timings to this JSON file",
-    )
     campaign.add_argument(
         "--store",
         help="persist every run and a campaign snapshot into this SQLite run store",

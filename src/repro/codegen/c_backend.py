@@ -1,14 +1,20 @@
-"""Compiled-C SUT backend: execute the emitted C chart through ctypes.
+"""Compiled-C CODE(M) executor: execute the emitted C chart through ctypes.
 
 The emitter (:mod:`repro.codegen.c_emitter`) produces the C translation unit
 the paper's toolchain would deploy on the MCU.  This module actually compiles
 that C (plus a thin harness) into a shared library with the host C compiler
-and executes it through :mod:`ctypes`, giving the campaign layer a second,
-independent CODE(M) executor (``--backend c``).
+and executes it through :mod:`ctypes`, so the tests can check that the C
+``repro codegen`` emits behaves exactly like the Python CODE(M): step by step
+in lockstep, and across whole scheme runs
+(``system.code = CompiledGeneratedCode(model)`` on a built system).
+
+Nothing in production calls it.  Campaigns always run the generated Python
+CODE(M): the compiled chart yields byte-identical verdicts and is no faster,
+because the SUT runtime is about 1.4 % of a run.
 
 Design constraints, in order:
 
-* **Byte-identical verdicts.**  The integration schemes drive CODE(M) at
+* **Byte-identical behaviour.**  The integration schemes drive CODE(M) at
   transition granularity — ``enabled_transition()`` asks which row would fire
   (so its CPU cost can be charged first) and ``fire(row)`` commits it.  The
   emitted ``*_step`` function conflates both, so the harness emits an
@@ -18,16 +24,15 @@ Design constraints, in order:
   wrapper mirrors inputs/outputs/locals from the rows' literal actions so the
   objects flowing into traces keep their exact Python types (``True`` stays
   ``bool``, not ``1``).
-* **Graceful degradation.**  Anything that prevents compiled execution — no
-  C compiler on PATH, a chart using features the emitter cannot express
-  (guards, computed action values), a compile failure — resolves to the
-  Python backend with a human-readable reason, which the campaign worker
-  records in the run record.  CI runners without a toolchain stay green.
+* **A named reason when it cannot run.**  No C compiler on PATH, a chart
+  using features the emitter cannot express (guards, computed action
+  values) or a compile failure raises :class:`BackendUnavailable` with a
+  human-readable reason.
 * **No new dependencies.**  Compilation is a ``subprocess`` call to the host
   ``cc``/``gcc``/``clang``; loading and calling is plain :mod:`ctypes`.
 
-Compiled libraries are cached per source hash, so a campaign process
-compiles each distinct chart (the GPCA model, each mutant) once.
+Compiled libraries are cached per source hash, so a process compiles each
+distinct chart once.
 """
 
 from __future__ import annotations
@@ -37,20 +42,13 @@ import hashlib
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..model.declarations import OutputWrite
 from .c_emitter import _emit_actions, _emit_transition_condition, _identifier, emit_c_source
 from .generated import Firing, GeneratedCodeError
-from .generator import GeneratedArtifacts
 from .ir import CodeModel
-
-#: Backend identifiers accepted by the campaign layer.
-BACKEND_PYTHON = "python"
-BACKEND_C = "c"
-KNOWN_BACKENDS = (BACKEND_PYTHON, BACKEND_C)
 
 #: Compiler executables probed on PATH, in preference order.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -63,7 +61,7 @@ _WORKDIRS: List[tempfile.TemporaryDirectory] = []
 
 
 class BackendUnavailable(RuntimeError):
-    """The compiled-C backend cannot run in this environment/for this chart."""
+    """The compiled-C executor cannot run in this environment or for this chart."""
 
 
 def find_c_compiler() -> Optional[str]:
@@ -80,7 +78,7 @@ def check_compilable(model: CodeModel) -> Optional[str]:
 
     The emitter renders guards as calls to undefined ``guard_N`` functions and
     computed action values as ``/* computed */ 0`` placeholders; charts using
-    either feature have no faithful C form, so they run on the Python backend.
+    either feature have no faithful C form.
     """
     for row in model.transitions:
         if row.guard is not None:
@@ -109,7 +107,7 @@ def emit_harness_source(model: CodeModel) -> str:
     """The emitted chart C plus the transition-granular test harness.
 
     The harness owns a heap-allocated instance struct (so one process can run
-    many instances — campaign workers build a fresh SUT per sample) and
+    many instances — a scheme run builds a fresh SUT per sample) and
     exposes:
 
     * ``harness_new`` / ``harness_free`` / ``harness_reset`` — lifecycle;
@@ -473,59 +471,3 @@ class CompiledGeneratedCode:
             f"CompiledGeneratedCode({self.model.name!r}, state={self.state_name!r}, "
             f"clock={self.state_clock_ticks})"
         )
-
-
-# ----------------------------------------------------------------------
-# Backend resolution
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BackendResolution:
-    """Outcome of resolving a requested SUT backend for one chart.
-
-    ``effective`` is the backend that will actually run; when it differs from
-    ``requested``, ``reason`` says why (recorded in the run record so degraded
-    runs are auditable).  ``code_factory`` is the executor factory to thread
-    into :class:`repro.integration.base.SchemeConfig` (``None`` for the
-    default Python executor).
-    """
-
-    requested: str
-    effective: str
-    reason: Optional[str] = None
-    code_factory: Optional[Callable[[], Any]] = None
-
-    @property
-    def degraded(self) -> bool:
-        return self.effective != self.requested
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-friendly form stored in run records (omit the factory)."""
-        payload: Dict[str, Any] = {"requested": self.requested, "effective": self.effective}
-        if self.reason is not None:
-            payload["reason"] = self.reason
-        return payload
-
-
-def resolve_backend(backend: Optional[str], artifacts: GeneratedArtifacts) -> BackendResolution:
-    """Resolve ``backend`` for ``artifacts``, degrading gracefully.
-
-    ``"python"`` (or ``None``) always resolves to the Python executor.
-    ``"c"`` compiles the emitted chart when possible; otherwise it falls back
-    to Python with the failure reason recorded, never raising for
-    environmental problems (missing compiler, failed compile, inexpressible
-    chart).  Unknown backend names raise :class:`ValueError`.
-    """
-    if backend is None or backend == BACKEND_PYTHON:
-        return BackendResolution(requested=BACKEND_PYTHON, effective=BACKEND_PYTHON)
-    if backend != BACKEND_C:
-        raise ValueError(f"unknown backend {backend!r} (expected one of {KNOWN_BACKENDS})")
-    model = artifacts.code_model
-    try:
-        library = compile_harness(model)
-    except BackendUnavailable as exc:
-        return BackendResolution(requested=BACKEND_C, effective=BACKEND_PYTHON, reason=str(exc))
-    return BackendResolution(
-        requested=BACKEND_C,
-        effective=BACKEND_C,
-        code_factory=lambda: CompiledGeneratedCode(model, library),
-    )

@@ -101,11 +101,6 @@ class SchemeConfig:
     #: completion, the behaviour of a full generated step function).
     transitions_per_cycle: Optional[int] = None
     seed: int = 0
-    #: Optional factory overriding ``artifacts.new_instance()`` as the CODE(M)
-    #: executor — the injection point for the compiled-C backend
-    #: (``repro.codegen.c_backend``).  The returned object must expose the
-    #: ``GeneratedCode`` surface.
-    code_factory: Optional[Callable[[], Any]] = None
 
 
 class ImplementedSystem(SystemUnderTest):
@@ -122,10 +117,7 @@ class ImplementedSystem(SystemUnderTest):
         self.bundle = bundle
         self.artifacts = artifacts
         self.config = config or SchemeConfig()
-        if self.config.code_factory is not None:
-            self.code = self.config.code_factory()
-        else:
-            self.code = artifacts.new_instance()
+        self.code = artifacts.new_instance()
         scheduler_class = bundle.scheduler_class or RTOSScheduler
         self.scheduler = scheduler_class(
             bundle.simulator, context_switch_us=self.config.context_switch_us

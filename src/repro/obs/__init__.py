@@ -6,16 +6,16 @@ campaign, store, server — without perturbing it.  Three pieces:
 
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms with
   fixed deterministic bucket edges, rendered as JSON or Prometheus text on
-  ``repro serve``'s ``/metrics``.
+  ``repro serve``'s ``/metrics``.  Hot loops are never instrumented
+  directly: the kernel and scheduler keep plain integer counters that the
+  campaign worker pulls into :data:`REGISTRY` once per run.
 * :mod:`repro.obs.spans` — a span tracer emitting Chrome-trace/Perfetto
   JSON timelines (``repro profile``), with a framework wall-clock lane and a
-  simulation virtual-time lane.
-* :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade and the
-  :data:`NULL_TELEMETRY` null sink; disabled telemetry costs near-nothing
-  because hot loops are never instrumented directly — their counters are
-  pulled after the fact.
-* :mod:`repro.obs.progress` — live campaign progress with ETA, persisted by
-  the runner and served on ``/progress/<campaign>``.
+  simulation virtual-time lane.  Span collection is opt-in per run
+  (``execute_run(spec, tracer)``); without a tracer no span is recorded.
+* :mod:`repro.obs.progress` — live campaign progress with ETA, kept by every
+  campaign runner, persisted when a store is attached and served on
+  ``/progress/<campaign>``.
 """
 
 from .metrics import (
@@ -25,15 +25,12 @@ from .metrics import (
 )
 from .progress import CampaignProgress
 from .spans import SpanTracer, render_self_time_table
-from .telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "CampaignProgress",
     "DEFAULT_PHASE_EDGES_S",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
     "REGISTRY",
     "SpanTracer",
-    "Telemetry",
     "render_self_time_table",
 ]

@@ -14,11 +14,11 @@ Design rules, matching the repo's determinism discipline:
 * **No wall-clock inside.**  Instruments store only what callers hand them;
   anything time-derived is the caller's responsibility (and the callers use
   the simulated clock or an injected monotonic source — see
-  :mod:`repro.obs.telemetry`).
+  :mod:`repro.obs.spans` and :mod:`repro.obs.progress`).
 * **Cheap enough to leave on.**  Instrument updates are a lock plus integer
   arithmetic.  Hot loops never call them per event — they keep their own slot
-  counters and the telemetry layer *pulls* those after the fact (the
-  null-sink rule; see ``docs/architecture.md``).
+  counters and the campaign worker *pulls* those once per run (see
+  ``docs/architecture.md``).
 
 Everything is stdlib-only and thread-safe: one re-entrant lock per registry
 serialises updates, which the threaded serving layer relies on.

@@ -64,7 +64,7 @@ class SystemPack:
     #: The four-variable interface declaration (used by M-testing).
     build_interface: Callable[[], Any]
     #: ``build_system(scheme, *, model, seed, period_us, interference_scale,
-    #: artifacts, probes, engine, code_factory)`` -> implemented system.
+    #: artifacts, probes, engine)`` -> implemented system.
     build_system: Callable[..., Any]
     #: Named scenario cases: ``name -> builder(samples) -> ScenarioProgram``.
     case_builders: Mapping[str, Callable[[int], Any]]

@@ -332,15 +332,13 @@ def build_pack_system(
     artifacts: Optional[GeneratedArtifacts] = None,
     probes: Optional[ProbeConfiguration] = None,
     engine: Optional[EngineProfile] = None,
-    code_factory: Optional[Callable[[], Any]] = None,
 ):
     """Assemble one implemented system of a pack (model -> code -> platform).
 
     Scheme 1 accepts a polling period, scheme 3 an interference scaling.
     ``artifacts`` shares one generated CODE(M) across many systems (default:
     generate it from ``model``'s chart); ``probes`` overrides the full
-    M-level probes, ``engine`` the runtime engine and ``code_factory`` the
-    CODE(M) executor (the compiled-C backend).
+    M-level probes and ``engine`` the runtime engine.
     """
     chart_builder = model_builders.get(model)
     if chart_builder is None:
@@ -366,7 +364,6 @@ def build_pack_system(
     config.execution_model = platform.execution_model()
     config.probes = probes or ProbeConfiguration.m_level()
     config.seed = seed
-    config.code_factory = code_factory
     return system_class(bundle, artifacts, config)
 
 

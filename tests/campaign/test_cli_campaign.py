@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -48,57 +46,6 @@ def test_campaign_sweep_grid_prints_sweep_table(capsys):
     output = capsys.readouterr().out
     assert "period (ms)" in output
     assert "violation rate" in output
-
-
-@pytest.mark.slow
-def test_campaign_baseline_verifies_determinism_and_records_timings(tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "campaign",
-                "--grid",
-                "table1",
-                "--samples",
-                "2",
-                "--workers",
-                "2",
-                "--baseline",
-                str(baseline_path),
-            ]
-        )
-        == 0
-    )
-    payload = json.loads(baseline_path.read_text())
-    assert payload["byte_identical"] is True
-    assert payload["parallel_workers"] == 2
-    assert payload["serial_seconds"] > 0
-    assert payload["parallel_seconds"] > 0
-    assert payload["host"]["cpu_count"] >= 1
-    assert "byte-identical: True" in capsys.readouterr().out
-
-
-def test_campaign_baseline_still_honours_json_export(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    json_path = tmp_path / "campaign.json"
-    assert (
-        main(
-            [
-                "campaign",
-                "--grid",
-                "table1",
-                "--samples",
-                "2",
-                "--baseline",
-                str(baseline_path),
-                "--json",
-                str(json_path),
-            ]
-        )
-        == 0
-    )
-    assert baseline_path.exists()
-    assert len(json.loads(json_path.read_text())["runs"]) == 3
 
 
 def test_campaign_rejects_invalid_samples(capsys):

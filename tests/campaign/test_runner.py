@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from repro.campaign import (
     CampaignRunner,
@@ -13,8 +15,10 @@ from repro.campaign import (
     SchemePoint,
     default_worker_count,
     execute_run,
+    execution_count,
     run_campaign,
     shard_grid,
+    table_one_spec,
 )
 
 
@@ -89,6 +93,8 @@ class TestExecuteRun:
 class TestRunnerDeterminism:
     @pytest.mark.slow
     def test_parallel_aggregate_is_byte_identical_to_serial(self):
+        """The pool leg really ran on 2 workers, so a fallback to the serial
+        path cannot pass for a parallel run."""
         spec = tiny_spec()
         serial = CampaignRunner(spec, workers=1).run()
         parallel = CampaignRunner(spec, workers=2).run()
@@ -130,6 +136,48 @@ class TestRunnerDeterminism:
         )
         # One run short-circuits to the serial path regardless of the request.
         assert CampaignRunner(single_run, workers=8).run().workers == 1
+
+
+class _SecondShardBreaksPool:
+    """An in-process stand-in for ``ProcessPoolExecutor`` whose second
+    submitted shard dies with the pool, like a killed worker's."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == 2:
+            future.set_exception(BrokenProcessPool("a worker was killed"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+
+class TestBrokenPool:
+    def test_only_the_unfinished_shards_re_run(self, monkeypatch):
+        spec = table_one_spec(samples=2)
+        serial = CampaignRunner(spec, workers=1).run()
+        monkeypatch.setattr("repro.campaign.runner.ProcessPoolExecutor", _SecondShardBreaksPool)
+
+        before = execution_count()
+        runner = CampaignRunner(spec, workers=2)
+        result = runner.run()
+        assert execution_count() - before == 3
+        assert runner.fell_back_to_serial
+        assert runner.fallback_reason == "a worker was killed"
+        assert result.workers == 1
+        assert result.to_json() == serial.to_json()
+        snapshot = runner.progress.snapshot()
+        assert snapshot["completed"] == snapshot["total_runs"] == 3
+        assert snapshot["finished"] is True
 
 
 class TestResultAccessors:

@@ -172,9 +172,15 @@ class TestDefaultGpcaMatrix:
         "sensor-stuck": ["alarm-clear", "empty-reservoir-alarm", "empty-reservoir-stop", "bolus-request"],
     }
 
-    def test_kills_ten_of_twelve_mutants_and_detects_all_seven_fault_classes(self):
-        spec = default_matrix_spec(samples=3, base_seed=0)
-        campaign = CampaignRunner(spec, workers=1).run()
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return default_matrix_spec(samples=3, base_seed=0)
+
+    @pytest.fixture(scope="class")
+    def campaign(self, spec):
+        return CampaignRunner(spec, workers=1).run()
+
+    def test_kills_ten_of_twelve_mutants_and_detects_all_seven_fault_classes(self, spec, campaign):
         scheme_two_baselines = [
             record
             for record in campaign.records
@@ -192,3 +198,23 @@ class TestDefaultGpcaMatrix:
         assert {
             name: matrix.fault_detecting_cases(name) for name in matrix.fault_cells
         } == self.DETECTED_BY
+
+    def test_table_one_holds_exactly_the_two_baseline_columns(self, campaign):
+        """Faulted and mutant runs at the case are not Table I columns."""
+        baselines = [
+            record
+            for record in campaign.records
+            if record.spec.case == "bolus-request"
+            and record.spec.faults is None
+            and record.spec.mutant is None
+        ]
+        table = campaign.table_one("bolus-request")
+        assert [result.scheme for result in table.results] == [1, 2]
+        assert len(baselines) == 2
+        rows = table.rows()
+        for record in baselines:
+            column = [row[f"scheme{record.spec.scheme}_r"] for row in rows]
+            assert column == [
+                sample.latency_label() + ("" if sample.passed else " *")
+                for sample in record.r_report().samples
+            ]

@@ -1,8 +1,8 @@
-"""Zero perturbation, pinned: telemetry off / on / on-with-spans are byte-identical.
+"""Zero perturbation, pinned: no store / store / spans are byte-identical.
 
-The observability layer's hard constraint is that enabling any of it —
-metrics pulls, progress tracking, span collection with the scheduler
-observer attached — changes no verdict, no trace, no RNG draw and no store
+The observability layer's hard constraint is that none of it — metrics
+pulls, progress tracking and persistence, span collection with the scheduler
+observer attached — changes a verdict, a trace, an RNG draw or a store
 coordinate.  These tests pin that across all three registered system packs.
 """
 
@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignRunner, profile_run
+from repro.campaign import CampaignResult, CampaignRunner, profile_run
 from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint, table_one_spec
 from repro.campaign.worker import execute_run
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import REGISTRY
+from repro.store import RunStore
 
 #: One representative coordinate per registered system pack.
 PACK_CASES = [
@@ -57,26 +58,33 @@ class TestRunLevelIdentity:
 
 
 class TestCampaignLevelIdentity:
-    def test_runner_aggregate_identical_off_on_and_with_spans(self, table1_result):
-        """The canonical campaign payload is identical for all telemetry modes."""
+    def test_runner_aggregate_identical_off_on_and_with_spans(self, table1_result, tmp_path):
+        """The canonical campaign payload is identical without a store, with
+        one (progress persisted as runs land) and with spans on every run."""
         spec = table_one_spec(samples=2)
         baseline = table1_result.to_json()
 
-        enabled = CampaignRunner(spec, telemetry=Telemetry(MetricsRegistry())).run()
-        assert enabled.to_json() == baseline
+        with RunStore(tmp_path / "runs.db") as store:
+            stored = CampaignRunner(spec, store=store).run()
+            assert store.load_progress(spec.name)["finished"] is True
+        assert stored.to_json() == baseline
 
-        with_spans = CampaignRunner(
-            spec, telemetry=Telemetry(MetricsRegistry(), spans=True)
-        ).run()
+        with_spans = CampaignResult(
+            spec=spec, records=[profile_run(run).record for run in spec.expand()]
+        )
         assert with_spans.to_json() == baseline
 
     def test_enabled_runner_collected_campaign_counters(self):
-        registry = MetricsRegistry()
-        spec = table_one_spec(samples=2)
-        runner = CampaignRunner(spec, telemetry=Telemetry(registry))
+        def counts():
+            return (
+                REGISTRY.counter_value("campaign_runs_completed"),
+                REGISTRY.counter_value("campaign_runs_cached"),
+                REGISTRY.histogram("campaign_wall_seconds").count,
+            )
+
+        before = counts()
+        runner = CampaignRunner(table_one_spec(samples=2))
         runner.run()
-        assert registry.counter_value("campaign_runs_completed") == 3
-        assert registry.counter_value("campaign_runs_cached") == 0
-        assert registry.histogram("campaign_wall_seconds").count == 1
-        assert runner.progress is not None
+        # 3 runs completed, none cached, one wall-clock observation.
+        assert [after - start for after, start in zip(counts(), before)] == [3, 0, 1]
         assert runner.progress.snapshot()["finished"] is True

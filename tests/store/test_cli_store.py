@@ -49,22 +49,20 @@ def test_campaign_resume_requires_store(capsys):
     assert "--resume needs --store" in capsys.readouterr().err
 
 
-def test_campaign_baseline_and_store_are_mutually_exclusive(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "campaign",
-                "--grid",
-                "table1",
-                "--baseline",
-                str(tmp_path / "b.json"),
-                "--store",
-                str(tmp_path / "runs.db"),
-            ]
-        )
-        == 2
-    )
-    assert "mutually exclusive" in capsys.readouterr().err
+def test_store_backed_campaign_leaves_a_finished_progress_snapshot(tmp_path):
+    db = str(tmp_path / "runs.db")
+    argv = ["campaign", "--grid", "table1", "--samples", "2", "--store", db]
+    assert main(argv) == 0
+    with RunStore(db) as store:
+        cold = store.load_progress("table1")
+    assert cold["finished"] is True
+    assert (cold["completed"], cold["cached"], cold["total_runs"]) == (3, 0, 3)
+
+    assert main([*argv, "--resume"]) == 0
+    with RunStore(db) as store:
+        warm = store.load_progress("table1")
+    assert warm["finished"] is True
+    assert (warm["completed"], warm["cached"], warm["total_runs"]) == (0, 3, 3)
 
 
 def test_campaign_rejects_unusable_store_file(tmp_path, capsys):
@@ -150,6 +148,22 @@ def test_store_export_writes_artifacts(tmp_path, capsys):
     assert csv_path.read_text().startswith("index,label,scheme,")
     assert table_md.read_text().startswith("### ")
     assert table_csv.read_text().splitlines()[0].startswith("sample,")
+
+
+def test_store_export_table1_of_an_unknown_case_is_exit_1(tmp_path, capsys):
+    db = str(tmp_path / "runs.db")
+    assert main(["campaign", "--grid", "table1", "--samples", "2", "--store", db]) == 0
+    capsys.readouterr()
+
+    json_path = tmp_path / "campaign.json"
+    table_path = tmp_path / "table1.txt"
+    argv = ["store", "export", "--db", db, "--case", "nope"]
+    assert main([*argv, "--json", str(json_path), "--table1", str(table_path)]) == 1
+    assert capsys.readouterr().err == (
+        "repro store: error: no clean run at case 'nope' to build Table I from\n"
+    )
+    assert not table_path.exists()
+    assert not json_path.exists()
 
 
 @pytest.mark.parametrize("flag", ["--limit", "--offset"])

@@ -1,7 +1,7 @@
 """Equivalence tests for the rebuilt runtime engine.
 
-The hot-loop rebuild (batched kernel dispatch, columnar traces, the compiled-C
-SUT backend) claims *byte identity*: same seeds, same serialized reports, bit
+The hot-loop rebuild (batched kernel dispatch, columnar traces) and the
+compiled-C CODE(M) executor claim *byte identity*: same seeds, same serialized reports, bit
 for bit.  These tests prove it against the frozen seed implementations in
 ``repro._reference.seed_engine`` and against the Python CODE(M) executor:
 
@@ -15,9 +15,9 @@ for bit.  These tests prove it against the frozen seed implementations in
   dormant stretch, with and without clock drift;
 * columnar ``Trace`` vs the object-per-event ``SeedTrace`` across the whole
   query surface on randomized event streams;
-* the compiled-C backend in lockstep with the Python executor and across
-  whole scheme runs (skipped without a host C compiler), plus its graceful
-  degradation path and the backend field's serialization/key stability.
+* the compiled-C executor in lockstep with the Python executor and across
+  whole scheme runs (skipped without a host C compiler), plus the reasons it
+  gives when it cannot run.
 """
 
 from __future__ import annotations
@@ -29,16 +29,13 @@ import pytest
 
 from repro._reference import SEED_ENGINE
 from repro._reference.seed_engine import SeedSimulator, SeedTrace
-from repro.campaign.results import RunRecord
-from repro.campaign.spec import RunSpec
-from repro.campaign.worker import execute_run
 from repro.codegen import c_backend
 from repro.codegen.c_backend import (
     BackendUnavailable,
     CompiledGeneratedCode,
     check_compilable,
+    compile_harness,
     find_c_compiler,
-    resolve_backend,
 )
 from repro.codegen.generated import GeneratedCode
 from repro.codegen.generator import generate_code
@@ -54,7 +51,6 @@ from repro.gpca.scenarios import all_requirement_test_cases
 from repro.platform.devices.device import StateInputDevice
 from repro.platform.kernel.simulator import SimulationError, Simulator
 from repro.platform.kernel.time import ms
-from repro.store.keys import run_key
 from repro.systems import get_pack
 
 requires_cc = pytest.mark.skipif(
@@ -68,11 +64,15 @@ CASES = all_requirement_test_cases(SAMPLES, seed=0)
 CASE_IDS = [case.name for case in CASES]
 
 
-def _run_case(case, scheme, *, engine=None, code_factory=None):
+def _run_case(case, scheme, *, engine=None, code_model=None):
+    """R-test ``case`` on fresh GPCA systems; ``code_model`` swaps in the
+    compiled-C executor for the generated Python CODE(M)."""
+
     def factory():
-        return get_pack("gpca").build_system(
-            scheme, seed=1234, engine=engine, code_factory=code_factory
-        )
+        system = get_pack("gpca").build_system(scheme, seed=1234, engine=engine)
+        if code_model is not None:
+            system.code = CompiledGeneratedCode(code_model)
+        return system
 
     return execute_r_test(factory, case)
 
@@ -447,68 +447,20 @@ class TestCompiledBackend:
     @requires_cc
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_scheme_runs_byte_identical(self, scheme, fig2_artifacts):
-        resolution = resolve_backend("c", fig2_artifacts)
-        assert resolution.effective == "c" and resolution.reason is None
         case = CASES[0]
-        compiled_report = _run_case(case, scheme, code_factory=resolution.code_factory)
+        compiled_report = _run_case(case, scheme, code_model=fig2_artifacts.code_model)
         python_report = _run_case(case, scheme)
         assert r_report_to_json(compiled_report, include_trace=True) == r_report_to_json(
             python_report, include_trace=True
         )
 
-    @requires_cc
-    def test_worker_records_effective_c_backend(self):
-        spec = RunSpec(
-            index=0, scheme=1, case="bolus-request", samples=SAMPLES,
-            case_seed=7, sut_seed=11, m_test="none", backend="c",
-        )
-        record = execute_run(spec)
-        assert record.backend_payload == {"requested": "c", "effective": "c"}
-        python_record = execute_run(
-            RunSpec(
-                index=0, scheme=1, case="bolus-request", samples=SAMPLES,
-                case_seed=7, sut_seed=11, m_test="none",
-            )
-        )
-        assert record.r_payload == python_record.r_payload
-
     def test_degrades_cleanly_without_compiler(self, monkeypatch, fig2_artifacts):
-        def unavailable(model, compiler=None):
-            raise BackendUnavailable("no C compiler found on PATH (tried cc, gcc, clang)")
-
-        monkeypatch.setattr(c_backend, "compile_harness", unavailable)
-        resolution = resolve_backend("c", fig2_artifacts)
-        assert resolution.requested == "c"
-        assert resolution.effective == "python"
-        assert "no C compiler" in resolution.reason
-        assert resolution.code_factory is None
-
-    def test_degradation_recorded_in_run_record(self, monkeypatch):
-        def unavailable(model, compiler=None):
-            raise BackendUnavailable("no C compiler found on PATH (tried cc, gcc, clang)")
-
-        monkeypatch.setattr(c_backend, "compile_harness", unavailable)
-        spec = RunSpec(
-            index=0, scheme=1, case="bolus-request", samples=SAMPLES,
-            case_seed=7, sut_seed=11, m_test="none", backend="c",
-        )
-        record = execute_run(spec)
-        assert record.backend_payload["effective"] == "python"
-        assert "no C compiler" in record.backend_payload["reason"]
-        # The degraded run still produced the canonical Python-path payload.
-        python_record = execute_run(
-            RunSpec(
-                index=0, scheme=1, case="bolus-request", samples=SAMPLES,
-                case_seed=7, sut_seed=11, m_test="none",
-            )
-        )
-        assert record.r_payload == python_record.r_payload
-        # And the payload round-trips with the backend field intact.
-        assert RunRecord.from_dict(record.to_dict()).to_dict() == record.to_dict()
-
-    def test_unknown_backend_rejected(self, fig2_artifacts):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran", fig2_artifacts)
+        # An empty compile cache forces the compiler probe; PATH holds none.
+        monkeypatch.setattr(c_backend, "_COMPILED_CACHE", {})
+        monkeypatch.setattr(c_backend.shutil, "which", lambda name: None)
+        missing = r"no C compiler found on PATH \(tried cc, gcc, clang\)"
+        with pytest.raises(BackendUnavailable, match=missing):
+            compile_harness(fig2_artifacts.code_model)
 
     def test_charts_with_guards_are_rejected(self, fig2_artifacts):
         import dataclasses
@@ -521,34 +473,3 @@ class TestCompiledBackend:
         )
         reason = check_compilable(patched)
         assert reason is not None and "guard" in reason
-
-
-class TestBackendSpecStability:
-    """The backend field never perturbs pre-backend serialized forms or keys."""
-
-    def _spec(self, **overrides):
-        fields = dict(
-            index=3, scheme=2, case="bolus-request", samples=4, case_seed=5, sut_seed=6
-        )
-        fields.update(overrides)
-        return RunSpec(**fields)
-
-    def test_default_backend_omitted_from_dict(self):
-        payload = self._spec().to_dict()
-        assert "backend" not in payload
-        assert RunSpec.from_dict(payload).backend == "python"
-
-    def test_c_backend_round_trips(self):
-        payload = self._spec(backend="c").to_dict()
-        assert payload["backend"] == "c"
-        assert RunSpec.from_dict(payload) == self._spec(backend="c")
-
-    def test_store_keys_stable_for_python_and_distinct_for_c(self):
-        default_key = run_key(self._spec())
-        explicit_python = run_key(self._spec(backend="python"))
-        compiled = run_key(self._spec(backend="c"))
-        assert default_key == explicit_python
-        assert compiled != default_key
-        # Keys ignore grid position, with or without the backend field.
-        assert run_key(self._spec(index=99)) == default_key
-        assert run_key(self._spec(index=99, backend="c")) == compiled
