@@ -26,7 +26,7 @@ from ..integration.base import EngineProfile
 from ..platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
 from ..platform.kernel.simulator import SimulationError
 from ..platform.kernel.time import SimClock, format_us
-from ..platform.rtos.directives import Compute, Delay, Give, Receive, Send, Take
+from ..platform.rtos.directives import Compute, Receive, Send
 from ..platform.rtos.scheduler import RTOSScheduler, SchedulerError
 from ..platform.rtos.task import Job, Task, TaskState
 
@@ -502,22 +502,17 @@ class SeedTraceRecorder:
 class SeedRTOSScheduler(RTOSScheduler):
     """The pre-rebuild scheduler hot path, frozen method for method.
 
-    Construction, task registration, blocking primitives' semantics and every
-    invariant are shared with the production scheduler (inherited); the
-    methods below are byte-for-byte the bodies the repository shipped before
-    the hot-loop rebuild — per-call label formatting, per-segment completion
-    closures, the isinstance directive chain and the factored-out dispatch
-    round included — so the seed engine measures (and reproduces) the honest
-    pre-rebuild cost of the whole platform stack, not just the kernel.
+    Construction, task registration, queue semantics and every invariant are
+    shared with the production scheduler (inherited).  The methods below are
+    the bodies the repository shipped before the hot-loop rebuild — per-call
+    label formatting, per-segment completion closures, the isinstance
+    directive chain and the factored-out dispatch round included — so the
+    seed engine measures (and reproduces) the honest pre-rebuild cost of the
+    whole platform stack, not just the kernel.  They are byte-for-byte those
+    bodies, except that the branches for paths the RTOS no longer has
+    (blocking directives, semaphores, aperiodic activation) are gone; every
+    input that can still reach them behaves as before.
     """
-
-    def activate(self, task: Task, delay_us: int = 0) -> None:
-        if delay_us == 0:
-            self._release(task)
-        else:
-            self.simulator.schedule(
-                delay_us, lambda: self._release(task), label=f"activate:{task.name}"
-            )
 
     def _schedule_release(self, task: Task, when_us: int) -> None:
         when_us = max(when_us, self.simulator.now)
@@ -617,14 +612,8 @@ class SeedRTOSScheduler(RTOSScheduler):
             job.pending_label = directive.label
             return "compute"
 
-        if isinstance(directive, Delay):
-            self._block_for_delay(job, directive.duration_us)
-            return "blocked"
-
         if isinstance(directive, Send):
             job.send_value = directive.queue.send(directive.item)
-            if job.send_value:
-                self._wake_queue_waiter(directive.queue)
             return "continue"
 
         if isinstance(directive, Receive):
@@ -632,27 +621,8 @@ class SeedRTOSScheduler(RTOSScheduler):
             if message is not None:
                 job.send_value = message
                 return "continue"
-            if directive.timeout_us == 0:
-                job.send_value = None
-                return "continue"
-            self._block_on_queue(job, directive.queue, directive.timeout_us)
-            return "blocked"
-
-        if isinstance(directive, Give):
-            job.send_value = directive.semaphore.give()
-            if job.send_value:
-                self._wake_semaphore_waiter(directive.semaphore)
+            job.send_value = None
             return "continue"
-
-        if isinstance(directive, Take):
-            if directive.semaphore.try_take():
-                job.send_value = True
-                return "continue"
-            if directive.timeout_us == 0:
-                job.send_value = False
-                return "continue"
-            self._block_on_semaphore(job, directive.semaphore, directive.timeout_us)
-            return "blocked"
 
         raise SchedulerError(
             f"task {job.task.name!r} yielded unsupported directive {directive!r}"
@@ -705,35 +675,6 @@ class SeedRTOSScheduler(RTOSScheduler):
         job.segment_started_at_us = None
         self._running = None
         self._make_ready(job, front=True)
-
-    def _block_for_delay(self, job: Job, duration_us: int) -> None:
-        job.task.state = TaskState.BLOCKED
-        job.blocked_on = "delay"
-        job.timeout_handle = self.simulator.schedule(
-            duration_us, lambda: self._wake(job, None), label=f"delay:{job.task.name}"
-        )
-
-    def _block_on_queue(self, job: Job, queue, timeout_us: Optional[int]) -> None:
-        job.task.state = TaskState.BLOCKED
-        job.blocked_on = queue
-        queue.add_waiter(job)
-        if timeout_us is not None:
-            job.timeout_handle = self.simulator.schedule(
-                timeout_us,
-                lambda: self._timeout_queue_wait(job, queue),
-                label=f"qtimeout:{job.task.name}",
-            )
-
-    def _block_on_semaphore(self, job: Job, semaphore, timeout_us: Optional[int]) -> None:
-        job.task.state = TaskState.BLOCKED
-        job.blocked_on = semaphore
-        semaphore.add_waiter(job)
-        if timeout_us is not None:
-            job.timeout_handle = self.simulator.schedule(
-                timeout_us,
-                lambda: self._timeout_semaphore_wait(job, semaphore),
-                label=f"stimeout:{job.task.name}",
-            )
 
 
 # ----------------------------------------------------------------------

@@ -345,6 +345,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.workers < 0:
         print("repro faults: error: worker count cannot be negative", file=sys.stderr)
         return 2
+    if args.hunt < 0:
+        print("repro faults: error: hunt episode count cannot be negative", file=sys.stderr)
+        return 2
     resolved = _resolve_pack_model("faults", args)
     if resolved is None:
         return 2

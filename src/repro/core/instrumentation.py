@@ -16,9 +16,6 @@ mirroring the R-then-M workflow of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
-
-from .four_variables import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -37,40 +34,3 @@ class ProbeConfiguration:
     def m_level(cls) -> "ProbeConfiguration":
         """Full instrumentation (what M-testing needs)."""
         return cls(record_io_events=True, record_transitions=True)
-
-
-class MeasurementProbes:
-    """Convenience facade over :class:`TraceRecorder` honouring a probe level.
-
-    m- and c-events are recorded by the devices themselves; this facade is used
-    by the interfacing code inside the implementation schemes to record the
-    software-boundary observations, silently dropping them when the probe
-    configuration excludes them.
-    """
-
-    def __init__(self, recorder: TraceRecorder, configuration: Optional[ProbeConfiguration] = None) -> None:
-        self.recorder = recorder
-        self.configuration = configuration or ProbeConfiguration.m_level()
-
-    # ------------------------------------------------------------------
-    def input_read(self, variable: str, value: Any, **meta: Any) -> None:
-        """CODE(M) latched an input variable (the i-event)."""
-        if self.configuration.record_io_events:
-            self.recorder.record_i(variable, value, **meta)
-
-    def output_written(self, variable: str, value: Any, **meta: Any) -> None:
-        """CODE(M) wrote an output variable (the o-event)."""
-        if self.configuration.record_io_events:
-            self.recorder.record_o(variable, value, **meta)
-
-    def transition_started(self, transition: str, **meta: Any) -> None:
-        if self.configuration.record_transitions:
-            self.recorder.record_transition_start(transition, **meta)
-
-    def transition_finished(self, transition: str, **meta: Any) -> None:
-        if self.configuration.record_transitions:
-            self.recorder.record_transition_end(transition, **meta)
-
-    @property
-    def now(self) -> int:
-        return self.recorder.now

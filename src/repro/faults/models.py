@@ -94,11 +94,11 @@ class ClockDriftFault(FaultModel):
 
     Implemented as a wrapper on the DES kernel's *relative* ``schedule``:
     every software-side delay (device sampling periods, compute segment
-    completions, blocking timeouts, actuation latencies) is scaled by
-    ``1 + drift``, while absolute-time events — the environment's m-event
-    stimuli, periodic task releases — are untouched.  The net effect is that
-    all software activity slows relative to the physical timeline, exactly
-    the failure a mis-trimmed oscillator produces.
+    completions, actuation latencies) is scaled by ``1 + drift``, while
+    absolute-time events — the environment's m-event stimuli, periodic task
+    releases — are untouched.  The net effect is that all software activity
+    slows relative to the physical timeline, exactly the failure a
+    mis-trimmed oscillator produces.
     """
 
     kind: ClassVar[str] = "clock-drift"
@@ -212,10 +212,10 @@ class QueueFault(FaultModel):
     ``create_queue`` and instruments matching queues as they come into
     existence.  Per message (seeded): with ``drop_probability`` the message is
     silently lost (the sender still sees success — a lossy driver); else with
-    ``delay_probability`` it is re-sent ``delay_us`` later through the
-    scheduler's ISR path (waking blocked receivers); else with
-    ``reorder_probability`` it jumps the FIFO.  Schemes without queues
-    (scheme 1) are unaffected.
+    ``delay_probability`` it is re-sent ``delay_us`` later from outside task
+    context, followed by a scheduler dispatch round as an ISR-path send would
+    run; else with ``reorder_probability`` it jumps the FIFO.  Schemes
+    without queues (scheme 1) are unaffected.
     """
 
     kind: ClassVar[str] = "queue"
@@ -265,10 +265,9 @@ class QueueFault(FaultModel):
 
         def deliver_late(item):
             # Bypass the wrapper on redelivery so a delayed message is not
-            # dropped or delayed a second time, then wake blocked receivers
-            # the way an ISR-path send would.
+            # dropped or delayed a second time, then run a dispatch round the
+            # way an ISR-path send would.
             if original_send(item):
-                scheduler._wake_queue_waiter(queue)
                 scheduler._schedule_dispatch()
 
         def faulted_send(item):

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 from ..codegen.execution_model import ExecutionTimeModel
 from ..codegen.generator import GeneratedArtifacts
 from ..core.four_variables import FourVariableInterface, Trace, TraceRecorder
-from ..core.instrumentation import MeasurementProbes, ProbeConfiguration
+from ..core.instrumentation import ProbeConfiguration
 from ..core.sut import SystemUnderTest
 from ..core.test_generation import Stimulus
 from ..model.declarations import OutputWrite
@@ -122,7 +122,6 @@ class ImplementedSystem(SystemUnderTest):
         self.scheduler = scheduler_class(
             bundle.simulator, context_switch_us=self.config.context_switch_us
         )
-        self.probes = MeasurementProbes(bundle.recorder, self.config.probes)
         self.execution_model = self.config.execution_model
         self._rng = RandomSource(self.config.seed).stream(f"exec:{self.scheme_name}")
         self._code_clock_anchor_us = 0
@@ -190,13 +189,12 @@ class ImplementedSystem(SystemUnderTest):
         schemes 2 and 3).
         """
         # Probe gating is hoisted out of the loop: the configuration is
-        # immutable for the system's lifetime, so the per-event facade calls
-        # collapse to direct recorder calls (or nothing) per cycle.
-        probes = self.probes
-        configuration = probes.configuration
-        record_io = configuration.record_io_events
-        record_transitions = configuration.record_transitions
-        recorder = probes.recorder
+        # immutable for the system's lifetime, so each probe is one direct
+        # recorder call (or nothing) per event.
+        probes = self.config.probes
+        record_io = probes.record_io_events
+        record_transitions = probes.record_transitions
+        recorder = self.bundle.recorder
         code = self.code
         for variable, value in pending_inputs:
             code.set_input(variable, value)

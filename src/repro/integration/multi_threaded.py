@@ -98,7 +98,7 @@ class MultiThreadedSystem(ImplementedSystem):
         """Drain the input queue, run the generated code, forward output writes."""
         pending = []
         while True:
-            item = yield Receive(self.input_queue, 0)
+            item = yield Receive(self.input_queue)
             if item is None:
                 break
             pending.append(item)
@@ -110,7 +110,7 @@ class MultiThreadedSystem(ImplementedSystem):
         """Drain the output queue and command the actuators."""
         writes = []
         while True:
-            item = yield Receive(self.output_queue, 0)
+            item = yield Receive(self.output_queue)
             if item is None:
                 break
             writes.append(item)

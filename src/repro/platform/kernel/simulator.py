@@ -26,14 +26,13 @@ downstream trace and verdict — byte for byte:
   heap comparisons resolve in C on the first differing integer and never
   reach the handle; the callback rides along so dispatch reads it straight
   out of the tuple.
-* **Batched drain.**  :meth:`run_until` and :meth:`run` drain the heap in one
-  tight loop instead of calling :meth:`step` per event: the heap functions and
-  counters are bound to locals, and all events sharing a timestamp are
-  dispatched in one pass with a single clock update per distinct instant.
-  The loop still pops entries strictly one at a time in ``(time, priority,
-  sequence)`` order — a callback may insert a higher-priority event at the
-  *current* instant and it must fire next — so batching changes cost, never
-  order.
+* **Batched drain.**  :meth:`run_until`, the kernel's only dispatch loop,
+  drains the heap in one tight loop: the heap functions and counters are
+  bound to locals, and all events sharing a timestamp are dispatched in one
+  pass with a single clock update per distinct instant.  The loop still pops
+  entries strictly one at a time in ``(time, priority, sequence)`` order — a
+  callback may insert a higher-priority event at the *current* instant and
+  it must fire next — so batching changes cost, never order.
 * **Lazy compaction.**  Cancelled entries stay in the heap until they either
   surface (and are skipped) or stale entries outnumber live ones, at which
   point the heap is rebuilt in place without them (see
@@ -144,8 +143,7 @@ class Simulator:
     """The discrete-event simulator.
 
     Components schedule zero-argument callbacks at absolute or relative times
-    and the simulator dispatches them in time order.  The simulator never
-    advances past the time of the last processed event.
+    and :meth:`run_until` dispatches them in time order.
     """
 
     #: Lazy-compaction trigger: rebuild the heap once at least this many
@@ -157,8 +155,6 @@ class Simulator:
         self._queue: List[_QueueEntry] = []
         self._sequence = 0
         self._processed = 0
-        self._running = False
-        self._stop_requested = False
         self._stale = 0  # cancelled entries still sitting in the heap
         self._cancellations = 0
         self._compactions = 0
@@ -220,8 +216,8 @@ class Simulator:
         unreclaimed those entries bloat the heap and slow every push/pop.  The
         rebuild filters cancelled entries and re-heapifies, which preserves the
         ``(time, priority, sequence)`` dispatch order exactly.  It works in
-        place: a running :meth:`run_until` / :meth:`run` drains a local alias
-        of the queue list, and a cancellation inside a callback can land here.
+        place: a running :meth:`run_until` drains a local alias of the queue
+        list, and a cancellation inside a callback can land here.
         """
         self._stale += 1
         self._cancellations += 1
@@ -342,12 +338,10 @@ class Simulator:
         point the post-callback re-arm draws it, and a no-op callback
         schedules nothing in between, so heap keys — and therefore dispatch
         order, including every same-instant tie — are those of the callback
-        path.  The mark is only a hint: :meth:`step` and :meth:`run` ignore
-        it and call the (no-op) callback.  Dormant re-arms count in
-        :attr:`events_processed`; ``kernel_dormant_rearms`` in
-        :meth:`counters` says how many there were.  :meth:`EventHandle.cancel`
-        clears the mark, and a handle recycled through ``reuse`` never
-        inherits it.
+        path.  Dormant re-arms count in :attr:`events_processed`;
+        ``kernel_dormant_rearms`` in :meth:`counters` says how many there
+        were.  :meth:`EventHandle.cancel` clears the mark, and a handle
+        recycled through ``reuse`` never inherits it.
         """
         if delay_us < 0:
             raise SimulationError(f"negative delay {delay_us} for event {label!r}")
@@ -364,38 +358,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request the currently running :meth:`run_until` / :meth:`run` to stop
-        after the event being processed returns."""
-        self._stop_requested = True
-
-    def step(self) -> bool:
-        """Dispatch the single next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue was empty.
-        """
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            handle = entry[3]
-            if handle._cancelled:
-                self._stale -= 1
-                continue
-            self._clock.advance_to(entry[0])
-            handle._fired = True
-            self._processed += 1
-            entry[4]()
-            period = handle.period_us
-            if period is not None and not handle._cancelled:
-                handle._fired = False
-                next_time = entry[0] + period
-                handle.time_us = next_time
-                sequence = self._sequence
-                self._sequence = sequence + 1
-                heappush(queue, (next_time, handle.priority, sequence, handle, entry[4]))
-            return True
-        return False
-
     def run_until(self, time_us: int) -> None:
         """Run events up to and including ``time_us`` and advance the clock there.
 
@@ -409,8 +371,6 @@ class Simulator:
                 f"run_until target {format_us(time_us)} is in the past "
                 f"(now={format_us(clock._now_us)})"
             )
-        self._running = True
-        self._stop_requested = False
         queue = self._queue
         pop = heappop
         push = heappush
@@ -428,11 +388,10 @@ class Simulator:
             # reads it mid-run.  Periodic handles are re-queued straight after
             # their callback returns — the exact point a tail re-arm would
             # draw its sequence number.  The current time is mirrored in a
-            # local (only this loop advances the clock); the stop flag is
-            # checked only after callbacks, the sole place it can be set.
-            # A dormant entry is re-armed in place without touching the clock:
-            # nothing runs at its instant, and the next callback or the final
-            # clock write below sets the time.
+            # local (only this loop advances the clock).  A dormant entry is
+            # re-armed in place without touching the clock: nothing runs at
+            # its instant, and the next callback or the final clock write
+            # below sets the time.
             now_us = clock._now_us
             while queue:
                 entry = queue[0]
@@ -465,58 +424,11 @@ class Simulator:
                     sequence = self._sequence
                     self._sequence = sequence + 1
                     push(queue, (next_time, handle.priority, sequence, handle, entry[4]))
-                if self._stop_requested:
-                    break
-            if not self._stop_requested and now_us < time_us:
+            if now_us < time_us:
                 clock._now_us = time_us
         finally:
             self._processed = processed + dormant
             self._dormant_rearms += dormant
-            self._running = False
-
-    def run(self, max_events: int = 1_000_000) -> None:
-        """Run until the event queue drains or ``max_events`` fire."""
-        clock = self._clock
-        self._running = True
-        self._stop_requested = False
-        queue = self._queue
-        pop = heappop
-        push = heappush
-        fired = 0
-        processed = self._processed
-        try:
-            while not self._stop_requested:
-                # The livelock check precedes the empty-queue check (matching
-                # the seed kernel): draining exactly max_events still raises.
-                if fired >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; likely a livelock"
-                    )
-                if not queue:
-                    break
-                entry = pop(queue)
-                handle = entry[3]
-                if handle._cancelled:
-                    self._stale -= 1
-                    continue
-                entry_time = entry[0]
-                if entry_time > clock._now_us:
-                    clock._now_us = entry_time
-                handle._fired = True
-                processed += 1
-                entry[4]()
-                period = handle.period_us
-                if period is not None and not handle._cancelled:
-                    handle._fired = False
-                    next_time = entry_time + period
-                    handle.time_us = next_time
-                    sequence = self._sequence
-                    self._sequence = sequence + 1
-                    push(queue, (next_time, handle.priority, sequence, handle, entry[4]))
-                fired += 1
-        finally:
-            self._processed = processed
-            self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,8 +1,8 @@
 """FreeRTOS-like real-time operating system model.
 
-Provides a single-core fixed-priority preemptive scheduler, periodic and
-aperiodic tasks written as directive-yielding generators, bounded FIFO message
-queues and counting semaphores.  See :mod:`repro.platform.rtos.scheduler` for
+Provides a single-core fixed-priority preemptive scheduler, periodic tasks
+written as directive-yielding generators and bounded FIFO message queues with
+non-blocking send and receive.  See :mod:`repro.platform.rtos.scheduler` for
 the scheduling semantics.
 """
 

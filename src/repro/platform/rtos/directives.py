@@ -3,27 +3,26 @@
 A task body is written as a Python generator.  Plain Python statements between
 ``yield`` points execute in zero simulated time (they model register-level
 work folded into the surrounding compute segments); simulated time only passes
-when the job yields one of the directives below.
+when the job yields :class:`Compute`.  :class:`Send` and :class:`Receive` take
+no time and never block, which is all the paper's implementation schemes need.
 
 Example::
 
     def job():
         yield Compute(ms(1))                 # burn 1 ms of CPU
-        item = yield Receive(queue)          # non-blocking receive (None if empty)
+        item = yield Receive(queue)          # the oldest item, or None if empty
         if item is not None:
             handle(item)
             yield Compute(us(200))
-        yield Delay(ms(5))                   # sleep without holding the CPU
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .queue import MessageQueue
-    from .semaphore import Semaphore
 
 
 @dataclass(frozen=True)
@@ -39,30 +38,14 @@ class Compute:
 
 
 @dataclass(frozen=True)
-class Delay:
-    """Sleep for ``duration_us`` without using the CPU (like ``vTaskDelay``)."""
-
-    duration_us: int
-
-    def __post_init__(self) -> None:
-        if self.duration_us < 0:
-            raise ValueError("delay duration must be non-negative")
-
-
-@dataclass(frozen=True)
 class Receive:
-    """Receive one item from a :class:`MessageQueue`.
+    """Receive one item from a :class:`MessageQueue` (never blocks).
 
-    ``timeout_us``:
-
-    * ``0`` — non-blocking: the yield expression evaluates to the item or
-      ``None`` when the queue is empty (like ``xQueueReceive`` with no ticks).
-    * ``> 0`` — block up to the timeout; ``None`` on expiry.
-    * ``None`` — block indefinitely.
+    The yield expression evaluates to the oldest item, or ``None`` when the
+    queue is empty (like ``xQueueReceive`` with zero block time).
     """
 
     queue: "MessageQueue"
-    timeout_us: Optional[int] = 0
 
 
 @dataclass(frozen=True)
@@ -76,26 +59,3 @@ class Send:
 
     queue: "MessageQueue"
     item: Any
-
-
-@dataclass(frozen=True)
-class Take:
-    """Take (acquire) a :class:`Semaphore`, blocking up to ``timeout_us``.
-
-    Semantics of ``timeout_us`` mirror :class:`Receive`.  The yield expression
-    evaluates to ``True`` when acquired, ``False`` on timeout.
-    """
-
-    semaphore: "Semaphore"
-    timeout_us: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Give:
-    """Give (release) a :class:`Semaphore`; never blocks."""
-
-    semaphore: "Semaphore"
-
-
-Directive = (Compute, Delay, Receive, Send, Take, Give)
-"""Tuple of all directive types, for isinstance checks in the scheduler."""

@@ -46,9 +46,8 @@ class MessageQueue:
     """A bounded FIFO queue with drop-on-full semantics.
 
     ``capacity`` of ``None`` means unbounded (used by instrumentation queues
-    that must never drop).  Blocking receive is implemented by the scheduler;
-    the queue itself only offers non-blocking primitives plus waiter
-    registration hooks.
+    that must never drop).  Every operation is non-blocking: a send to a full
+    queue drops the item and a receive from an empty one returns ``None``.
     """
 
     def __init__(self, name: str, capacity: Optional[int] = None, *, simulator: Optional[Simulator] = None) -> None:
@@ -58,7 +57,6 @@ class MessageQueue:
         self.capacity = capacity
         self._simulator = simulator
         self._items: Deque[QueuedMessage] = deque()
-        self._waiters: List[Any] = []  # scheduler-managed opaque waiter records
         self.stats = QueueStats()
 
     # ------------------------------------------------------------------
@@ -112,26 +110,6 @@ class MessageQueue:
     def clear(self) -> None:
         """Discard all queued items without counting them as received."""
         self._items.clear()
-
-    # ------------------------------------------------------------------
-    # Waiter registration (used by the scheduler for blocking receive)
-    # ------------------------------------------------------------------
-    def add_waiter(self, waiter: Any) -> None:
-        self._waiters.append(waiter)
-
-    def remove_waiter(self, waiter: Any) -> None:
-        if waiter in self._waiters:
-            self._waiters.remove(waiter)
-
-    def pop_waiter(self) -> Optional[Any]:
-        """Remove and return the longest-waiting waiter, if any."""
-        if self._waiters:
-            return self._waiters.pop(0)
-        return None
-
-    @property
-    def has_waiters(self) -> bool:
-        return bool(self._waiters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)

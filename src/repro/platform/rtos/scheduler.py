@@ -7,14 +7,16 @@ implementation schemes rely on:
 * fixed-priority preemptive scheduling (larger number = higher priority,
   FreeRTOS convention);
 * FIFO ordering among equal-priority ready tasks;
-* blocking and non-blocking FIFO-queue receive and semaphore take;
+* non-blocking FIFO-queue send and receive;
 * optional context-switch overhead.
 
-Task bodies are generators yielding :mod:`repro.platform.rtos.directives`;
-plain Python between yields executes in zero simulated time, so *all* CPU time
-consumed by a task is explicit in its ``Compute`` segments.  That property is
-what lets the M-testing layer attribute wall-clock delays to scheduling
-effects rather than to hidden modelling artefacts.
+Every task is periodic and no job ever blocks: a job is ready, running or
+finished.  Task bodies are generators yielding
+:mod:`repro.platform.rtos.directives`; plain Python between yields executes in
+zero simulated time, so *all* CPU time consumed by a task is explicit in its
+``Compute`` segments.  That property is what lets the M-testing layer
+attribute wall-clock delays to scheduling effects rather than to hidden
+modelling artefacts.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..kernel.simulator import Simulator
-from .directives import Compute, Delay, Give, Receive, Send, Take
+from .directives import Compute, Receive, Send
 from .queue import MessageQueue
-from .semaphore import Semaphore
 from .task import Job, Task, TaskState
 
 # Hot-loop aliases: task-state transitions happen several times per job, and
@@ -33,7 +34,7 @@ from .task import Job, Task, TaskState
 # attribute chain.
 _READY = TaskState.READY
 _RUNNING = TaskState.RUNNING
-_BLOCKED = TaskState.BLOCKED
+_WAITING = TaskState.WAITING
 
 
 class SchedulerError(RuntimeError):
@@ -97,18 +98,6 @@ class RTOSScheduler:
         # refilled on the fire path only (a preempted segment's handle is
         # cancelled and must never be recycled — its heap entry is stale).
         self._completion_spare = None
-        # Directive dispatch table: exact type -> bound handler.  One dict
-        # lookup replaces the isinstance chain in the per-directive hot path;
-        # subclassed directives are resolved by isinstance on first miss and
-        # cached (see _advance).
-        self._directive_handlers = {
-            Compute: self._handle_compute,
-            Delay: self._handle_delay,
-            Send: self._handle_send,
-            Receive: self._handle_receive,
-            Give: self._handle_give,
-            Take: self._handle_take,
-        }
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -118,7 +107,7 @@ class RTOSScheduler:
         if any(existing.name == task.name for existing in self.tasks):
             raise SchedulerError(f"duplicate task name {task.name!r}")
         self.tasks.append(task)
-        if self._started and task.is_periodic:
+        if self._started:
             self._schedule_release(task, self.simulator.now + task.offset_us)
         return task
 
@@ -128,7 +117,7 @@ class RTOSScheduler:
         priority: int,
         job_factory: Callable[[], Any],
         *,
-        period_us: Optional[int] = None,
+        period_us: int,
         offset_us: int = 0,
         deadline_us: Optional[int] = None,
     ) -> Task:
@@ -157,30 +146,13 @@ class RTOSScheduler:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule the first release of every periodic task."""
+        """Schedule the first release of every task."""
         if self._started:
             return
         self._started = True
         self._started_at_us = self.simulator.now
         for task in self.tasks:
-            if task.is_periodic:
-                self._schedule_release(task, self.simulator.now + task.offset_us)
-
-    def activate(self, task: Task, delay_us: int = 0) -> None:
-        """Release one job of an aperiodic task after ``delay_us``."""
-        if delay_us == 0:
-            self._release(task)
-        else:
-            self.simulator.schedule(delay_us, lambda: self._release(task), label=task.label_activate)
-
-    def send_to_queue(self, queue: MessageQueue, item: Any) -> bool:
-        """Send to a queue from outside task context (e.g. from a device ISR)
-        and wake any task blocked on it."""
-        accepted = queue.send(item)
-        if accepted:
-            self._wake_queue_waiter(queue)
-            self._schedule_dispatch()
-        return accepted
+            self._schedule_release(task, self.simulator.now + task.offset_us)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -327,7 +299,7 @@ class RTOSScheduler:
     # ------------------------------------------------------------------
     def _schedule_dispatch(self) -> None:
         # The dispatch round is inlined here (the seed code factored it into a
-        # separate _dispatch_once) — it runs once per release/wake/completion,
+        # separate _dispatch_once) — it runs once per release/completion,
         # which makes the extra call frame measurable in the hot loop.
         if self._in_dispatch:
             self._dispatch_again = True
@@ -343,8 +315,8 @@ class RTOSScheduler:
                     while self._running is None and ready:
                         self._run_job(ready.pop() if len(ready) == 1 else self._pop_ready())
                 else:
-                    # Inline _higher_priority_ready: this is the per-wake /
-                    # per-release fast exit, so the extra frame is measurable.
+                    # Inline _higher_priority_ready: this is the per-release
+                    # fast exit, so the extra frame is measurable.
                     priority = running.task.priority
                     for job in ready:
                         if job.task.priority > priority:
@@ -358,7 +330,7 @@ class RTOSScheduler:
             self._in_dispatch = False
 
     def _run_job(self, job: Job) -> None:
-        """Advance ``job`` until it starts a compute segment, blocks or finishes."""
+        """Advance ``job`` until it starts a compute segment or finishes."""
         # _higher_priority_ready and _make_ready are inlined below: this loop
         # runs once per directive, and the ready list is empty or one deep on
         # almost every check.  ``ready`` aliases self._ready, which is mutated
@@ -369,7 +341,7 @@ class RTOSScheduler:
             pending = job.pending_compute_us
             if pending is None:
                 status = self._advance(job)
-                if status == "finished" or status == "blocked":
+                if status == "finished":
                     return
                 if status == "continue":
                     for other in ready:
@@ -394,13 +366,13 @@ class RTOSScheduler:
     def _advance(self, job: Job) -> str:
         """Advance the job generator by one directive.
 
-        Returns one of ``"compute"``, ``"blocked"``, ``"finished"`` or
-        ``"continue"`` (zero-time directive handled, keep advancing).
+        Returns one of ``"compute"``, ``"finished"`` or ``"continue"``
+        (zero-time queue directive handled, keep advancing).
 
         This stays a single instance method — rather than being inlined into
         :meth:`_run_job` — because the fault-injection layer wraps
         ``scheduler._advance`` on the instance to inflate compute segments.
-        Directive handling itself goes through a type-keyed dispatch table.
+        Directives are matched by exact class, most frequent first.
         """
         try:
             directive = job.generator.send(job.send_value)
@@ -410,65 +382,18 @@ class RTOSScheduler:
         job.send_value = None
         cls = directive.__class__
         if cls is Compute:
-            # Compute is the dominant directive; handling it inline skips the
-            # table lookup and handler call.  Fault wrappers are unaffected —
-            # they wrap _advance itself and see the returned status.
             job.pending_compute_us = directive.duration_us
             job.pending_label = directive.label
             return "compute"
-        handler = self._directive_handlers.get(cls)
-        if handler is None:
-            for base, candidate in list(self._directive_handlers.items()):
-                if isinstance(directive, base):
-                    handler = self._directive_handlers[directive.__class__] = candidate
-                    break
-            else:
-                raise SchedulerError(
-                    f"task {job.task.name!r} yielded unsupported directive {directive!r}"
-                )
-        return handler(job, directive)
-
-    def _handle_compute(self, job: Job, directive: Compute) -> str:
-        job.pending_compute_us = directive.duration_us
-        job.pending_label = directive.label
-        return "compute"
-
-    def _handle_delay(self, job: Job, directive: Delay) -> str:
-        self._block_for_delay(job, directive.duration_us)
-        return "blocked"
-
-    def _handle_send(self, job: Job, directive: Send) -> str:
-        job.send_value = directive.queue.send(directive.item)
-        if job.send_value:
-            self._wake_queue_waiter(directive.queue)
-        return "continue"
-
-    def _handle_receive(self, job: Job, directive: Receive) -> str:
-        message = directive.queue.receive_nowait()
-        if message is not None:
-            job.send_value = message
+        if cls is Receive:
+            job.send_value = directive.queue.receive_nowait()
             return "continue"
-        if directive.timeout_us == 0:
-            job.send_value = None
+        if cls is Send:
+            job.send_value = directive.queue.send(directive.item)
             return "continue"
-        self._block_on_queue(job, directive.queue, directive.timeout_us)
-        return "blocked"
-
-    def _handle_give(self, job: Job, directive: Give) -> str:
-        job.send_value = directive.semaphore.give()
-        if job.send_value:
-            self._wake_semaphore_waiter(directive.semaphore)
-        return "continue"
-
-    def _handle_take(self, job: Job, directive: Take) -> str:
-        if directive.semaphore.try_take():
-            job.send_value = True
-            return "continue"
-        if directive.timeout_us == 0:
-            job.send_value = False
-            return "continue"
-        self._block_on_semaphore(job, directive.semaphore, directive.timeout_us)
-        return "blocked"
+        raise SchedulerError(
+            f"task {job.task.name!r} yielded unsupported directive {directive!r}"
+        )
 
     # ------------------------------------------------------------------
     # Compute segments
@@ -529,79 +454,6 @@ class RTOSScheduler:
         self._make_ready(job, front=True)
 
     # ------------------------------------------------------------------
-    # Blocking
-    # ------------------------------------------------------------------
-    def _block_for_delay(self, job: Job, duration_us: int) -> None:
-        job.task.state = _BLOCKED
-        job.blocked_on = "delay"
-        job.timeout_handle = self.simulator.schedule(
-            duration_us, lambda: self._wake(job, None), label=job.task.label_delay
-        )
-
-    def _block_on_queue(self, job: Job, queue: MessageQueue, timeout_us: Optional[int]) -> None:
-        job.task.state = _BLOCKED
-        job.blocked_on = queue
-        queue.add_waiter(job)
-        if timeout_us is not None:
-            job.timeout_handle = self.simulator.schedule(
-                timeout_us,
-                lambda: self._timeout_queue_wait(job, queue),
-                label=job.task.label_qtimeout,
-            )
-
-    def _block_on_semaphore(self, job: Job, semaphore: Semaphore, timeout_us: Optional[int]) -> None:
-        job.task.state = _BLOCKED
-        job.blocked_on = semaphore
-        semaphore.add_waiter(job)
-        if timeout_us is not None:
-            job.timeout_handle = self.simulator.schedule(
-                timeout_us,
-                lambda: self._timeout_semaphore_wait(job, semaphore),
-                label=job.task.label_stimeout,
-            )
-
-    def _timeout_queue_wait(self, job: Job, queue: MessageQueue) -> None:
-        queue.remove_waiter(job)
-        self._wake(job, None)
-
-    def _timeout_semaphore_wait(self, job: Job, semaphore: Semaphore) -> None:
-        semaphore.remove_waiter(job)
-        self._wake(job, False)
-
-    def _wake_queue_waiter(self, queue: MessageQueue) -> None:
-        while queue.has_waiters and not queue.empty:
-            waiter = queue.pop_waiter()
-            if waiter is None:
-                break
-            item = queue.receive_nowait()
-            self._cancel_timeout(waiter)
-            self._wake(waiter, item)
-
-    def _wake_semaphore_waiter(self, semaphore: Semaphore) -> None:
-        while semaphore.has_waiters and semaphore.available:
-            waiter = semaphore.pop_waiter()
-            if waiter is None:
-                break
-            if not semaphore.try_take():
-                semaphore.add_waiter(waiter)
-                break
-            self._cancel_timeout(waiter)
-            self._wake(waiter, True)
-
-    @staticmethod
-    def _cancel_timeout(job: Job) -> None:
-        if job.timeout_handle is not None:
-            job.timeout_handle.cancel()
-            job.timeout_handle = None
-
-    def _wake(self, job: Job, value: Any) -> None:
-        job.blocked_on = None
-        job.timeout_handle = None
-        job.send_value = value
-        self._make_ready(job)
-        self._schedule_dispatch()
-
-    # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
     def _finish_job(self, job: Job) -> None:
@@ -615,7 +467,7 @@ class RTOSScheduler:
         if task.deadline_us is not None and response > task.deadline_us:
             stats.deadline_misses += 1
             self.observer.deadline_miss(task.name, self.simulator._clock._now_us)
-        task.state = task.finish_state
+        task.state = _WAITING
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self._running.task.name if self._running else None

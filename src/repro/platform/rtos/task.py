@@ -1,8 +1,8 @@
 """Task (thread) abstraction for the simulated RTOS.
 
 A :class:`Task` describes *what* runs (a job factory producing a generator of
-scheduler directives) and *how* it is activated (periodic release or one-shot
-activation).  The scheduler owns the runtime state; per-activation bookkeeping
+scheduler directives) and *when* it is released (every period, from an
+offset).  The scheduler owns the runtime state; per-activation bookkeeping
 lives in :class:`Job`.
 """
 
@@ -20,11 +20,10 @@ JobFactory = Callable[[], JobBody]
 class TaskState(enum.Enum):
     """Lifecycle states of a task, mirroring a typical RTOS."""
 
-    DORMANT = "dormant"      # created, never released (or finished and aperiodic)
+    DORMANT = "dormant"      # created, never released
     READY = "ready"          # has a job ready to run
     RUNNING = "running"      # currently executing a compute segment
-    BLOCKED = "blocked"      # waiting on a queue, semaphore or delay
-    WAITING = "waiting"      # periodic task waiting for its next release
+    WAITING = "waiting"      # job finished, waiting for the next release
 
 
 @dataclass
@@ -44,7 +43,7 @@ class TaskStats:
 
 
 class Task:
-    """A schedulable task.
+    """A periodic schedulable task.
 
     Parameters
     ----------
@@ -56,13 +55,12 @@ class Task:
         Zero-argument callable returning a fresh job generator for each
         activation.
     period_us:
-        Release period for periodic tasks; ``None`` for aperiodic tasks that
-        are activated explicitly (:meth:`RTOSScheduler.activate`).
+        Release period.
     offset_us:
-        Release offset of the first periodic activation.
+        Release offset of the first activation.
     deadline_us:
         Relative deadline used only for bookkeeping (deadline-miss counting);
-        defaults to the period for periodic tasks.
+        defaults to the period.
     """
 
     def __init__(
@@ -71,13 +69,13 @@ class Task:
         priority: int,
         job_factory: JobFactory,
         *,
-        period_us: Optional[int] = None,
+        period_us: int,
         offset_us: int = 0,
         deadline_us: Optional[int] = None,
     ) -> None:
         if priority < 0:
             raise ValueError("priority must be non-negative")
-        if period_us is not None and period_us <= 0:
+        if period_us <= 0:
             raise ValueError("period must be positive")
         if offset_us < 0:
             raise ValueError("offset must be non-negative")
@@ -94,35 +92,25 @@ class Task:
         # thousands of events per run; formatting these per call showed up in
         # dispatch profiles.
         self.label_compute = f"compute:{name}"
-        self.label_delay = f"delay:{name}"
         self.label_release = f"release:{name}"
-        self.label_activate = f"activate:{name}"
-        self.label_qtimeout = f"qtimeout:{name}"
-        self.label_stimeout = f"stimeout:{name}"
         # Scheduler-owned release plumbing: the periodic-release closure is
         # created once per task, and the fired release event handle is
         # recycled (see Simulator.schedule's ``reuse`` contract).
         self.release_callback: Optional[Callable[[], None]] = None
         self.release_handle: Any = None
-        # State a finished job leaves the task in — fixed at construction
-        # (periodicity never changes), read once per job completion.
-        self.finish_state = TaskState.WAITING if period_us is not None else TaskState.DORMANT
-
-    @property
-    def is_periodic(self) -> bool:
-        return self.period_us is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = f"period={self.period_us}us" if self.is_periodic else "aperiodic"
-        return f"Task({self.name!r}, prio={self.priority}, {kind}, {self.state.value})"
+        return (
+            f"Task({self.name!r}, prio={self.priority}, period={self.period_us}us, "
+            f"{self.state.value})"
+        )
 
 
 class Job:
     """One activation of a task.
 
-    The scheduler drives the job generator; the job records the directive it
-    is currently blocked on or executing, and how much of a compute segment
-    remains after preemption.
+    The scheduler drives the job generator; the job records the compute
+    segment it is executing and how much of it remains after preemption.
     """
 
     __slots__ = (
@@ -133,8 +121,6 @@ class Job:
         "pending_compute_us",
         "pending_label",
         "send_value",
-        "blocked_on",
-        "timeout_handle",
         "completion_handle",
         "segment_started_at_us",
         "finished",
@@ -151,9 +137,6 @@ class Job:
         self.pending_label: str = ""
         #: Value to feed into ``generator.send`` on the next advancement.
         self.send_value: Any = None
-        #: The queue/semaphore this job is blocked on, if any.
-        self.blocked_on: Any = None
-        self.timeout_handle: Any = None
         self.completion_handle: Any = None
         self.segment_started_at_us: Optional[int] = None
         self.finished = False

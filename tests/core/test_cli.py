@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign.worker import execution_count
 from repro.cli import main
 
 
@@ -92,6 +93,19 @@ class TestRejectedValues:
     def test_a_non_positive_sample_count_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"repro {argv[0]}: error: sample count must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["faults", "--samples", "1", "--hunt", "-1"], ["faults", "--list", "--hunt", "-1"]],
+        ids=["run", "list"],
+    )
+    def test_a_negative_hunt_is_a_usage_error_before_anything_runs(self, argv, capsys):
+        before = execution_count()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro faults: error: hunt episode count cannot be negative\n"
+        assert captured.out == ""
+        assert execution_count() == before
 
 
 class TestParser:

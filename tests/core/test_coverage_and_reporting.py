@@ -8,13 +8,14 @@ from repro.core.coverage import (
     samples_needed_for_rate,
     wilson_interval,
 )
-from repro.core.four_variables import Event, EventKind, Trace, TraceRecorder
-from repro.core.instrumentation import MeasurementProbes, ProbeConfiguration
+from repro.core.four_variables import Event, EventKind, Trace
+from repro.core.instrumentation import ProbeConfiguration
 from repro.core.r_testing import RSample, RTestReport, SampleVerdict
 from repro.core.report import render_layered_summary, render_m_report, render_r_report
 from repro.core.requirements import EventSpec, TimingRequirement
 from repro.core.test_generation import RTestCase, Stimulus
-from repro.platform.kernel.time import ms
+from repro.platform.kernel.time import ms, seconds
+from repro.systems import get_pack
 
 
 def make_r_report(latencies_ms, deadline_ms=100):
@@ -105,28 +106,27 @@ class TestSufficiency:
 
 
 class TestProbes:
-    def test_m_level_records_everything(self):
-        recorder = TraceRecorder(lambda: 0)
-        probes = MeasurementProbes(recorder, ProbeConfiguration.m_level())
-        probes.input_read("i-X", True)
-        probes.output_written("o-X", 1)
-        probes.transition_started("t")
-        probes.transition_finished("t")
-        assert len(recorder.trace) == 4
+    SOFTWARE_BOUNDARY = (
+        EventKind.I,
+        EventKind.O,
+        EventKind.TRANSITION_START,
+        EventKind.TRANSITION_END,
+    )
 
-    def test_r_level_drops_software_boundary_events(self):
-        recorder = TraceRecorder(lambda: 0)
-        probes = MeasurementProbes(recorder, ProbeConfiguration.r_level())
-        probes.input_read("i-X", True)
-        probes.output_written("o-X", 1)
-        probes.transition_started("t")
-        assert len(recorder.trace) == 0
+    @staticmethod
+    def _bolus_trace(**probes):
+        system = get_pack("gpca").build_system(2, seed=1, **probes)
+        system.apply_stimulus(Stimulus(ms(100), "m-BolusReq"))
+        system.run(seconds(1))
+        return system.trace
 
-    def test_default_is_m_level(self):
-        recorder = TraceRecorder(lambda: 0)
-        probes = MeasurementProbes(recorder)
-        probes.input_read("i-X", True)
-        assert len(recorder.trace) == 1
+    def test_probe_level_selects_the_boundaries_a_built_system_records(self):
+        r_level = self._bolus_trace(probes=ProbeConfiguration.r_level())
+        assert r_level.select(kind=EventKind.M) and r_level.select(kind=EventKind.C)
+        assert not any(r_level.select(kind=kind) for kind in self.SOFTWARE_BOUNDARY)
+        default = self._bolus_trace()
+        assert default.select(kind=EventKind.M) and default.select(kind=EventKind.C)
+        assert all(default.select(kind=kind) for kind in self.SOFTWARE_BOUNDARY)
 
 
 class TestReportRendering:

@@ -75,9 +75,9 @@ class TestExecutionInflation:
             yield Compute(ms(2))
             done.append(simulator.now)
 
-        task = scheduler.create_task("codem", priority=1, job_factory=job)
+        # The 1 s period outlasts the run, so the job is released once, at 0.
+        scheduler.create_task("codem", priority=1, job_factory=job, period_us=ms(1000))
         scheduler.start()
-        scheduler.activate(task)
         simulator.run_until(ms(50))
         return done[0]
 
@@ -156,7 +156,7 @@ class TestPriorityInversion:
         system = _StubSystem()
         PriorityInversionFault(period_us=ms(50)).instrument(system, _rng())
         hog = system.scheduler.get_task("fault_inversion_hog")
-        assert hog.is_periodic
+        assert hog.period_us == ms(50)
         assert hog.priority > 10
 
     def test_hog_steals_cpu_windows(self):
@@ -171,9 +171,8 @@ class TestPriorityInversion:
             yield Compute(ms(5))
             done.append(simulator.now)
 
-        task = scheduler.create_task("victim", priority=1, job_factory=job)
+        scheduler.create_task("victim", priority=1, job_factory=job, period_us=ms(1000))
         scheduler.start()
-        scheduler.activate(task)
         simulator.run_until(ms(50))
         assert done and done[0] > ms(5)  # the clean platform would finish at 5 ms
 

@@ -1,10 +1,9 @@
-"""Unit tests for RTOS queues and semaphores."""
+"""Unit tests for RTOS message queues."""
 
 import pytest
 
 from repro.platform.kernel.simulator import Simulator
 from repro.platform.rtos.queue import MessageQueue
-from repro.platform.rtos.semaphore import Semaphore, make_binary_semaphore, make_mutex
 
 
 class TestMessageQueue:
@@ -45,7 +44,7 @@ class TestMessageQueue:
         queue = MessageQueue("q", simulator=sim)
         queue.send("item")
         sim.schedule_at(1000, lambda: queue.receive_nowait())
-        sim.run()
+        sim.run_until(1000)
         assert queue.stats.total_residence_us == 1000
         assert queue.stats.mean_residence_us == 1000
 
@@ -55,49 +54,3 @@ class TestMessageQueue:
         queue.clear()
         assert queue.empty
         assert queue.stats.received == 0
-
-    def test_waiter_registration(self):
-        queue = MessageQueue("q")
-        queue.add_waiter("w1")
-        queue.add_waiter("w2")
-        assert queue.has_waiters
-        assert queue.pop_waiter() == "w1"
-        queue.remove_waiter("w2")
-        assert not queue.has_waiters
-
-
-class TestSemaphore:
-    def test_try_take_and_give(self):
-        semaphore = Semaphore("s", initial=1)
-        assert semaphore.try_take()
-        assert not semaphore.try_take()
-        assert semaphore.give()
-        assert semaphore.available
-
-    def test_counting_behaviour(self):
-        semaphore = Semaphore("s", initial=2, maximum=2)
-        assert semaphore.try_take()
-        assert semaphore.try_take()
-        assert not semaphore.try_take()
-        assert semaphore.contentions == 1
-
-    def test_give_beyond_maximum_refused(self):
-        semaphore = Semaphore("s", initial=1, maximum=1)
-        assert not semaphore.give()
-
-    def test_binary_semaphore_taken(self):
-        semaphore = make_binary_semaphore("s", taken=True)
-        assert not semaphore.available
-        assert semaphore.give()
-        assert semaphore.available
-
-    def test_mutex_starts_available(self):
-        assert make_mutex("m").available
-
-    def test_invalid_initial_rejected(self):
-        with pytest.raises(ValueError):
-            Semaphore("s", initial=-1)
-
-    def test_invalid_maximum_rejected(self):
-        with pytest.raises(ValueError):
-            Semaphore("s", initial=2, maximum=1)

@@ -4,9 +4,12 @@ import pytest
 
 from repro.platform.kernel.simulator import Simulator
 from repro.platform.kernel.time import ms
-from repro.platform.rtos.directives import Compute, Delay, Give, Receive, Send, Take
+from repro.platform.rtos.directives import Compute, Receive, Send
 from repro.platform.rtos.scheduler import RTOSScheduler, SchedulerError
-from repro.platform.rtos.semaphore import make_binary_semaphore
+
+#: A period longer than any test below runs: such a task is released once, at
+#: its offset.
+ONCE = ms(1000)
 
 
 def make_scheduler(context_switch_us: int = 0):
@@ -84,11 +87,9 @@ class TestPreemption:
             yield Compute(ms(2))
             finish_times["high"] = sim.now
 
-        low = rtos.create_task("low", priority=1, job_factory=low_job)
-        high = rtos.create_task("high", priority=5, job_factory=high_job)
+        low = rtos.create_task("low", priority=1, job_factory=low_job, period_us=ONCE)
+        rtos.create_task("high", priority=5, job_factory=high_job, period_us=ONCE, offset_us=ms(3))
         rtos.start()
-        rtos.activate(low)
-        rtos.activate(high, delay_us=ms(3))
         sim.run_until(ms(30))
         # High runs 3..5; low runs 0..3 and 5..12.
         assert finish_times["high"] == ms(5)
@@ -107,11 +108,9 @@ class TestPreemption:
             yield Compute(ms(2))
             finish_times["b"] = sim.now
 
-        a = rtos.create_task("a", priority=3, job_factory=job_a)
-        b = rtos.create_task("b", priority=3, job_factory=job_b)
+        a = rtos.create_task("a", priority=3, job_factory=job_a, period_us=ONCE)
+        rtos.create_task("b", priority=3, job_factory=job_b, period_us=ONCE, offset_us=ms(1))
         rtos.start()
-        rtos.activate(a)
-        rtos.activate(b, delay_us=ms(1))
         sim.run_until(ms(30))
         assert finish_times["a"] == ms(10)
         assert finish_times["b"] == ms(12)
@@ -126,10 +125,9 @@ class TestPreemption:
         def high_job():
             yield Compute(ms(5))
 
-        low = rtos.create_task("low", priority=1, job_factory=low_job)
+        low = rtos.create_task("low", priority=1, job_factory=low_job, period_us=ONCE)
         high = rtos.create_task("high", priority=5, job_factory=high_job, period_us=ms(10))
         rtos.start()
-        rtos.activate(low)
         sim.run_until(ms(60))
         assert low.stats.cpu_time_us == ms(20)
         assert high.stats.cpu_time_us == high.stats.completions * ms(5)
@@ -237,71 +235,14 @@ class TestContextSwitchOverhead:
             yield Compute(ms(2))
             finish["t"] = sim.now
 
-        task = rtos.create_task("t", priority=1, job_factory=job)
+        rtos.create_task("t", priority=1, job_factory=job, period_us=ONCE)
         rtos.start()
-        rtos.activate(task)
         sim.run_until(ms(10))
         assert finish["t"] == ms(2) + 500
 
 
 class TestBlocking:
-    def test_delay_releases_cpu(self):
-        sim, rtos = make_scheduler()
-        order = []
-
-        def sleeper():
-            order.append(("sleep-start", sim.now))
-            yield Delay(ms(5))
-            order.append(("sleep-end", sim.now))
-
-        def worker():
-            yield Compute(ms(3))
-            order.append(("worker-done", sim.now))
-
-        s = rtos.create_task("sleeper", priority=5, job_factory=sleeper)
-        w = rtos.create_task("worker", priority=1, job_factory=worker)
-        rtos.start()
-        rtos.activate(s)
-        rtos.activate(w)
-        sim.run_until(ms(20))
-        assert ("worker-done", ms(3)) in order
-        assert ("sleep-end", ms(5)) in order
-
-    def test_blocking_receive_wakes_on_send(self):
-        sim, rtos = make_scheduler()
-        received = []
-        queue = rtos.create_queue("q")
-
-        def consumer():
-            item = yield Receive(queue, None)
-            received.append((item, sim.now))
-
-        def producer():
-            yield Compute(ms(4))
-            yield Send(queue, "payload")
-
-        c = rtos.create_task("consumer", priority=5, job_factory=consumer)
-        p = rtos.create_task("producer", priority=1, job_factory=producer)
-        rtos.start()
-        rtos.activate(c)
-        rtos.activate(p)
-        sim.run_until(ms(20))
-        assert received == [("payload", ms(4))]
-
-    def test_blocking_receive_times_out(self):
-        sim, rtos = make_scheduler()
-        results = []
-        queue = rtos.create_queue("q")
-
-        def consumer():
-            item = yield Receive(queue, ms(5))
-            results.append((item, sim.now))
-
-        task = rtos.create_task("consumer", priority=1, job_factory=consumer)
-        rtos.start()
-        rtos.activate(task)
-        sim.run_until(ms(20))
-        assert results == [(None, ms(5))]
+    """No directive blocks: each evaluates at once to the queue's outcome."""
 
     def test_nonblocking_receive_returns_none_immediately(self):
         sim, rtos = make_scheduler()
@@ -309,60 +250,43 @@ class TestBlocking:
         queue = rtos.create_queue("q")
 
         def consumer():
-            item = yield Receive(queue, 0)
+            item = yield Receive(queue)
             results.append((item, sim.now))
             yield Compute(100)
 
-        task = rtos.create_task("consumer", priority=1, job_factory=consumer)
+        rtos.create_task("consumer", priority=1, job_factory=consumer, period_us=ONCE)
         rtos.start()
-        rtos.activate(task)
         sim.run_until(ms(5))
         assert results == [(None, 0)]
 
-    def test_send_from_outside_task_context_wakes_waiter(self):
+    def test_send_and_receive_evaluate_to_the_queue_outcome(self):
         sim, rtos = make_scheduler()
-        received = []
-        queue = rtos.create_queue("q")
+        queue = rtos.create_queue("q", capacity=2)
+        sent, received = [], []
+
+        def producer():
+            for item in ("a", "b", "c"):
+                sent.append((yield Send(queue, item)))
 
         def consumer():
-            item = yield Receive(queue, None)
-            received.append((item, sim.now))
+            for _ in range(3):
+                received.append((yield Receive(queue)))
 
-        task = rtos.create_task("consumer", priority=1, job_factory=consumer)
+        rtos.create_task("producer", priority=2, job_factory=producer, period_us=ONCE)
+        rtos.create_task("consumer", priority=1, job_factory=consumer, period_us=ONCE)
         rtos.start()
-        rtos.activate(task)
-        sim.schedule_at(ms(7), lambda: rtos.send_to_queue(queue, 99))
-        sim.run_until(ms(20))
-        assert received == [(99, ms(7))]
-
-    def test_semaphore_take_and_give_across_tasks(self):
-        sim, rtos = make_scheduler()
-        order = []
-        semaphore = make_binary_semaphore("lock", taken=True)
-
-        def waiter():
-            acquired = yield Take(semaphore, None)
-            order.append(("acquired", acquired, sim.now))
-
-        def releaser():
-            yield Compute(ms(2))
-            yield Give(semaphore)
-
-        w = rtos.create_task("waiter", priority=5, job_factory=waiter)
-        r = rtos.create_task("releaser", priority=1, job_factory=releaser)
-        rtos.start()
-        rtos.activate(w)
-        rtos.activate(r)
-        sim.run_until(ms(10))
-        assert order == [("acquired", True, ms(2))]
+        sim.run_until(ms(5))
+        assert sent == [True, True, False]
+        assert received == ["a", "b", None]
+        assert queue.stats.dropped == 1
 
 
 class TestMisc:
     def test_duplicate_task_name_rejected(self):
         _, rtos = make_scheduler()
-        rtos.create_task("t", priority=1, job_factory=lambda: iter(()))
+        rtos.create_task("t", priority=1, job_factory=lambda: iter(()), period_us=ONCE)
         with pytest.raises(SchedulerError):
-            rtos.create_task("t", priority=1, job_factory=lambda: iter(()))
+            rtos.create_task("t", priority=1, job_factory=lambda: iter(()), period_us=ONCE)
 
     def test_unknown_directive_rejected(self):
         sim, rtos = make_scheduler()
@@ -370,10 +294,9 @@ class TestMisc:
         def bad_job():
             yield "not a directive"
 
-        task = rtos.create_task("bad", priority=1, job_factory=bad_job)
+        rtos.create_task("bad", priority=1, job_factory=bad_job, period_us=ONCE)
         rtos.start()
         with pytest.raises(SchedulerError):
-            rtos.activate(task)
             sim.run_until(ms(5))
 
     def test_cpu_utilization(self):
@@ -423,7 +346,7 @@ class TestMisc:
 
     def test_get_task_by_name(self):
         _, rtos = make_scheduler()
-        task = rtos.create_task("named", priority=2, job_factory=lambda: iter(()))
+        task = rtos.create_task("named", priority=2, job_factory=lambda: iter(()), period_us=ONCE)
         assert rtos.get_task("named") is task
         with pytest.raises(KeyError):
             rtos.get_task("missing")

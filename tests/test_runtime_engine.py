@@ -8,8 +8,8 @@ for bit.  These tests prove it against the frozen seed implementations in
 * whole R-/M-test runs on every requirement scenario × all three schemes,
   comparing ``to_json`` output (with full traces) across engines;
 * kernel dispatch order under adversarial scheduling (same-instant
-  insertions from callbacks, priorities, cancellations, interleaved
-  ``run_until``/``run``, a heap compaction inside a callback);
+  insertions from callbacks, priorities, cancellations, chunked
+  ``run_until`` horizons, a heap compaction inside a callback);
 * dormant device sampling: edges and level changes landing exactly on a
   sampling instant, and the level sensor's latency draws after a long
   dormant stretch, with and without clock drift;
@@ -49,7 +49,7 @@ from repro.gpca.model import build_fig2_statechart
 from repro.gpca.pump import ALL_SCHEMES
 from repro.gpca.scenarios import all_requirement_test_cases
 from repro.platform.devices.device import StateInputDevice
-from repro.platform.kernel.simulator import SimulationError, Simulator
+from repro.platform.kernel.simulator import Simulator
 from repro.platform.kernel.time import ms
 from repro.systems import get_pack
 
@@ -148,7 +148,7 @@ class TestKernelDispatchOrder:
             horizon += rng.randrange(50, 300)
             simulator.run_until(horizon)
             fired.append(("clock", simulator.now))
-        simulator.run(max_events=100_000)
+        simulator.run_until(10**9)
         fired.append(("final", simulator.now, simulator.events_processed))
         return fired
 
@@ -156,22 +156,8 @@ class TestKernelDispatchOrder:
     def test_dispatch_sequence_matches_seed_kernel(self, seed):
         assert self._drive(Simulator, seed) == self._drive(SeedSimulator, seed)
 
-    def test_livelock_guard_matches_seed_kernel(self):
-        def build(simulator_class):
-            simulator = simulator_class()
-
-            def rearm():
-                simulator.schedule(0, rearm)
-
-            simulator.schedule(0, rearm)
-            return simulator
-
-        for simulator_class in (Simulator, SeedSimulator):
-            with pytest.raises(SimulationError):
-                build(simulator_class).run(max_events=100)
-
     @staticmethod
-    def _purge_mid_drain(simulator_class, driver):
+    def _purge_mid_drain(simulator_class):
         """A callback cancels 100 far-future events (compacting the heap) and
         schedules a near one; a second drain fires whatever the first lost."""
         simulator = simulator_class()
@@ -184,23 +170,16 @@ class TestKernelDispatchOrder:
                 handle.cancel()
             simulator.schedule_at(15, lambda: fired.append((simulator.now, "near")))
 
-        def drain(until_us):
-            if driver == "run_until":
-                simulator.run_until(until_us)
-            else:
-                simulator.run()
-
         simulator.schedule_at(5, purge)
-        drain(2_000_000)
+        simulator.run_until(2_000_000)
         fired.append(("drained", simulator.pending_events))
-        drain(3_000_000)
+        simulator.run_until(3_000_000)
         fired.append(("final", simulator.now, simulator.events_processed))
         return fired, simulator
 
-    @pytest.mark.parametrize("driver", ["run_until", "run"])
-    def test_compaction_mid_drain_matches_seed_kernel(self, driver):
-        production, simulator = self._purge_mid_drain(Simulator, driver)
-        seed_path, _ = self._purge_mid_drain(SeedSimulator, driver)
+    def test_compaction_mid_drain_matches_seed_kernel(self):
+        production, simulator = self._purge_mid_drain(Simulator)
+        seed_path, _ = self._purge_mid_drain(SeedSimulator)
         assert simulator.compactions == 1
         assert production == seed_path
 
