@@ -62,7 +62,7 @@ Campaign quickstart (the Table I grid, sharded across four workers)::
     print(result.table_one().render())
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

@@ -72,8 +72,18 @@ class FaultModel:
 
     kind: ClassVar[str] = "base"
 
-    def instrument(self, system, rng) -> None:  # pragma: no cover - abstract hook
-        """Wrap the fault into ``system``; ``rng`` is this fault's named stream."""
+    def instrument(self, system, rng) -> None:
+        """Wrap the fault into ``system``; ``rng`` is this fault's named stream.
+
+        The system is marked ``faulted``: a fault may act on any job, so a
+        faulted system runs every job on the callback path and never in a
+        quiescent window.
+        """
+        system.faulted = True
+        self._wrap(system, rng)
+
+    def _wrap(self, system, rng) -> None:  # pragma: no cover - abstract hook
+        """Install the fault's hooks on ``system``."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -110,7 +120,7 @@ class ClockDriftFault(FaultModel):
         if self.drift <= -1.0:
             raise ValueError("clock drift must keep delays positive (drift > -1)")
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         simulator = system.bundle.simulator
         original = simulator.schedule
         factor = 1.0 + self.drift
@@ -173,7 +183,7 @@ class ExecutionInflationFault(FaultModel):
         if not 0.0 <= self.overrun_probability <= 1.0:
             raise ValueError("overrun probability must be in [0, 1]")
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         scheduler = system.scheduler
         original = scheduler._advance
         factor = self.factor
@@ -245,7 +255,7 @@ class QueueFault(FaultModel):
             # configured.
             raise ValueError(f"drop+delay+reorder probabilities must sum to <= 1 (got {total:g})")
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         scheduler = system.scheduler
         simulator = system.bundle.simulator
         original_create = scheduler.create_queue
@@ -323,7 +333,7 @@ class PriorityInversionFault(FaultModel):
         if self.period_us <= 0:
             raise ValueError("inversion period must be positive")
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         from ..platform.rtos.directives import Compute
 
         window = self.window
@@ -362,7 +372,7 @@ class SensorStuckFault(FaultModel):
     stuck_value: Any = False
     from_us: int = 0
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         simulator = system.bundle.simulator
         device = getattr(system.bundle.hardware, self.device)
         start = self.from_us
@@ -410,7 +420,7 @@ class SensorGlitchFault(FaultModel):
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
 
-    def instrument(self, system, rng) -> None:
+    def _wrap(self, system, rng) -> None:
         device = getattr(system.bundle.hardware, self.device)
         probability = self.drop_probability
         inactive = self.inactive_value

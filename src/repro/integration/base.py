@@ -10,6 +10,7 @@ measurement probes and the m-event stimulus routing — lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..codegen.execution_model import ExecutionTimeModel
@@ -24,7 +25,8 @@ from ..platform.kernel.simulator import Simulator
 from ..platform.kernel.time import US_PER_MODEL_TICK
 from ..platform.rtos.directives import Compute
 from ..platform.rtos.scheduler import RTOSScheduler
-from .interfacing import InputInterfacing, OutputInterfacing
+from ..platform.rtos.task import IdleSegment
+from .interfacing import EventInputBinding, InputInterfacing, LevelInputBinding, OutputInterfacing
 
 #: A callable that injects one m-event stimulus at an absolute platform time.
 StimulusAction = Callable[[int], None]
@@ -127,6 +129,9 @@ class ImplementedSystem(SystemUnderTest):
         self._code_clock_anchor_us = 0
         self._built = False
         self.name = self.scheme_name
+        #: Set by fault instrumentation (``repro.faults``): a faulted system
+        #: runs every job on the callback path, never in a quiescent window.
+        self.faulted = False
 
     # ------------------------------------------------------------------
     # SystemUnderTest interface
@@ -149,9 +154,88 @@ class ImplementedSystem(SystemUnderTest):
         action(stimulus.at_us)
 
     def run(self, until_us: int) -> None:
+        """Run the platform up to ``until_us``.
+
+        Stretches where the system is quiescent — every input binding idle,
+        no message queued, CODE(M) holding no latched input and no enabled
+        transition, no job ready or running, and nothing but dormant samples
+        and task releases due — are replayed by the scheduler in one loop
+        (:meth:`RTOSScheduler.fast_forward`) instead of one generator
+        activation at a time; traces, reports, RNG draws and every engine
+        counter but ``kernel_window_events`` are those of the callback path.
+        The kernel stops before each task-release instant to check; a
+        faulted system, a task without an idle shape or another engine keep
+        the plain callback path.
+        """
         if not self._built:
             self.build()
-        self.bundle.simulator.run_until(until_us)
+        simulator = self.bundle.simulator
+        scheduler = self.scheduler
+        if (
+            self.faulted
+            or type(simulator) is not Simulator
+            or type(scheduler) is not RTOSScheduler
+            or scheduler.idle_busy_bound() is None
+        ):
+            simulator.run_until(until_us)
+            return
+        tasks = scheduler.tasks
+        while True:
+            instant = min(task.release_handle.time_us for task in tasks)
+            if instant > until_us:
+                break
+            if instant > simulator.now:
+                simulator.run_until(instant - 1)
+            if scheduler.idle and self._quiescent():
+                limit = until_us + 1
+                clock_limit = self._code_clock_horizon()
+                if clock_limit is not None and clock_limit < limit:
+                    limit = clock_limit
+                instant = scheduler.fast_forward(limit)
+            simulator.run_until(min(instant, until_us))
+        simulator.run_until(until_us)
+
+    def _quiescent(self) -> bool:
+        """True when no input, message or CODE(M) step is pending.
+
+        Every input binding would collect nothing, and CODE(M) holds no
+        latched input and has no enabled transition at its current clock.
+        Schemes with queues add that they are empty.  Input devices need no
+        check here: a sampling chain that is not dormant, like a latch in
+        flight, is a kernel entry the window cannot pass.
+        """
+        for binding in self.bundle.input_interfacing.bindings:
+            cls = binding.__class__
+            if cls is EventInputBinding:
+                if binding.device._buffer:
+                    return False
+            elif cls is LevelInputBinding:
+                if binding.device.read() != binding._previous:
+                    return False
+            else:
+                return False
+        code = self.code
+        return not any(code.inputs.values()) and code.enabled_transition() is None
+
+    def _code_clock_horizon(self) -> Optional[int]:
+        """The first instant a CODE(M) invocation could enable a timed transition.
+
+        The smallest ``after``/``at`` bound out of the current state above
+        the state clock, converted to platform time through the model-clock
+        anchor; None when no such bound exists.  Rows at or below the clock
+        are already evaluated (their guards read only chart variables, which
+        a quiescent system does not change).
+        """
+        code = self.code
+        ticks = code.state_clock_ticks
+        bound = None
+        for row in code.model.transitions_from(code.state_index):
+            if row.trigger_kind in ("after", "at") and row.trigger_param > ticks:
+                if bound is None or row.trigger_param < bound:
+                    bound = row.trigger_param
+        if bound is None:
+            return None
+        return self._code_clock_anchor_us + (bound - ticks) * US_PER_MODEL_TICK
 
     # ------------------------------------------------------------------
     # Construction
@@ -200,12 +284,7 @@ class ImplementedSystem(SystemUnderTest):
             code.set_input(variable, value)
             if record_io:
                 recorder.record_i(variable, value)
-        now = self.bundle.simulator._clock._now_us
-        elapsed_us = now - self._code_clock_anchor_us
-        ticks = elapsed_us // US_PER_MODEL_TICK
-        if ticks > 0:
-            code.advance_clock(ticks)
-            self._code_clock_anchor_us += ticks * US_PER_MODEL_TICK
+        self._advance_code_clock(self.bundle.simulator._clock._now_us)
 
         writes: List[OutputWrite] = []
         fired = 0
@@ -238,6 +317,35 @@ class ImplementedSystem(SystemUnderTest):
             # chart yet).
             self.code.clear_inputs()
         return writes
+
+    def _advance_code_clock(self, now: int) -> None:
+        """Advance CODE(M)'s model clock by the whole ticks elapsed since the last advance."""
+        ticks = (now - self._code_clock_anchor_us) // US_PER_MODEL_TICK
+        if ticks > 0:
+            self.code.advance_clock(ticks)
+            self._code_clock_anchor_us += ticks * US_PER_MODEL_TICK
+
+    def _scan_segment(self) -> IdleSegment:
+        """Idle-shape segment of an input scan.
+
+        Segments draw through the cost's jitter model, which is what the
+        execution model's ``*_cost`` methods the job bodies call do.
+        """
+        scan = self.execution_model.input_scan
+        return (partial(scan.sample, self._rng), scan.worst_case_us, None)
+
+    def _idle_code_segment(self) -> Optional[IdleSegment]:
+        """Idle-shape segment of a CODE(M) invocation that fires nothing.
+
+        The invocation advances the model clock, then charges the idle table
+        scan.  None when an invocation may fire no transition at all
+        (``transitions_per_cycle == 0``): it then charges nothing and has no
+        segment to declare.
+        """
+        if self.config.transitions_per_cycle == 0:
+            return None
+        scan = self.execution_model.idle_scan
+        return (partial(scan.sample, self._rng), scan.worst_case_us, self._advance_code_clock)
 
     def _collect_inputs(self) -> List[Tuple[str, Any]]:
         """Run the input interfacing code (zero simulated time; callers charge cost)."""

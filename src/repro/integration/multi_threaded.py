@@ -66,24 +66,35 @@ class MultiThreadedSystem(ImplementedSystem):
         self.output_queue = self.scheduler.create_queue(
             "o_events", capacity=config.output_queue_capacity
         )
-        self.scheduler.create_task(
+        sensing = self.scheduler.create_task(
             "sensing",
             priority=config.sensing_priority,
             job_factory=self._sensing_job,
             period_us=config.sensing_period_us,
         )
-        self.scheduler.create_task(
+        codem = self.scheduler.create_task(
             "codem",
             priority=config.codem_priority,
             job_factory=self._codem_job,
             period_us=config.codem_period_us,
         )
-        self.scheduler.create_task(
+        actuation = self.scheduler.create_task(
             "actuation",
             priority=config.actuation_priority,
             job_factory=self._actuation_job,
             period_us=config.actuation_period_us,
         )
+        # Idle jobs: a scan that finds nothing to send, a CODE(M) invocation
+        # that receives nothing and fires nothing, an actuation that receives
+        # nothing and charges nothing.
+        sensing.idle_shape = (self._scan_segment(),)
+        code_segment = self._idle_code_segment()
+        if code_segment is not None:
+            codem.idle_shape = (code_segment,)
+        actuation.idle_shape = ()
+
+    def _quiescent(self) -> bool:
+        return not self.input_queue and not self.output_queue and super()._quiescent()
 
     # ------------------------------------------------------------------
     # Task bodies

@@ -17,6 +17,7 @@ which is what makes this scheme's cycle occasionally overrun its period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Generator, Optional
 
 from ..platform.kernel.random import JitterModel, uniform
@@ -51,12 +52,21 @@ class SingleThreadedSystem(ImplementedSystem):
 
     def _create_tasks(self) -> None:
         config = self.config
-        self.scheduler.create_task(
+        task = self.scheduler.create_task(
             "codem_loop",
             priority=config.priority,
             job_factory=self._cycle_job,
             period_us=config.period_us,
         )
+        # An idle cycle senses nothing, fires nothing and actuates nothing.
+        code_segment = self._idle_code_segment()
+        if code_segment is not None:
+            housekeeping = config.housekeeping
+            task.idle_shape = (
+                self._scan_segment(),
+                code_segment,
+                (partial(housekeeping.sample, self._rng), housekeeping.worst_case_us, None),
+            )
 
     # ------------------------------------------------------------------
     def _cycle_job(self) -> Generator[Any, Any, None]:

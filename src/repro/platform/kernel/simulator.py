@@ -43,6 +43,10 @@ downstream trace and verdict — byte for byte:
   The heap key and the sequence draw are exactly those of the
   post-callback re-arm, so dispatch order is unchanged (see
   :meth:`schedule_periodic`).
+* **Quiescent windows.**  When nothing but dormant chains and task releases
+  is due, the RTOS scheduler replays the idle stretch itself and
+  :meth:`skip_window` moves the kernel past it in one step, re-keying the
+  entries that fired in the callback path's relative order.
 
 The pre-rebuild kernel is preserved verbatim in
 ``repro._reference.seed_engine``; the byte-identity tests run whole systems
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .time import SimClock, format_us
 
@@ -159,6 +163,7 @@ class Simulator:
         self._cancellations = 0
         self._compactions = 0
         self._dormant_rearms = 0
+        self._window_events = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -200,13 +205,16 @@ class Simulator:
         in locals flushed on exit), so this is the pull-collection surface
         for :mod:`repro.obs`: the kernel never calls telemetry; telemetry
         reads the kernel.  ``kernel_events_processed`` includes the
-        ``kernel_dormant_rearms`` (see :meth:`schedule_periodic`).
+        ``kernel_dormant_rearms`` (see :meth:`schedule_periodic`) and the
+        ``kernel_window_events``, the events a quiescent window accounted
+        for without dispatching them (see :meth:`skip_window`).
         """
         return {
             "kernel_events_processed": self._processed,
             "kernel_cancellations": self._cancellations,
             "kernel_compactions": self._compactions,
             "kernel_dormant_rearms": self._dormant_rearms,
+            "kernel_window_events": self._window_events,
         }
 
     def _note_cancelled(self) -> None:
@@ -429,6 +437,94 @@ class Simulator:
         finally:
             self._processed = processed + dormant
             self._dormant_rearms += dormant
+
+    # ------------------------------------------------------------------
+    # Quiescent windows
+    # ------------------------------------------------------------------
+    def window_scan(self, releases: List[EventHandle]) -> Tuple[Optional[int], List[int]]:
+        """Survey the queue for a quiescent window over ``releases``.
+
+        ``releases`` are pending one-shot handles (an RTOS's task releases).
+        Returns the earliest instant of an entry that is neither dormant nor
+        one of them — the window can reach no further — or None when there
+        is none, together with the sequence number of each release's entry.
+        A queue still holding cancelled entries offers no window (the horizon
+        is now): a window's own cancellations could otherwise trigger a
+        compaction :meth:`skip_window` does not count.
+        """
+        index = {handle: position for position, handle in enumerate(releases)}
+        sequences = [0] * len(releases)
+        horizon = self._clock._now_us if self._stale else None
+        for time_us, _, sequence, handle, _ in self._queue:
+            position = index.get(handle)
+            if position is not None:
+                sequences[position] = sequence
+            elif not handle.dormant and (horizon is None or time_us < horizon):
+                horizon = time_us
+        return horizon, sequences
+
+    def skip_window(
+        self,
+        stop_us: int,
+        releases: Dict[EventHandle, Tuple[int, int]],
+        events: int,
+        cancellations: int,
+    ) -> None:
+        """Move the queue past a quiescent window its owner replayed.
+
+        Every entry before ``stop_us`` must be a dormant chain or one of
+        ``releases``, which maps each release handle that fired in the window
+        to ``(next_time_us, period_us)``.  Dormant chains are advanced to
+        their first instant at or after ``stop_us`` (each skipped instant
+        counts as a dormant re-arm), releases to the given instant, and
+        ``events`` and ``cancellations`` — the window's fired releases and
+        completions, and its preemptions — are added to the counters.
+
+        On the callback path an entry's sequence number is drawn at its last
+        firing, so the moved entries are re-keyed with fresh numbers, above
+        every queued one, in the order of their last draws: among entries
+        due at the same instant, the one with the longer period (the earlier
+        last firing) comes first; equal periods fired in lockstep, and the
+        entry whose first firing in the window came later kept its pre-window
+        key longest, so it comes first; ties beyond that keep their old
+        order.  Only relative order is observable, since sequence numbers
+        are private to the kernel.
+        """
+        kept = []
+        moved = []
+        rearms = 0
+        for entry in self._queue:
+            time_us, priority, sequence, handle, callback = entry
+            release = releases.get(handle)
+            if release is not None:
+                next_us, period = release
+            elif time_us < stop_us:
+                if not handle.dormant:
+                    raise SimulationError(
+                        f"event {handle.label!r} at {format_us(time_us)} is due "
+                        f"inside a window ending at {format_us(stop_us)}"
+                    )
+                period = handle.period_us
+                count = (stop_us - time_us + period - 1) // period
+                rearms += count
+                next_us = time_us + count * period
+            else:
+                kept.append(entry)
+                continue
+            handle.time_us = next_us
+            moved.append((next_us, priority, -period, -time_us, sequence, handle, callback))
+        moved.sort()
+        sequence = self._sequence
+        for next_us, priority, _, _, _, handle, callback in moved:
+            kept.append((next_us, priority, sequence, handle, callback))
+            sequence += 1
+        self._sequence = sequence
+        heapq.heapify(kept)
+        self._queue[:] = kept
+        self._processed += events + rearms
+        self._dormant_rearms += rearms
+        self._cancellations += cancellations
+        self._window_events += events + rearms
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,6 +22,7 @@ modelling artefacts.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heapify, heapreplace
 from typing import Any, Callable, List, Optional
 
 from ..kernel.simulator import Simulator
@@ -468,6 +469,245 @@ class RTOSScheduler:
             stats.deadline_misses += 1
             self.observer.deadline_miss(task.name, self.simulator._clock._now_us)
         task.state = _WAITING
+
+    # ------------------------------------------------------------------
+    # Quiescent windows
+    # ------------------------------------------------------------------
+    @property
+    def idle(self) -> bool:
+        """True when no job is running or ready."""
+        return self._running is None and not self._ready
+
+    def idle_busy_bound(self) -> Optional[int]:
+        """Longest busy period a window of idle jobs can hold, or None.
+
+        Every task must declare an idle shape.  A job of task ``i`` costs at
+        most its segments' worst cases plus one context switch per segment
+        and one more for a preemption it suffers (each release preempts at
+        most once), and at most ``L // period + 1`` of its releases fall in
+        any closed interval of length ``L``.  The least fixed point of the
+        summed demand bounds every busy period that starts on an idle CPU.
+        None when the worst-case utilisation reaches one, or when a busy
+        period could hold enough preemptions to trigger a kernel compaction.
+        """
+        demands = []
+        switch = self.context_switch_us
+        for task in self.tasks:
+            shape = task.idle_shape
+            if shape is None:
+                return None
+            cost = sum(segment[1] for segment in shape) + (len(shape) + 1) * switch
+            demands.append((task.period_us, cost))
+        if not demands or sum(cost / period for period, cost in demands) >= 1.0:
+            return None
+        length = 0
+        while True:
+            demand = sum((length // period + 1) * cost for period, cost in demands)
+            if demand <= length:
+                break
+            length = demand
+        releases = sum(length // period + 1 for period, _ in demands)
+        return length if releases < Simulator._COMPACTION_MIN_STALE else None
+
+    def fast_forward(self, limit_us: int) -> int:
+        """Replay a quiescent stretch of idle jobs in one integer loop.
+
+        The caller stops the kernel just before the next task release and
+        calls this only while the system the tasks serve is quiescent: every
+        job it could release runs its task's :attr:`~Task.idle_shape` and
+        nothing else, up to ``limit_us`` (exclusive) at least.  The window
+        also ends at the kernel's first entry that is neither a dormant chain
+        nor a task release (:meth:`Simulator.window_scan`).
+
+        The loop replays releases and compute-segment completions exactly as
+        the callback path dispatches them — fixed-priority preemption, FIFO
+        ties, the context-switch charge, each segment's draw at the instant
+        the job enters it, same-instant order by the kernel's sequence draws —
+        and keeps every :class:`TaskStats` field, ``dispatch_rounds``, the job
+        sequence and the observer's ``segment``/``deadline_miss`` calls
+        exact.  It opens a busy period on an idle CPU only when the period
+        provably ends before the window does (:meth:`idle_busy_bound`), so
+        no draw is ever speculative, and it stops at an instant where the
+        CPU is idle and nothing due there has run.  :meth:`Simulator.skip_window`
+        then moves the kernel's dormant chains and release entries past the
+        stretch.
+
+        Returns that instant: the caller resumes the callback path there.
+        No job may be running or ready; otherwise (or when no window fits)
+        the next release instant is returned and nothing changes.
+        """
+        tasks = self.tasks
+        handles = [task.release_handle for task in tasks]
+        start = min(handle.time_us for handle in handles)
+        bound = self.idle_busy_bound()
+        if bound is None or self._running is not None or self._ready:
+            return start
+        horizon, sequences = self.simulator.window_scan(handles)
+        if horizon is None or horizon > limit_us:
+            horizon = limit_us
+        if start + bound >= horizon:
+            return start
+
+        # Per-task constants: (priority, shape, segment count, task, stats,
+        # task index).
+        constants = [
+            (task.priority, task.idle_shape, len(task.idle_shape), task, task.stats, index)
+            for index, task in enumerate(tasks)
+        ]
+        observer = self.observer
+        observed = observer is not NULL_SCHEDULER_OBSERVER
+        segment = observer.segment
+        deadline_miss = observer.deadline_miss
+        switch = self.context_switch_us
+        # The release entries, keyed like the kernel's heap: ``(time,
+        # sequence, task index)``.  The running segment's completion is kept
+        # apart as ``(due, due_sequence)``; a preempted segment's completion
+        # simply stops being tracked (on the callback path its cancelled
+        # entry is skipped when it surfaces).  Fresh sequence numbers only
+        # need to exceed the releases' (only relative order is observable).
+        heap = [
+            (handle.time_us, sequence, index)
+            for index, (handle, sequence) in enumerate(zip(handles, sequences))
+        ]
+        heapify(heap)
+        draws = max(sequences) + 1
+        # A job is ``[constants, next segment, pending us, segment start,
+        # release instant]``; ``pending`` is None between segments.
+        current: List[Optional[list]] = [None] * len(tasks)
+        ready: List[list] = []
+        running: Optional[list] = None
+        due = due_sequence = 0
+        last = self._last_dispatched_task
+        events = rounds = cancellations = jobs = 0
+        instant = -1
+        while True:
+            release_us, release_sequence, index = heap[0]
+            if running is not None and (
+                due < release_us or (due == release_us and due_sequence < release_sequence)
+            ):
+                # The running segment completes (_complete_running).
+                now = instant = due
+                events += 1
+                job = running
+                started = job[3]
+                job[0][4].cpu_time_us += now - started
+                if observed:
+                    segment(job[0][3].name, started, now, False)
+                job[2] = None
+                running = None
+                ready.insert(0, job)
+                index = -1
+                dispatch = True
+            else:
+                if release_us > instant and running is None:
+                    # The CPU is idle and nothing due now has run: open the
+                    # next busy period only if it provably ends in the window.
+                    if release_us + bound >= horizon:
+                        break
+                # A task release (_release).
+                now = instant = release_us
+                events += 1
+                job = current[index]
+                if job is not None:
+                    task = job[0][3]
+                    task.stats.deadline_misses += 1
+                    deadline_miss(task.name, now)
+                    dispatch = False
+                else:
+                    jobs += 1
+                    constant = constants[index]
+                    job = current[index] = [constant, 0, None, 0, now]
+                    constant[4].activations += 1
+                    ready.append(job)
+                    dispatch = running is None or constant[0] > running[0][0]
+            if dispatch:
+                # One dispatch round (_schedule_dispatch, _preempt, _run_job).
+                rounds += 1
+                if running is not None:
+                    # Only a release that outranks the running job starts a
+                    # round while a job runs, so the round preempts it.
+                    job = running
+                    started = job[3]
+                    elapsed = now - started
+                    stats = job[0][4]
+                    stats.cpu_time_us += elapsed
+                    stats.preemptions += 1
+                    if observed:
+                        segment(job[0][3].name, started, now, True)
+                    remaining = job[2] - elapsed
+                    job[2] = remaining if remaining > 0 else 0
+                    cancellations += 1
+                    running = None
+                    ready.insert(0, job)
+                # A ready job never outranks the one that runs (it would have
+                # preempted it), so the job taken here runs until it starts a
+                # segment or returns.
+                while running is None and ready:
+                    if len(ready) == 1:
+                        job = ready.pop()
+                    else:
+                        best = 0
+                        best_priority = ready[0][0][0]
+                        for position in range(1, len(ready)):
+                            priority = ready[position][0][0]
+                            if priority > best_priority:
+                                best_priority = priority
+                                best = position
+                        job = ready.pop(best)
+                    constant = job[0]
+                    while True:
+                        pending = job[2]
+                        if pending is None:
+                            position = job[1]
+                            if position == constant[2]:
+                                # The job body returns (_finish_job).
+                                task = constant[3]
+                                stats = constant[4]
+                                current[constant[5]] = None
+                                stats.completions += 1
+                                response = now - job[4]
+                                stats.response_times_us.append(response)
+                                if task.deadline_us is not None and response > task.deadline_us:
+                                    stats.deadline_misses += 1
+                                    deadline_miss(task.name, now)
+                                break
+                            draw, _, enter = constant[1][position]
+                            job[1] = position + 1
+                            if enter is not None:
+                                enter(now)
+                            pending = draw()
+                        if pending:
+                            task = constant[3]
+                            if last is not task and switch:
+                                pending += switch
+                            job[2] = pending
+                            job[3] = now
+                            running = job
+                            last = task
+                            due = now + pending
+                            due_sequence = draws
+                            draws += 1
+                            break
+                        job[2] = None
+            if index >= 0:
+                # The release re-arms after its dispatch round (_periodic_release).
+                heapreplace(heap, (now + constants[index][3].period_us, draws, index))
+                draws += 1
+
+        stop = release_us if release_us < horizon else horizon
+        if not events:
+            return stop
+        fired = {}
+        for release_us, _, index in heap:
+            handle = handles[index]
+            if release_us != handle.time_us:
+                fired[handle] = (release_us, tasks[index].period_us)
+                tasks[index].state = _WAITING
+        self._job_sequence += jobs
+        self.dispatch_rounds += rounds
+        self._last_dispatched_task = last
+        self.simulator.skip_window(stop, fired, events, cancellations)
+        return stop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self._running.task.name if self._running else None

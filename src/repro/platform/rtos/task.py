@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 JobBody = Generator[Any, Any, None]
 JobFactory = Callable[[], JobBody]
+
+#: One compute segment of an idle job: a zero-argument callable drawing the
+#: segment's duration (exactly the draw the job body makes), the largest
+#: duration it can draw, and an optional hook called with the instant the job
+#: enters the segment, before the draw.
+IdleSegment = Tuple[Callable[[], int], int, Optional[Callable[[int], None]]]
 
 
 class TaskState(enum.Enum):
@@ -98,6 +104,12 @@ class Task:
         # recycled (see Simulator.schedule's ``reuse`` contract).
         self.release_callback: Optional[Callable[[], None]] = None
         self.release_handle: Any = None
+        #: What a job of this task does while the system it serves is
+        #: quiescent: a straight line of compute segments, with nothing sent
+        #: and nothing received.  Declared by the task's owner; None (the
+        #: default) keeps every quiescent window of its scheduler closed (see
+        #: RTOSScheduler.fast_forward).
+        self.idle_shape: Optional[Tuple[IdleSegment, ...]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

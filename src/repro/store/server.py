@@ -101,25 +101,16 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         query = {name: values[-1] for name, values in parse_qs(parsed.query).items()}
         status, body, etag, content_type = self.server.respond(parsed.path, query)
         not_modified = status == 200 and self.headers.get("If-None-Match") == etag
-        if not_modified:
-            sent_status = 304
-            self.send_response(304)
-            self.send_header("ETag", etag)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-        else:
-            sent_status = status
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("ETag", etag)
-            self.end_headers()
-            self.wfile.write(body)
+        sent_status = 304 if not_modified else status
+        # The request is counted and logged before the first response byte
+        # goes out: a client that has read its response, then scrapes
+        # /metrics or stops the server, must find it counted and logged.  The
+        # latency is therefore the time to a ready response, not including
+        # the socket write.
         duration = time.perf_counter() - started
-        endpoint = _endpoint_label(parsed.path)
         REGISTRY.histogram(
             "http_request_seconds",
-            labels={"endpoint": endpoint},
+            labels={"endpoint": _endpoint_label(parsed.path)},
             help="serve request latency by endpoint",
         ).observe(duration)
         REGISTRY.counter(
@@ -134,6 +125,18 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             duration_s=duration,
             cached=not_modified,
         )
+        if not_modified:
+            self.send_response(304)
+            self.send_header("ETag", etag)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+        else:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("ETag", etag)
+            self.end_headers()
+            self.wfile.write(body)
 
 
 class StoreHTTPServer(ThreadingHTTPServer):

@@ -14,6 +14,7 @@ from repro.faults import (
     default_matrix_spec,
     run_kill_matrix,
 )
+from repro.obs import REGISTRY
 from repro.systems import GPCA_PACK
 
 STUCK_BUTTON = FaultPlan((SensorStuckFault(device="bolus_button"),), name="stuck-button")
@@ -172,13 +173,43 @@ class TestDefaultGpcaMatrix:
         "sensor-stuck": ["alarm-clear", "empty-reservoir-alarm", "empty-reservoir-stop", "bolus-request"],
     }
 
+    #: The engine's lifetime counters summed over the matrix's systems, as
+    #: the worker folds them into the registry.  Every count but the window
+    #: events is the callback path's: quiescent windows replay their events
+    #: without dispatching them, and ``kernel_window_events`` is that subset.
+    ENGINE_TOTALS = {
+        "kernel_events_processed_total": 2_574_914,
+        "kernel_dormant_rearms_total": 1_918_728,
+        "kernel_window_events_total": 1_348_218,
+        "kernel_cancellations_total": 32_134,
+        "kernel_compactions_total": 0,
+        "scheduler_activations_total": 369_014,
+        "scheduler_completions_total": 368_800,
+        "scheduler_dispatch_rounds_total": 483_648,
+        "scheduler_preemptions_total": 32_134,
+        "scheduler_deadline_misses_total": 28_003,
+    }
+
     @pytest.fixture(scope="class")
     def spec(self):
         return default_matrix_spec(samples=3, base_seed=0)
 
     @pytest.fixture(scope="class")
-    def campaign(self, spec):
-        return CampaignRunner(spec, workers=1).run()
+    def engine_deltas(self):
+        """Filled by ``campaign``: the registry's engine-counter deltas over the run."""
+        return {}
+
+    @pytest.fixture(scope="class")
+    def campaign(self, spec, engine_deltas):
+        before = {name: REGISTRY.counter_value(name) for name in self.ENGINE_TOTALS}
+        result = CampaignRunner(spec, workers=1).run()
+        engine_deltas.update(
+            {name: REGISTRY.counter_value(name) - before[name] for name in self.ENGINE_TOTALS}
+        )
+        return result
+
+    def test_engine_counters_are_pinned(self, campaign, engine_deltas):
+        assert engine_deltas == self.ENGINE_TOTALS
 
     def test_kills_ten_of_twelve_mutants_and_detects_all_seven_fault_classes(self, spec, campaign):
         scheme_two_baselines = [

@@ -250,6 +250,20 @@ class TestFaultPlan:
         )
         assert before == after  # no wrapper hooks were installed
 
+    @pytest.mark.parametrize("plan", default_fault_suite(), ids=lambda plan: plan.name)
+    @pytest.mark.parametrize("scheme", (1, 2))
+    def test_a_faulted_system_never_opens_a_quiescent_window(self, plan, scheme):
+        """A fault may act on any job, so every job of a faulted system runs
+        on the callback path; the same system unfaulted opens windows."""
+        clean = build_system(scheme, seed=3)
+        clean.run(ms(2000))
+        assert not clean.faulted
+        assert clean.bundle.simulator.counters()["kernel_window_events"] > 0
+        faulted = plan.instrument(build_system(scheme, seed=3), seed=3)
+        faulted.run(ms(2000))
+        assert faulted.faulted
+        assert faulted.bundle.simulator.counters()["kernel_window_events"] == 0
+
     def test_round_trips_through_dict_and_pickle(self):
         for plan in default_fault_suite():
             assert FaultPlan.from_dict(plan.to_dict()) == plan

@@ -10,6 +10,7 @@ from repro.campaign import profile_run
 from repro.campaign.spec import table_one_spec
 from repro.cli import main
 from repro.obs.spans import FRAMEWORK_PID, SIMULATION_PID
+from repro.platform.rtos.scheduler import RTOSScheduler
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,29 @@ class TestTimeline:
         sim_first = [e for e in first if e.get("pid") == SIMULATION_PID]
         sim_second = [e for e in second if e.get("pid") == SIMULATION_PID]
         assert sim_first == sim_second
+
+    def test_quiescent_windows_keep_the_simulation_lane(self, monkeypatch):
+        """A scheme-2 profile replays idle stretches in windows, and its
+        simulated-time lane is the one the callback path draws."""
+        spec = table_one_spec(samples=2).expand()[1]
+        assert spec.scheme == 2
+        windowed = profile_run(spec)
+        assert windowed.counters["kernel_window_events"] > 0
+        monkeypatch.setattr(
+            RTOSScheduler,
+            "fast_forward",
+            lambda scheduler, limit_us: min(
+                task.release_handle.time_us for task in scheduler.tasks
+            ),
+        )
+        callback = profile_run(spec)
+        assert callback.counters["kernel_window_events"] == 0
+
+        def lane(result):
+            events = result.timeline()["traceEvents"]
+            return [e for e in events if e.get("pid") == SIMULATION_PID]
+
+        assert lane(windowed) == lane(callback)
 
     def test_self_time_table_lists_every_phase(self, profiled):
         table = profiled.self_time_table()

@@ -103,6 +103,26 @@ class TestMetricsEndpoint:
         assert not any(e.startswith("/progress/table1") for e in endpoints)
 
 
+    def test_a_read_response_is_already_counted(self, server):
+        """Every response a client has finished reading shows in the metrics.
+
+        The server once counted a request only after writing its body, so a
+        client could read the response and scrape the registry before its
+        request was counted (about a quarter of rounds missed).
+        """
+        histogram = REGISTRY.histogram("http_request_seconds", labels={"endpoint": "/healthz"})
+        misses = 0
+        for _ in range(250):
+            responses = REGISTRY.counter_value("http_responses_total", {"status": "200"})
+            observed = histogram.count
+            status, _, _ = _get_raw(server, "/healthz")
+            assert status == 200
+            counted = REGISTRY.counter_value("http_responses_total", {"status": "200"})
+            if counted != responses + 1 or histogram.count != observed + 1:
+                misses += 1
+        assert misses == 0
+
+
 class TestProgressEndpoint:
     def test_serves_the_persisted_snapshot(self, server):
         status, _, payload = _get_json(server, "/progress/table1")
@@ -213,6 +233,15 @@ class TestStructuredLogging:
         assert first["duration_ms"] >= 0
         assert second["status"] == 304
         assert second["cache"] == "304"
+
+    def test_a_read_response_is_already_logged(self, seeded_store):
+        """The server once wrote a request's log line after its response, so
+        a client could read the response and stop the server first."""
+        stream = io.StringIO()
+        with StoreServer(seeded_store, verbose=True, log_stream=stream) as server:
+            for count in range(1, 101):
+                _get_raw(server, "/healthz")
+                assert len(stream.getvalue().splitlines()) == count
 
     def test_quiet_server_logs_nothing(self, seeded_store):
         stream = io.StringIO()

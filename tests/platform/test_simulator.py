@@ -258,3 +258,57 @@ class TestDormantChains:
         assert again is handle and not again.dormant
         sim.run_until(20)
         assert fired == [10]
+
+
+class TestSkipWindow:
+    """Skipping a window in one step leaves the queue as re-arming would."""
+
+    @staticmethod
+    def _drive(seed, skip):
+        """Dormant chains of mixed periods and phases — some starting one or
+        more periods after another chain on the same phase — until a wake-up
+        at the window's end makes every chain log, plus a one-shot tied with
+        them.  With ``skip`` the window is crossed by ``skip_window``;
+        otherwise ``run_until`` re-arms every dormant instant."""
+        sim = Simulator()
+        rng = random.Random(seed)
+        log = []
+        handles = []
+        end = 200 + rng.randrange(50)
+
+        def chain(index):
+            return lambda: log.append((sim.now, index))
+
+        def wake():
+            log.append((sim.now, "wake"))
+            for handle in handles:
+                handle.dormant = False
+
+        for index in range(8):
+            period = rng.choice((4, 5, 10, 20))
+            delay = rng.randrange(period) + period * rng.randrange(4)
+            handle = sim.schedule_periodic(delay, period, chain(index))
+            handle.dormant = True
+            handles.append(handle)
+        sim.schedule_at(end, wake)
+        sim.schedule_at(end + rng.randrange(20), lambda: log.append((sim.now, "tied")))
+        if skip:
+            sim.skip_window(end, {}, 0, 0)
+        sim.run_until(end + 100)
+        counters = sim.counters()
+        return log, counters, counters.pop("kernel_window_events")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rekeyed_chains_fire_in_callback_order(self, seed):
+        skipped_log, skipped, window_events = self._drive(seed, True)
+        rearmed_log, rearmed, no_window_events = self._drive(seed, False)
+        assert skipped_log == rearmed_log
+        assert skipped == rearmed
+        assert window_events > 0 and no_window_events == 0
+
+    def test_an_active_entry_inside_the_window_is_refused(self):
+        sim = Simulator()
+        sim.schedule_periodic(0, 10, lambda: None).dormant = True
+        sim.schedule_at(15, lambda: None, label="latch")
+        with pytest.raises(SimulationError, match="'latch' .* inside a window"):
+            sim.skip_window(30, {}, 0, 0)
