@@ -9,18 +9,21 @@ implementation and compares the diagnostic information each yields.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.baselines import BlackBoxOnlineTester, FunctionalConformanceChecker
 from repro.codegen import generate_code
-from repro.core import MTestAnalyzer, RTestRunner
+from repro.core import MTestAnalyzer
+from repro.core.r_testing import execute_r_test
 from repro.gpca import (
-    bolus_request_test_case,
+    bolus_request_program,
     build_fig2_statechart,
     build_pump_interface,
     req1_bolus_start,
-    scheme_factory,
 )
+from repro.systems import GPCA_PACK
 
 SCHEME = 3
 SEED = 33
@@ -29,7 +32,7 @@ SAMPLES = 6
 
 @pytest.fixture(scope="module")
 def test_case():
-    return bolus_request_test_case(samples=SAMPLES, seed=9)
+    return bolus_request_program(SAMPLES).compile(9)
 
 
 def test_functional_conformance_baseline(benchmark, write_artifact):
@@ -42,7 +45,7 @@ def test_functional_conformance_baseline(benchmark, write_artifact):
 
 
 def test_blackbox_online_baseline(benchmark, test_case, write_artifact):
-    tester = BlackBoxOnlineTester(scheme_factory(SCHEME, seed=SEED))
+    tester = BlackBoxOnlineTester(partial(GPCA_PACK.build_system, SCHEME, seed=SEED))
     report = benchmark.pedantic(lambda: tester.run(test_case), rounds=1, iterations=1)
     write_artifact("baseline_blackbox.txt", report.summary())
     # The black-box tester detects the violation ...
@@ -53,7 +56,7 @@ def test_blackbox_online_baseline(benchmark, test_case, write_artifact):
 
 def test_layered_r_m_testing(benchmark, test_case, write_artifact):
     def run_layered():
-        r_report = RTestRunner(scheme_factory(SCHEME, seed=SEED)).run(test_case)
+        r_report = execute_r_test(partial(GPCA_PACK.build_system, SCHEME, seed=SEED), test_case)
         analyzer = MTestAnalyzer(build_pump_interface(), req1_bolus_start())
         m_report = analyzer.analyze_violations(r_report)
         return r_report, m_report
@@ -74,10 +77,10 @@ def test_layered_r_m_testing(benchmark, test_case, write_artifact):
 
 def test_diagnostic_information_comparison(benchmark, test_case, write_artifact):
     """The quantitative comparison row: items of diagnostic output per tool."""
-    tester = BlackBoxOnlineTester(scheme_factory(SCHEME, seed=SEED))
+    tester = BlackBoxOnlineTester(partial(GPCA_PACK.build_system, SCHEME, seed=SEED))
     blackbox = benchmark.pedantic(lambda: tester.run(test_case), rounds=1, iterations=1)
 
-    r_report = RTestRunner(scheme_factory(SCHEME, seed=SEED)).run(test_case)
+    r_report = execute_r_test(partial(GPCA_PACK.build_system, SCHEME, seed=SEED), test_case)
     m_report = MTestAnalyzer(build_pump_interface(), req1_bolus_start()).analyze_violations(r_report)
 
     blackbox_items = len(blackbox.diagnostic_information())

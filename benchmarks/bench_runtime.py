@@ -55,7 +55,8 @@ from repro.campaign.cache import process_cache
 from repro.campaign.spec import M_TEST_NONE, M_TEST_VIOLATIONS, derive_seed
 from repro.faults import default_matrix_spec
 from repro.gpca.interface import build_pump_interface
-from repro.gpca.scenarios import bolus_request_test_case
+from repro.gpca.scenarios import bolus_request_program
+from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.kernel.simulator import Simulator
 from repro.systems import get_pack
 
@@ -208,7 +209,7 @@ def bench_trace_record(events, repeats=1):
 # Stage 3: one full R-test run
 # ----------------------------------------------------------------------
 def _single_run(engine):
-    case = bolus_request_test_case(5, seed=SEED)
+    case = bolus_request_program(5).compile(SEED)
 
     def factory():
         return get_pack("gpca").build_system(2, seed=1234, engine=engine)
@@ -223,7 +224,7 @@ def bench_single_run(rounds):
         seed_report = _single_run(SEED_ENGINE)
         seed_times.append(time.perf_counter() - started)
         started = time.perf_counter()
-        current_report = _single_run(None)
+        current_report = _single_run(DEFAULT_ENGINE)
         current_times.append(time.perf_counter() - started)
         assert r_report_to_json(current_report, include_trace=True) == r_report_to_json(
             seed_report, include_trace=True

@@ -10,35 +10,32 @@ exercises three further timing requirements on implementation scheme 2:
   the alarm.
 
 Each scenario requires the pump to be driven into the right state first
-(request a bolus, let the reservoir empty mid-infusion); the scenario builders
-in ``repro.gpca.scenarios`` handle that setup.
+(request a bolus, let the reservoir empty mid-infusion); the scenario
+programs the GPCA pack registers in ``repro.gpca.scenarios`` declare that
+setup.
 
 Run with:  python examples/alarm_requirements.py
 """
 
 from __future__ import annotations
 
-from repro.core import MTestAnalyzer, RTestRunner, assess_sufficiency, render_r_report
-from repro.gpca import (
-    alarm_clear_test_case,
-    build_pump_interface,
-    empty_reservoir_alarm_test_case,
-    empty_reservoir_stop_test_case,
-    scheme_factory,
-)
+from functools import partial
+
+from repro.core import MTestAnalyzer, assess_sufficiency, render_r_report
+from repro.core.r_testing import execute_r_test
+from repro.systems import GPCA_PACK
 
 
 def main() -> None:
-    interface = build_pump_interface()
+    interface = GPCA_PACK.build_interface()
     scenarios = [
-        empty_reservoir_alarm_test_case(samples=5),
-        empty_reservoir_stop_test_case(samples=5),
-        alarm_clear_test_case(samples=5),
+        GPCA_PACK.schedule(GPCA_PACK.case_builders[name](5), 0, "fig2")
+        for name in ("empty-reservoir-alarm", "empty-reservoir-stop", "alarm-clear")
     ]
 
-    runner = RTestRunner(scheme_factory(2, seed=5))
+    factory = partial(GPCA_PACK.build_system, 2, seed=5)
     for test_case in scenarios:
-        report = runner.run(test_case)
+        report = execute_r_test(factory, test_case)
         print(render_r_report(report))
         sufficiency = assess_sufficiency(report)
         print(

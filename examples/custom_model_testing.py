@@ -12,26 +12,28 @@ It demonstrates every extension point a downstream user needs:
 * building a statechart with the fluent builder;
 * declaring a four-variable interface;
 * describing a custom platform as device specs and stimulus actions, which
-  the declarative bundle builder assembles into a :class:`PlatformBundle`;
-* reusing the implementation schemes and the R/M testing machinery unchanged.
+  ``build_pack_system`` integrates with the generated code under one of the
+  implementation schemes, exactly as it builds every registered system;
+* reusing the R/M testing machinery unchanged.
 
 Run with:  python examples/custom_model_testing.py
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.codegen import generate_code
 from repro.core import (
     EventSpec,
     MTestAnalyzer,
     RTestCase,
-    RTestRunner,
     Stimulus,
     TimingRequirement,
     render_layered_summary,
 )
 from repro.core.four_variables import FourVariableInterface
-from repro.integration import SingleThreadedConfig, SingleThreadedSystem
+from repro.core.r_testing import execute_r_test
 from repro.model import StatechartBuilder, before
 from repro.model.verification import BoundedResponseChecker
 from repro.platform.kernel.random import uniform
@@ -41,7 +43,7 @@ from repro.systems.platform import (
     ButtonSpec,
     PackPlatform,
     PressAction,
-    build_pack_bundle,
+    build_pack_system,
 )
 
 
@@ -145,9 +147,18 @@ def main() -> None:
     artifacts = generate_code(chart)
     print("code generation:", artifacts.summary())
 
-    def factory():
-        bundle = build_pack_bundle(CROSSING_PLATFORM, seed=3)
-        return SingleThreadedSystem(bundle, artifacts, SingleThreadedConfig(period_us=ms(20)))
+    # Scheme 1, the single-threaded loop, polling every 20 ms.
+    factory = partial(
+        build_pack_system,
+        "crossing",
+        CROSSING_PLATFORM,
+        {"crossing": build_crossing_chart},
+        1,
+        model="crossing",
+        seed=3,
+        period_us=ms(20),
+        artifacts=artifacts,
+    )
 
     # Each sample is one train: detection (measured) followed by the train
     # passing (setup for the next sample, re-opening the crossing).
@@ -160,10 +171,10 @@ def main() -> None:
         name="trains", requirement=requirement, stimuli=tuple(stimuli),
         description="six trains, barrier-lowering latency measured per train",
     )
-    r_report = RTestRunner(factory).run(test_case)
+    r_report = execute_r_test(factory, test_case)
     m_report = None
     if not r_report.passed:
-        analyzer = MTestAnalyzer(factory().interface, requirement)
+        analyzer = MTestAnalyzer(build_crossing_interface(), requirement)
         m_report = analyzer.analyze_violations(r_report)
     print(render_layered_summary(r_report, m_report))
 

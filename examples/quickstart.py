@@ -16,16 +16,14 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.codegen import generate_code
-from repro.core import MTestAnalyzer, RTestRunner, render_layered_summary, render_m_report, render_r_report
-from repro.gpca import (
-    bolus_request_test_case,
-    build_fig2_statechart,
-    build_pump_interface,
-    req1_bolus_start,
-    scheme_factory,
-)
+from repro.core import MTestAnalyzer, render_layered_summary, render_m_report, render_r_report
+from repro.core.r_testing import execute_r_test
+from repro.gpca import build_fig2_statechart, req1_bolus_start
 from repro.model.verification import BoundedResponseChecker
+from repro.systems import GPCA_PACK
 
 
 def main() -> None:
@@ -53,9 +51,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3-4. Platform integration + R-testing (Fig. 1-(3))
     # ------------------------------------------------------------------
-    test_case = bolus_request_test_case(samples=10, seed=7)
-    runner = RTestRunner(scheme_factory(1, seed=11))
-    r_report = runner.run(test_case)
+    # The pack builds the system under test and writes the stimulus
+    # schedule of its named scenario; execute_r_test runs one against the other.
+    program = GPCA_PACK.case_builders["bolus-request"](10)
+    test_case = GPCA_PACK.schedule(program, 7, "fig2")
+    r_report = execute_r_test(partial(GPCA_PACK.build_system, 1, seed=11), test_case)
     print("== R-testing (m/c events only) ==")
     print(render_r_report(r_report))
     print()
@@ -65,7 +65,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     m_report = None
     if not r_report.passed:
-        analyzer = MTestAnalyzer(build_pump_interface(), requirement)
+        analyzer = MTestAnalyzer(GPCA_PACK.build_interface(), requirement)
         m_report = analyzer.analyze_violations(r_report)
         print("== M-testing (delay segments of the violating samples) ==")
         print(render_m_report(m_report))

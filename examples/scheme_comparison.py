@@ -10,28 +10,25 @@ Run with:  python examples/scheme_comparison.py
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.analysis import SchemeResult, TableOne
-from repro.core import MTestAnalyzer, RTestRunner
-from repro.gpca import (
-    ALL_SCHEMES,
-    bolus_request_test_case,
-    build_pump_interface,
-    req1_bolus_start,
-    scheme_factory,
-)
-from repro.systems import generic_scheme_name
+from repro.core import MTestAnalyzer
+from repro.core.r_testing import execute_r_test
+from repro.systems import GPCA_PACK, generic_scheme_name
+from repro.systems.base import ALL_SCHEMES
 
 
 def main() -> None:
-    requirement = req1_bolus_start()
-    test_case = bolus_request_test_case(samples=10, seed=7)
-    interface = build_pump_interface()
+    test_case = GPCA_PACK.schedule(GPCA_PACK.case_builders["bolus-request"](10), 7, "fig2")
+    interface = GPCA_PACK.build_interface()
     table = TableOne()
 
     for scheme in ALL_SCHEMES:
         print(f"running {generic_scheme_name(scheme)} ...")
-        r_report = RTestRunner(scheme_factory(scheme, seed=scheme * 11)).run(test_case)
-        m_report = MTestAnalyzer(interface, requirement).analyze(
+        factory = partial(GPCA_PACK.build_system, scheme, seed=scheme * 11)
+        r_report = execute_r_test(factory, test_case)
+        m_report = MTestAnalyzer(interface, test_case.requirement).analyze(
             r_report.trace, sut_name=r_report.sut_name
         )
         table.add(SchemeResult(scheme, generic_scheme_name(scheme), r_report, m_report))

@@ -41,17 +41,20 @@ diagram, states the order in which the subpackages may import each other,
 and collects the design notes behind the campaign engine, the trace index
 and the scenario subsystem.
 
-Quickstart::
+Quickstart (build the system under test, write its schedule, run it)::
 
-    from repro.gpca import scheme_factory, bolus_request_test_case
-    from repro.gpca import build_pump_interface, req1_bolus_start
-    from repro.core import RTestRunner, MTestAnalyzer
+    from functools import partial
 
-    test_case = bolus_request_test_case(samples=10)
-    report = RTestRunner(scheme_factory(1)).run(test_case)
+    from repro.core import MTestAnalyzer
+    from repro.core.r_testing import execute_r_test
+    from repro.systems import GPCA_PACK
+
+    program = GPCA_PACK.case_builders["bolus-request"](10)
+    test_case = GPCA_PACK.schedule(program, 0, "fig2")
+    report = execute_r_test(partial(GPCA_PACK.build_system, 1), test_case)
     print(report.summary())
     if not report.passed:
-        analyzer = MTestAnalyzer(build_pump_interface(), req1_bolus_start())
+        analyzer = MTestAnalyzer(GPCA_PACK.build_interface(), test_case.requirement)
         print(analyzer.analyze_violations(report).summary())
 
 Campaign quickstart (the Table I grid, sharded across four workers)::
@@ -62,7 +65,7 @@ Campaign quickstart (the Table I grid, sharded across four workers)::
     print(result.table_one().render())
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",

@@ -46,7 +46,9 @@ __all__ = [
     "SchemePoint",
     "TABLE_ONE_SCHEME_SEEDS",
     "build_case",
+    "case_key",
     "case_requirement",
+    "coordinate_seeds",
     "derive_seed",
     "full_grid_spec",
     "interference_sweep_spec",
@@ -76,6 +78,31 @@ def derive_seed(base_seed: int, *coordinates: object) -> int:
     key = ":".join([str(base_seed), *[repr(coordinate) for coordinate in coordinates]])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
+
+
+def case_key(case: str, system: str) -> str:
+    """A scenario's grid coordinate: its name, as ``system:case`` off the default pack.
+
+    Leaving the default system out keeps every seed, label and store key of
+    a campaign that predates the pack registry unchanged.
+    """
+    return case if system == DEFAULT_SYSTEM else f"{system}:{case}"
+
+
+def coordinate_seeds(
+    base_seed: int, point: SchemePoint, case: str, samples: int, system: str
+) -> Tuple[int, int]:
+    """The ``(sut_seed, case_seed)`` derived from one grid coordinate.
+
+    Only the coordinates enter (never execution order, a pinned seed or an
+    injected defect), so a kill matrix's baseline and injected runs at one
+    coordinate share both seeds and a campaign's seeds survive new axis points.
+    """
+    key = case_key(case, system)
+    sut_seed = derive_seed(
+        base_seed, "sut", point.scheme, point.period_us, point.interference_scale, key
+    )
+    return sut_seed, derive_seed(base_seed, "case", key, samples)
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +241,7 @@ class RunSpec:
     @property
     def label(self) -> str:
         point = SchemePoint(self.scheme, self.period_us, self.interference_scale)
-        case = self.case if self.system == DEFAULT_SYSTEM else f"{self.system}:{self.case}"
-        label = f"{point.label}/{case}"
+        label = f"{point.label}/{case_key(self.case, self.system)}"
         if self.faults is not None and not self.faults.empty:
             label += f"+{self.faults.name}"
         if self.mutant is not None:
@@ -327,26 +353,17 @@ class CampaignSpec:
         for index, (scheme_point, case_point) in enumerate(
             itertools.product(self.schemes, self.cases)
         ):
-            # Seed coordinates fold the system in only for non-default packs,
-            # so every pre-systems campaign derives exactly the seeds it
-            # always has.
-            if case_point.system == DEFAULT_SYSTEM:
-                case_key = case_point.case
-            else:
-                case_key = f"{case_point.system}:{case_point.case}"
-            sut_seed = scheme_point.sut_seed
-            if sut_seed is None:
-                sut_seed = derive_seed(
-                    self.base_seed,
-                    "sut",
-                    scheme_point.scheme,
-                    scheme_point.period_us,
-                    scheme_point.interference_scale,
-                    case_key,
-                )
-            case_seed = case_point.seed
-            if case_seed is None:
-                case_seed = derive_seed(self.base_seed, "case", case_key, case_point.samples)
+            sut_seed, case_seed = coordinate_seeds(
+                self.base_seed,
+                scheme_point,
+                case_point.case,
+                case_point.samples,
+                case_point.system,
+            )
+            if scheme_point.sut_seed is not None:
+                sut_seed = scheme_point.sut_seed
+            if case_point.seed is not None:
+                case_seed = case_point.seed
             # The campaign-level model only applies to runs of the system
             # that owns it; case points from other packs run their pack's
             # default model.

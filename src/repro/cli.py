@@ -7,6 +7,7 @@ case-study systems (the GPCA pump by default)::
     python -m repro codegen   [--extended] [--output FILE]
     python -m repro rtest     --scheme {1,2,3} [--samples N] [--seed S]
                               [--m-test] [--json FILE] [--csv FILE]
+                              [--m-json FILE]
     python -m repro table1    [--samples N] [--output FILE]
     python -m repro campaign  [--grid NAME] [--workers N] [--samples N]
                               [--seed S] [--json FILE] [--csv FILE]
@@ -76,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -91,22 +93,15 @@ from .campaign import (
 )
 from .codegen import generate_code
 from .faults import KillMatrix, SurvivorHunter, default_matrix_spec
-from .core import MTestAnalyzer, RTestRunner, render_m_report, render_r_report
+from .core import MTestAnalyzer, render_m_report, render_r_report
+from .core.r_testing import execute_r_test
 from .core.serialization import m_report_to_json, r_report_to_csv, r_report_to_json
-from .gpca import (
-    ALL_SCHEMES,
-    bolus_request_test_case,
-    build_extended_statechart,
-    build_fig2_statechart,
-    build_pump_interface,
-    gpca_requirements,
-    req1_bolus_start,
-    scheme_factory,
-)
+from .gpca import build_extended_statechart, build_fig2_statechart, gpca_requirements
 from .model.verification import BoundedResponseChecker
 from .scenarios import CoverageGuidedExplorer
 from .store import ENDPOINTS, RunStore, StoreError, StoreServer, diff_snapshots
 from .systems import DEFAULT_SYSTEM, generic_scheme_name, get_pack, iter_packs, pack_ids
+from .systems.base import ALL_SCHEMES
 
 
 def package_version() -> str:
@@ -160,15 +155,19 @@ def cmd_rtest(args: argparse.Namespace) -> int:
     if args.samples <= 0:
         print("repro rtest: error: sample count must be positive", file=sys.stderr)
         return 2
-    requirement = req1_bolus_start()
-    test_case = bolus_request_test_case(samples=args.samples, seed=args.seed)
-    runner = RTestRunner(scheme_factory(args.scheme, seed=args.seed))
-    r_report = runner.run(test_case)
+    if args.m_json and not args.m_test:
+        print("repro rtest: error: --m-json needs --m-test", file=sys.stderr)
+        return 2
+    pack = get_pack(DEFAULT_SYSTEM)
+    test_case = pack.schedule(
+        pack.case_builders["bolus-request"](args.samples), args.seed, pack.default_model
+    )
+    r_report = execute_r_test(partial(pack.build_system, args.scheme, seed=args.seed), test_case)
     print(render_r_report(r_report))
 
     m_report = None
     if args.m_test and not r_report.passed:
-        analyzer = MTestAnalyzer(build_pump_interface(), requirement)
+        analyzer = MTestAnalyzer(pack.build_interface(), test_case.requirement)
         m_report = analyzer.analyze_violations(r_report)
         print()
         print(render_m_report(m_report))
@@ -179,7 +178,10 @@ def cmd_rtest(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(r_report_to_csv(r_report), encoding="utf-8")
         print(f"sample table written to {args.csv}")
-    if args.m_json and m_report is not None:
+    if args.m_json and m_report is None:
+        requirement_id = test_case.requirement.requirement_id
+        print(f"no M-test report written: no sample violated {requirement_id}")
+    elif args.m_json:
         Path(args.m_json).write_text(m_report_to_json(m_report, indent=2), encoding="utf-8")
         print(f"M-test report written to {args.m_json}")
     return 0 if r_report.passed else 1
@@ -604,12 +606,12 @@ def cmd_systems(args: argparse.Namespace) -> int:
                 "description": pack.description,
                 "default_model": pack.default_model,
                 "models": sorted(pack.model_builders),
-                "schemes": list(pack.schemes),
+                "schemes": list(ALL_SCHEMES),
                 "cases": sorted(pack.case_builders),
                 "requirement_count": len(pack.requirements()),
                 "case_count": len(pack.case_builders),
                 "model_count": len(pack.model_builders),
-                "scheme_count": len(pack.schemes),
+                "scheme_count": len(ALL_SCHEMES),
                 "scenario_space": {
                     "requirement_count": len(space.requirements),
                     "setup_variable_count": len(space.setup_variables),
@@ -713,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     rtest.add_argument("--m-test", action="store_true", help="run M-testing on violating samples")
     rtest.add_argument("--json", help="write the R-test report as JSON")
     rtest.add_argument("--csv", help="write the per-sample table as CSV")
-    rtest.add_argument("--m-json", help="write the M-test report as JSON")
+    rtest.add_argument("--m-json", help="write the M-test report as JSON (needs --m-test)")
     rtest.set_defaults(handler=cmd_rtest)
 
     table1 = subparsers.add_parser("table1", help="regenerate Table I across all schemes")

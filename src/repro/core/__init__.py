@@ -9,7 +9,6 @@ from .four_variables import (
     TraceRecorder,
 )
 from .m_testing import MTestAnalyzer
-from .r_testing import RTestRunner
 from .report import render_layered_summary, render_m_report, render_r_report
 from .requirements import EventSpec, TimingRequirement
 from .test_generation import (
@@ -22,7 +21,6 @@ __all__ = [
     "EventSpec",
     "MTestAnalyzer",
     "RTestCase",
-    "RTestRunner",
     "Stimulus",
     "TimingRequirement",
     "TraceRecorder",

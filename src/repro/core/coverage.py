@@ -147,9 +147,17 @@ class SufficiencyAssessment:
 
 def wilson_interval(successes: int, samples: int, confidence: float = 0.95) -> tuple:
     """Wilson score interval for a binomial proportion (no SciPy dependency)."""
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must be in (0, 1)")
     if samples == 0:
         return 0.0, 1.0
-    z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}.get(round(confidence, 2), 1.9600)
+    # Imported here: ``statistics`` loads ``fractions`` and ``decimal``
+    # (≈ 4 ms), which no CLI command needs at start-up.
+    from statistics import NormalDist
+
+    # The two-sided quantile, taken from the lower tail: ``1 - confidence`` is
+    # exact in floating point where ``0.5 + confidence / 2`` rounds to 1.0.
+    z = -NormalDist().inv_cdf((1 - confidence) / 2)
     phat = successes / samples
     denominator = 1 + z * z / samples
     centre = phat + z * z / (2 * samples)

@@ -131,29 +131,12 @@ def execute_r_test(sut_factory: SutFactory, test_case: RTestCase) -> RTestReport
     return evaluate_r_trace(sut.name, test_case, sut.trace)
 
 
-class RTestRunner:
-    """Executes R-test cases against implemented systems."""
-
-    def __init__(self, sut_factory: SutFactory) -> None:
-        self._sut_factory = sut_factory
-
-    def run(self, test_case: RTestCase) -> RTestReport:
-        """Build a fresh system, inject the stimuli, run, and judge every sample."""
-        return execute_r_test(self._sut_factory, test_case)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def evaluate(sut_name: str, test_case: RTestCase, trace: Trace) -> RTestReport:
-        """Judge an already-recorded trace against the test case's requirement.
-
-        Exposed separately so recorded traces (or traces from real hardware)
-        can be re-evaluated without re-running the system.
-        """
-        return evaluate_r_trace(sut_name, test_case, trace)
-
-
 def evaluate_r_trace(sut_name: str, test_case: RTestCase, trace: Trace) -> RTestReport:
-    """Judge a recorded trace against the test case's requirement (pure function)."""
+    """Judge a recorded trace against the test case's requirement (pure function).
+
+    :func:`execute_r_test` ends here; recorded traces (or traces from real
+    hardware) can be judged again without re-running the system.
+    """
     requirement = test_case.requirement
     # R-testing must not look at i/o/transition events at all.  The matcher's
     # indexed kind/variable queries only ever touch the m- and c-buckets, so

@@ -1,25 +1,23 @@
-"""R-test case generation from timing requirements.
+"""R-test cases: the m-event stimulus schedules R-testing injects.
 
 A test case is a schedule of m-event stimuli to inject into the implemented
 system.  The paper's example for REQ1 is::
 
     {(m-BolusReq, 10 ms), (m-BolusReq, 300 ms), (m-BolusReq, 500 ms), ...}
 
-Generators produce such schedules from a requirement and an inter-arrival
-policy (uniform spacing, seeded random spacing, or minimum-separation boundary
-spacing).  The paper leaves systematic generation as future work; the
-strategies here cover what the case study needs plus the obvious boundary
-cases, and the coverage module reports how much of the model each suite
-exercises.
+Schedules are written by compiling a scenario-DSL program
+(:meth:`repro.scenarios.ScenarioProgram.compile`, through
+:meth:`repro.systems.SystemPack.schedule` for a pack's named and generated
+scenarios); this module holds only the values they compile to.  The paper
+leaves systematic generation as future work; the coverage module reports how
+much of the model each suite exercises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..platform.kernel.random import RandomSource
-from ..platform.kernel.time import ms
 from .requirements import TimingRequirement
 
 
@@ -65,115 +63,3 @@ class RTestCase:
 
     def stimulus_times(self) -> List[int]:
         return [stimulus.at_us for stimulus in self.stimuli]
-
-
-@dataclass(frozen=True)
-class TestGenerationConfig:
-    """Parameters shared by the generation strategies.
-
-    ``max_separation_us`` defaults to three times the minimum separation when
-    not given, so configs that only state a minimum remain valid.
-    """
-
-    # Tell pytest this is library code, not a collectable test class.
-    __test__ = False
-
-    sample_count: int = 10
-    start_offset_us: int = ms(10)
-    min_separation_us: int = ms(200)
-    max_separation_us: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sample_count <= 0:
-            raise ValueError("sample count must be positive")
-        if self.min_separation_us <= 0:
-            raise ValueError("minimum separation must be positive")
-        if self.max_separation_us is None:
-            object.__setattr__(self, "max_separation_us", self.min_separation_us * 3)
-        if self.max_separation_us < self.min_separation_us:
-            raise ValueError("maximum separation cannot be below the minimum")
-
-
-class RTestGenerator:
-    """Generates :class:`RTestCase` schedules for a requirement."""
-
-    def __init__(self, requirement: TimingRequirement, config: Optional[TestGenerationConfig] = None) -> None:
-        self.requirement = requirement
-        self.config = config or TestGenerationConfig()
-        if self.config.min_separation_us < requirement.min_stimulus_separation_us:
-            raise ValueError(
-                "generation config separation is below the requirement's minimum "
-                f"({self.config.min_separation_us} < {requirement.min_stimulus_separation_us})"
-            )
-
-    # ------------------------------------------------------------------
-    def uniform(self, name: Optional[str] = None) -> RTestCase:
-        """Evenly spaced stimuli at the configured minimum separation."""
-        times = [
-            self.config.start_offset_us + index * self.config.min_separation_us
-            for index in range(self.config.sample_count)
-        ]
-        return self._build(name or f"{self.requirement.requirement_id}-uniform", times)
-
-    def randomized(self, name: Optional[str] = None, stream: str = "rtest") -> RTestCase:
-        """Seeded random inter-arrival times in ``[min, max]`` separation."""
-        rng = RandomSource(self.config.seed).stream(stream)
-        times: List[int] = []
-        current = self.config.start_offset_us
-        for index in range(self.config.sample_count):
-            if index > 0:
-                current += rng.randint(self.config.min_separation_us, self.config.max_separation_us)
-            times.append(current)
-        return self._build(name or f"{self.requirement.requirement_id}-random", times)
-
-    def boundary(self, name: Optional[str] = None) -> RTestCase:
-        """Stimuli packed at the tightest admissible separation.
-
-        This exercises back-to-back requests, the case most likely to expose
-        queue build-up in multi-threaded schemes.
-        """
-        separation = max(
-            self.requirement.min_stimulus_separation_us, self.config.min_separation_us
-        )
-        times = [
-            self.config.start_offset_us + index * separation
-            for index in range(self.config.sample_count)
-        ]
-        return self._build(name or f"{self.requirement.requirement_id}-boundary", times)
-
-    def from_times(self, times_us: Sequence[int], name: Optional[str] = None) -> RTestCase:
-        """A test case from explicit stimulus instants (e.g. the paper's example)."""
-        return self._build(name or f"{self.requirement.requirement_id}-explicit", list(times_us))
-
-    # ------------------------------------------------------------------
-    def _build(self, name: str, times_us: Sequence[int]) -> RTestCase:
-        stimuli = tuple(
-            Stimulus(at_us=time_us, variable=self.requirement.stimulus.variable)
-            for time_us in sorted(times_us)
-        )
-        return RTestCase(
-            name=name,
-            requirement=self.requirement,
-            stimuli=stimuli,
-            description=(
-                f"{len(stimuli)} stimuli on {self.requirement.stimulus.variable} "
-                f"for {self.requirement.requirement_id}"
-            ),
-        )
-
-
-def paper_example_test_case(requirement: TimingRequirement) -> RTestCase:
-    """The exact example sequence from Section III of the paper.
-
-    ``{(m-BolusReq, 10 ms), (m-BolusReq, 300 ms), (m-BolusReq, 500 ms)}``
-    """
-    config = TestGenerationConfig(
-        sample_count=3,
-        start_offset_us=ms(10),
-        min_separation_us=max(ms(200), requirement.min_stimulus_separation_us),
-    )
-    generator = RTestGenerator(requirement, config)
-    return generator.from_times(
-        [ms(10), ms(300), ms(500)], name=f"{requirement.requirement_id}-paper-example"
-    )

@@ -31,7 +31,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..campaign.results import CampaignResult, RunRecord
 from ..campaign.runner import CampaignRunner
-from ..campaign.spec import M_TEST_NONE, M_TEST_POLICIES, RunSpec, derive_seed
+from ..campaign.spec import (
+    M_TEST_NONE,
+    M_TEST_POLICIES,
+    RunSpec,
+    SchemePoint,
+    coordinate_seeds,
+)
 from ..systems import DEFAULT_SYSTEM, get_pack, model_system
 from .models import FaultPlan
 from .mutants import MutantSpec, generate_mutants
@@ -112,20 +118,12 @@ class FaultMatrixSpec:
         return baselines + faults + mutants
 
     # ------------------------------------------------------------------
-    def _seeds(self, scheme: int, case: str) -> Tuple[int, int]:
-        """The (sut_seed, case_seed) shared by every run at one coordinate.
-
-        Derivation mirrors :class:`CampaignSpec` — coordinates only (with the
-        system folded in for non-default packs), never the injected defect —
-        so baseline and injected runs differ *solely* in the defect.
-        """
-        case_key = case if self.system == DEFAULT_SYSTEM else f"{self.system}:{case}"
-        sut_seed = derive_seed(self.base_seed, "sut", scheme, None, None, case_key)
-        case_seed = derive_seed(self.base_seed, "case", case_key, self.samples)
-        return sut_seed, case_seed
-
     def _run(self, index: int, scheme: int, case: str, *, faults=None, mutant=None) -> RunSpec:
-        sut_seed, case_seed = self._seeds(scheme, case)
+        # Seeds come from the coordinate alone, so baseline and injected runs
+        # at one coordinate differ *solely* in the defect.
+        sut_seed, case_seed = coordinate_seeds(
+            self.base_seed, SchemePoint(scheme), case, self.samples, self.system
+        )
         return RunSpec(
             index=index,
             scheme=scheme,

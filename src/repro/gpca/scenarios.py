@@ -1,11 +1,11 @@
 """Named test scenarios of the GPCA case study, as scenario-DSL programs.
 
-Each scenario is a declarative :class:`repro.scenarios.ScenarioProgram` that
-compiles to the R-test case (stimulus schedule) for one requirement.  The
-four legacy builder functions (``bolus_request_test_case`` & friends) are
-kept as the stable public API and now delegate to the programs; their
-compiled schedules are byte-identical to the hand-written originals (pinned
-by ``tests/scenarios/test_dsl.py``).
+Each scenario is a declarative :class:`repro.scenarios.ScenarioProgram` for
+one requirement; the GPCA pack (:mod:`repro.systems.gpca`) registers them as
+its ``case_builders``, and :meth:`repro.systems.SystemPack.schedule` compiles
+one into the R-test case (stimulus schedule) a run injects.  Their compiled
+schedules are byte-identical to the hand-written schedules they replaced
+(pinned by ``tests/scenarios/test_dsl.py``).
 
 Scenarios that need the pump to be in a particular state first (e.g. the
 empty-reservoir requirements only make sense while an infusion is running)
@@ -21,10 +21,7 @@ scenarios for the coverage-guided explorer (``repro explore``).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..core.requirements import TimingRequirement
-from ..core.test_generation import RTestCase
 from ..platform.kernel.time import ms, seconds
 from ..scenarios import (
     ROLE_SETUP,
@@ -54,34 +51,21 @@ SCENARIO_CYCLE_US = seconds(8)
 # ----------------------------------------------------------------------
 # The four evaluation scenarios as DSL programs
 # ----------------------------------------------------------------------
-def bolus_request_program(
-    samples: int = 10,
-    *,
-    requirement: Optional[TimingRequirement] = None,
-    randomized: bool = True,
-    start_offset_us: int = ms(150),
-) -> ScenarioProgram:
+def bolus_request_program(samples: int = 10) -> ScenarioProgram:
     """The Table I scenario as a program: repeated bolus requests vs REQ1.
 
-    A *pure stimulus* program (no setup/teardown): it compiles to exactly
-    the schedule :class:`repro.core.test_generation.RTestGenerator` builds,
-    like the original hand-written builder.  ``start_offset_us`` delays the
-    first request; runs against the extended GPCA model are moved past its
-    500 ms power-on self test by :meth:`repro.systems.SystemPack.schedule`.
+    A *pure stimulus* program (no setup/teardown): one request per cycle,
+    150 ms after start and then every 4.6–5.5 s (jittered), so each request
+    arrives while the pump is Idle again.  Runs against the extended GPCA
+    model are moved past its 500 ms power-on self test by
+    :meth:`repro.systems.SystemPack.schedule`.
     """
-    requirement = requirement or req1_bolus_start()
-    if randomized:
-        spacing = CycleSpacing(BOLUS_SPACING_US, BOLUS_SPACING_US + ms(900))
-        name = "bolus-request"
-    else:
-        spacing = CycleSpacing(BOLUS_SPACING_US)
-        name = "bolus-request-uniform"
     return ScenarioProgram(
-        name=name,
-        requirement=requirement,
-        spacing=spacing,
+        name="bolus-request",
+        requirement=req1_bolus_start(),
+        spacing=CycleSpacing(BOLUS_SPACING_US, BOLUS_SPACING_US + ms(900)),
         samples=samples,
-        start_offset_us=start_offset_us,
+        start_offset_us=ms(150),
     )
 
 
@@ -138,51 +122,6 @@ def alarm_clear_program(samples: int = 5) -> ScenarioProgram:
         teardown=(StimulusStep("m-ReservoirRefill", seconds(4), ROLE_TEARDOWN),),
         description="caregiver clears the empty-reservoir alarm; silencing is timed",
     )
-
-
-# ----------------------------------------------------------------------
-# Legacy builder API (compiled from the programs above)
-# ----------------------------------------------------------------------
-def bolus_request_test_case(
-    samples: int = 10,
-    *,
-    seed: int = 0,
-    requirement: Optional[TimingRequirement] = None,
-    randomized: bool = True,
-    start_offset_us: int = ms(150),
-) -> RTestCase:
-    """The Table I scenario: repeated bolus requests judged against REQ1."""
-    return bolus_request_program(
-        samples,
-        requirement=requirement,
-        randomized=randomized,
-        start_offset_us=start_offset_us,
-    ).compile(seed)
-
-
-def empty_reservoir_alarm_test_case(samples: int = 5) -> RTestCase:
-    """REQ2 scenario: buzzer annunciation latency when the reservoir empties."""
-    return empty_reservoir_alarm_program(samples).compile()
-
-
-def empty_reservoir_stop_test_case(samples: int = 5) -> RTestCase:
-    """REQ3 scenario: motor stop latency when the reservoir empties."""
-    return empty_reservoir_stop_program(samples).compile()
-
-
-def alarm_clear_test_case(samples: int = 5) -> RTestCase:
-    """REQ4 scenario: buzzer silencing latency on caregiver acknowledgement."""
-    return alarm_clear_program(samples).compile()
-
-
-def all_requirement_test_cases(samples: int = 5, *, seed: int = 0) -> List[RTestCase]:
-    """One scenario per GPCA timing requirement (used by examples and tests)."""
-    return [
-        bolus_request_test_case(samples, seed=seed),
-        empty_reservoir_alarm_test_case(samples),
-        empty_reservoir_stop_test_case(samples),
-        alarm_clear_test_case(samples),
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,11 @@ seeded jitter distribution.
 
 Programs *compile* to plain :class:`repro.core.test_generation.RTestCase`
 schedules, so everything downstream — R-testing, M-testing, the campaign
-engine — consumes them unchanged.  A program whose cycle is a bare measured
-stimulus compiles to exactly the schedule
-:class:`repro.core.test_generation.RTestGenerator` builds for the same
-spacing and seed, which is what let the hand-written GPCA scenarios be
-re-expressed as programs without changing a single pinned test case.
+engine — consumes them unchanged.  Jittered spacing draws from the compile
+seed's ``"rtest"`` stream by default (:attr:`ScenarioProgram.seed_stream`),
+the stream the hand-written GPCA schedules drew from, which is what let
+those scenarios be re-expressed as programs without changing a single
+pinned test case.
 
 Programs are frozen, hashable and picklable, which is what allows the
 campaign grid to use them directly as scenario-axis points, and they have a
@@ -115,9 +115,7 @@ class CycleSpacing:
 
     With ``max_us`` ``None`` the spacing is exactly ``min_us`` every cycle;
     otherwise each gap is drawn uniformly from ``[min_us, max_us]`` using the
-    compile seed's named stream, reproducing
-    :meth:`repro.core.test_generation.RTestGenerator.randomized` draw for
-    draw.
+    compile seed's named stream (:attr:`ScenarioProgram.seed_stream`).
     """
 
     min_us: int
@@ -168,8 +166,8 @@ class ScenarioProgram:
     teardown: Tuple[StimulusStep, ...] = ()
     description: str = ""
     #: Named random stream the jittered spacing draws from.  The default is
-    #: the stream :meth:`RTestGenerator.randomized` has always used, which is
-    #: what keeps legacy scenarios byte-identical.
+    #: the stream the hand-written GPCA schedules drew from, which is what
+    #: keeps their compiled schedules byte-identical.
     seed_stream: str = "rtest"
 
     def __post_init__(self) -> None:
@@ -185,9 +183,8 @@ class ScenarioProgram:
                 "burst gap is below the requirement's minimum stimulus separation "
                 f"({self.stimulus.burst_gap_us} < {minimum})"
             )
-        # Checked even for single-sample programs: RTestGenerator rejects the
-        # same spacing for any sample count, and a pure program must compile
-        # exactly where the generator does.
+        # Checked even for single-sample programs, so whether a program is
+        # valid never depends on its sample count (``with_samples``).
         if self.spacing.min_us - self.stimulus.span_us < minimum:
             raise ValueError(
                 "cycle spacing minus the burst span is below the requirement's "

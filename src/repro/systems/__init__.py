@@ -1,7 +1,7 @@
 """System packs: pluggable case-study systems for the testing pipeline.
 
 A :class:`SystemPack` bundles everything one system contributes — statechart
-builders, the four-variable interface, the scheme factory, named scenarios,
+builders, the four-variable interface, the system builder, named scenarios,
 the requirement suite, the generated-scenario space and the fault suite —
 behind a registry keyed by system id.  Three packs ship built in:
 

@@ -7,8 +7,8 @@ contributes to the pipeline:
 * the statechart builders (keyed by model name for the campaign artifact
   cache's content fingerprints);
 * the four-variable interface declaration;
-* the scheme factory that assembles an implemented system on the simulated
-  platform;
+* the ``build_system`` function that assembles an implemented system on the
+  simulated platform;
 * the named scenario cases, the timing-requirement suite and the generated
   scenario space;
 * the fault-plan suite for the kill matrix.
@@ -75,7 +75,6 @@ class SystemPack:
     #: Fault plans for the kill matrix; implementations lazily import
     #: ``repro.faults.models`` (layering: faults sits above systems).
     fault_suite: Callable[[], Tuple[Any, ...]]
-    schemes: Tuple[int, ...] = ALL_SCHEMES
     #: Per-model stimulus-schedule shift (see :meth:`schedule`).
     model_shifts_us: Mapping[str, int] = field(default_factory=dict)
 

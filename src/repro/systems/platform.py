@@ -24,7 +24,7 @@ from ..codegen.execution_model import ExecutionTimeModel
 from ..codegen.generator import GeneratedArtifacts, generate_code
 from ..core.instrumentation import ProbeConfiguration
 from ..core.four_variables import TraceRecorder
-from ..integration.base import EngineProfile, PlatformBundle
+from ..integration.base import DEFAULT_ENGINE, EngineProfile, PlatformBundle
 from ..integration.interference import InterferedConfig, InterferedSystem
 from ..integration.interfacing import (
     EventInputBinding,
@@ -219,26 +219,18 @@ def build_pack_bundle(
     *,
     seed: int = 0,
     input_variables: Optional[Iterable[str]] = None,
-    engine: Optional[EngineProfile] = None,
+    engine: EngineProfile = DEFAULT_ENGINE,
 ) -> PlatformBundle:
     """Assemble one fresh simulated platform from ``platform``.
 
     ``input_variables`` restricts the interfacing code to the i-variables the
     generated chart declares (with ``None`` every binding is created);
-    ``engine`` selects the runtime engine (production by default; tests and
-    benchmarks pass ``repro._reference.SEED_ENGINE`` to run the same platform
-    on the frozen seed implementations).
+    ``engine`` selects the runtime engine (tests and benchmarks pass
+    ``repro._reference.SEED_ENGINE`` to run the same platform on the frozen
+    seed implementations).
     """
-    if engine is None:
-        simulator = Simulator()
-        recorder = TraceRecorder(lambda: simulator.now)
-        device_wrapper = None
-        scheduler_class = None
-    else:
-        simulator = engine.simulator_factory()
-        recorder = engine.recorder_factory(lambda: simulator.now)
-        device_wrapper = engine.device_wrapper
-        scheduler_class = engine.scheduler_class
+    simulator = engine.simulator_factory()
+    recorder = engine.recorder_factory(lambda: simulator.now)
     hardware = PackHardware(
         simulator,
         recorder,
@@ -246,7 +238,7 @@ def build_pack_bundle(
         platform.levels,
         platform.actuators,
         randomness=RandomSource(seed),
-        device_wrapper=device_wrapper,
+        device_wrapper=engine.device_wrapper,
     )
     environment = PackEnvironment(simulator, hardware)
 
@@ -298,7 +290,7 @@ def build_pack_bundle(
     bundle = PlatformBundle(
         simulator=simulator,
         recorder=recorder,
-        scheduler_class=scheduler_class,
+        scheduler_class=engine.scheduler_class,
         hardware=hardware,
         environment=environment,
         interface=platform.interface(),
@@ -331,7 +323,7 @@ def build_pack_system(
     interference_scale: Optional[float] = None,
     artifacts: Optional[GeneratedArtifacts] = None,
     probes: Optional[ProbeConfiguration] = None,
-    engine: Optional[EngineProfile] = None,
+    engine: EngineProfile = DEFAULT_ENGINE,
 ):
     """Assemble one implemented system of a pack (model -> code -> platform).
 

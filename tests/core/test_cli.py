@@ -69,6 +69,23 @@ class TestRtestCommand:
         m_payload = json.loads(m_json_path.read_text())
         assert m_payload["segments"]
 
+    def test_m_json_without_m_test_is_a_usage_error_before_anything_runs(self, tmp_path, capsys):
+        m_json_path = tmp_path / "m_report.json"
+        argv = ["rtest", "--scheme", "2", "--samples", "2", "--m-json", str(m_json_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro rtest: error: --m-json needs --m-test\n"
+        assert captured.out == ""
+        assert not m_json_path.exists()
+
+    def test_a_passing_run_says_why_no_m_json_was_written(self, tmp_path, capsys):
+        m_json_path = tmp_path / "m_report.json"
+        argv = ["rtest", "--scheme", "2", "--samples", "2", "--m-test", "--m-json", str(m_json_path)]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert output.endswith("no M-test report written: no sample violated REQ1\n")
+        assert not m_json_path.exists()
+
     def test_rtest_requires_scheme(self):
         with pytest.raises(SystemExit):
             main(["rtest"])

@@ -82,6 +82,13 @@ class TestSufficiency:
         assert 0 < high < 0.35
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    def test_wilson_interval_widens_with_confidence(self):
+        highs = [wilson_interval(0, 10, confidence)[1] for confidence in (0.80, 0.95, 0.999)]
+        assert highs[0] < highs[1] < highs[2]
+        for confidence in (0, 1):
+            with pytest.raises(ValueError):
+                wilson_interval(0, 10, confidence)
+
     def test_assessment_clean_pass(self):
         assessment = assess_sufficiency(make_r_report([50] * 10))
         assert assessment.violations == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.core.delays import DelaySegments, SegmentStatistics, TransitionDelay, summarize_segments
 from repro.core.four_variables import Event, EventKind, FourVariableInterface, Trace
 from repro.core.m_testing import MTestAnalyzer, MTestingError
-from repro.core.r_testing import RTestRunner
+from repro.core.r_testing import evaluate_r_trace
 from repro.core.requirements import EventSpec, TimingRequirement
 from repro.core.test_generation import RTestCase, Stimulus
 from repro.platform.kernel.time import ms
@@ -151,7 +151,7 @@ class TestMTestAnalyzer:
             requirement=requirement,
             stimuli=(Stimulus(ms(10), "m-Req"), Stimulus(ms(1000), "m-Req")),
         )
-        r_report = RTestRunner.evaluate("replay", case, trace)
+        r_report = evaluate_r_trace("replay", case, trace)
         assert r_report.violation_count == 1
         analyzer = MTestAnalyzer(make_interface(), requirement)
         m_report = analyzer.analyze_violations(r_report)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.four_variables import Event, EventKind, FourVariableInterface, Trace
-from repro.core.r_testing import RTestRunner, SampleVerdict
+from repro.core.r_testing import SampleVerdict, evaluate_r_trace, execute_r_test
 from repro.core.requirements import EventSpec, TimingRequirement
 from repro.core.sut import SystemUnderTest
 from repro.core.test_generation import RTestCase, Stimulus
@@ -65,45 +65,45 @@ def make_case(requirement, count=3, spacing_ms=1000):
 class TestVerdicts:
     def test_all_within_deadline_passes(self):
         requirement = make_requirement(deadline_ms=100)
-        report = RTestRunner(lambda: ReplaySut([50, 80, 99])).run(make_case(requirement))
+        report = execute_r_test(lambda: ReplaySut([50, 80, 99]), make_case(requirement))
         assert report.passed
         assert report.violation_count == 0
         assert [sample.verdict for sample in report.samples] == [SampleVerdict.PASS] * 3
 
     def test_latency_above_deadline_fails(self):
         requirement = make_requirement(deadline_ms=100)
-        report = RTestRunner(lambda: ReplaySut([50, 120, 80])).run(make_case(requirement))
+        report = execute_r_test(lambda: ReplaySut([50, 120, 80]), make_case(requirement))
         assert not report.passed
         assert report.violation_count == 1
         assert report.samples[1].verdict is SampleVerdict.FAIL
 
     def test_missing_response_is_max(self):
         requirement = make_requirement()
-        report = RTestRunner(lambda: ReplaySut([50, None, 80])).run(make_case(requirement))
+        report = execute_r_test(lambda: ReplaySut([50, None, 80]), make_case(requirement))
         assert report.samples[1].verdict is SampleVerdict.MAX
         assert report.samples[1].latency_label() == "MAX"
         assert report.timeout_count == 1
 
     def test_latency_exactly_at_deadline_passes(self):
         requirement = make_requirement(deadline_ms=100)
-        report = RTestRunner(lambda: ReplaySut([100])).run(make_case(requirement, count=1))
+        report = execute_r_test(lambda: ReplaySut([100]), make_case(requirement, count=1))
         assert report.passed
 
     def test_response_after_timeout_is_max(self):
         requirement = make_requirement(deadline_ms=100, timeout_ms=300)
-        report = RTestRunner(lambda: ReplaySut([400])).run(make_case(requirement, count=1))
+        report = execute_r_test(lambda: ReplaySut([400]), make_case(requirement, count=1))
         assert report.samples[0].verdict is SampleVerdict.MAX
 
     def test_report_statistics(self):
         requirement = make_requirement()
-        report = RTestRunner(lambda: ReplaySut([50, 150, 100])).run(make_case(requirement))
+        report = execute_r_test(lambda: ReplaySut([50, 150, 100]), make_case(requirement))
         assert report.max_latency_us == ms(150)
         assert report.mean_latency_us == pytest.approx(ms(100))
         assert len(report.violating_samples) == 1
 
     def test_summary_mentions_requirement_and_verdict(self):
         requirement = make_requirement()
-        report = RTestRunner(lambda: ReplaySut([50])).run(make_case(requirement, count=1))
+        report = execute_r_test(lambda: ReplaySut([50]), make_case(requirement, count=1))
         summary = report.summary()
         assert "R-TEST" in summary and "PASS" in summary
 
@@ -121,7 +121,7 @@ class TestRTestingUsesOnlyMCEvents:
                 events.append(Event(EventKind.O, "c-Act", 1, ms(1)))
                 self._trace = Trace(sorted(events, key=lambda event: event.timestamp_us))
 
-        report = RTestRunner(lambda: NoisySut([150])).run(make_case(requirement, count=1))
+        report = execute_r_test(lambda: NoisySut([150]), make_case(requirement, count=1))
         assert report.samples[0].verdict is SampleVerdict.FAIL
 
     def test_evaluate_existing_trace(self):
@@ -133,6 +133,6 @@ class TestRTestingUsesOnlyMCEvents:
             ]
         )
         case = make_case(requirement, count=1)
-        report = RTestRunner.evaluate("offline", case, trace)
+        report = evaluate_r_trace("offline", case, trace)
         assert report.sut_name == "offline"
         assert report.samples[0].latency_us == ms(60)

@@ -1,15 +1,12 @@
-"""Unit tests for timing requirements, event specs and R-test-case generation."""
+"""Unit tests for timing requirements, event specs and R-test cases."""
 
 import pytest
 
 from repro.core.four_variables import Event, EventKind
 from repro.core.requirements import EventSpec, RequirementSet, TimingRequirement
-from repro.core.test_generation import (
-    RTestGenerator,
-    TestGenerationConfig,
-    paper_example_test_case,
-)
+from repro.core.test_generation import RTestCase, Stimulus
 from repro.platform.kernel.time import ms
+from repro.scenarios import CycleSpacing, ScenarioProgram
 
 
 class TestEventSpec:
@@ -100,49 +97,55 @@ class TestRequirementSet:
 
 
 class TestTestGeneration:
+    """Writing R-test schedules: scenario programs compiled to ``RTestCase``."""
+
     def test_uniform_spacing(self, req1):
-        config = TestGenerationConfig(sample_count=5, start_offset_us=ms(10), min_separation_us=ms(4200))
-        case = RTestGenerator(req1, config).uniform()
+        case = ScenarioProgram("uniform", req1, CycleSpacing(ms(4200)), samples=5).compile()
         times = case.stimulus_times()
         assert len(times) == 5
         assert times[0] == ms(10)
         assert all(b - a == ms(4200) for a, b in zip(times, times[1:]))
+        assert {stimulus.variable for stimulus in case.stimuli} == {"m-BolusReq"}
 
     def test_randomized_is_seeded(self, req1):
-        config = TestGenerationConfig(sample_count=8, min_separation_us=ms(4200), max_separation_us=ms(6000), seed=3)
-        a = RTestGenerator(req1, config).randomized()
-        b = RTestGenerator(req1, config).randomized()
-        assert a.stimulus_times() == b.stimulus_times()
+        program = ScenarioProgram("jitter", req1, CycleSpacing(ms(4200), ms(6000)), samples=8)
+        assert program.compile(seed=3) == program.compile(seed=3)
+        assert program.compile(seed=3) != program.compile(seed=4)
 
     def test_randomized_respects_bounds(self, req1):
-        config = TestGenerationConfig(sample_count=20, min_separation_us=ms(4200), max_separation_us=ms(5000), seed=1)
-        times = RTestGenerator(req1, config).randomized().stimulus_times()
+        program = ScenarioProgram("jitter", req1, CycleSpacing(ms(4200), ms(5000)), samples=20)
+        times = program.compile(seed=1).stimulus_times()
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(ms(4200) <= gap <= ms(5000) for gap in gaps)
+        assert len(set(gaps)) > 1
 
     def test_boundary_uses_requirement_minimum(self, req1):
-        config = TestGenerationConfig(sample_count=3, min_separation_us=ms(4200))
-        case = RTestGenerator(req1, config).boundary()
-        times = case.stimulus_times()
+        spacing = CycleSpacing(req1.min_stimulus_separation_us)
+        times = ScenarioProgram("boundary", req1, spacing, samples=3).compile().stimulus_times()
         assert times[1] - times[0] == req1.min_stimulus_separation_us
 
     def test_generator_rejects_too_small_separation(self, req1):
-        config = TestGenerationConfig(sample_count=3, min_separation_us=ms(100))
-        with pytest.raises(ValueError):
-            RTestGenerator(req1, config)
+        with pytest.raises(ValueError, match="minimum stimulus separation"):
+            ScenarioProgram("tight", req1, CycleSpacing(ms(100)), samples=3)
 
     def test_run_horizon_covers_timeout(self, req1):
-        config = TestGenerationConfig(sample_count=2, min_separation_us=ms(4200))
-        case = RTestGenerator(req1, config).uniform()
+        case = ScenarioProgram("horizon", req1, CycleSpacing(ms(4200)), samples=2).compile()
         assert case.run_horizon_us == case.last_stimulus_us + req1.effective_timeout_us
 
     def test_paper_example_sequence(self, req1):
-        case = paper_example_test_case(req1)
+        """The example sequence of Section III, stated as a case directly."""
+        stimuli = tuple(Stimulus(ms(at_ms), "m-BolusReq") for at_ms in (10, 300, 500))
+        case = RTestCase("REQ1-paper-example", req1, stimuli)
         assert case.stimulus_times() == [ms(10), ms(300), ms(500)]
-        assert all(stimulus.variable == "m-BolusReq" for stimulus in case.stimuli)
+        assert case.sample_count == 3
+        assert case.run_horizon_us == ms(500) + req1.effective_timeout_us
 
-    def test_invalid_config_rejected(self):
+    def test_invalid_config_rejected(self, req1):
         with pytest.raises(ValueError):
-            TestGenerationConfig(sample_count=0)
+            RTestCase("x", req1, (Stimulus(ms(300), "m-BolusReq"), Stimulus(ms(10), "m-BolusReq")))
         with pytest.raises(ValueError):
-            TestGenerationConfig(min_separation_us=ms(10), max_separation_us=ms(5))
+            Stimulus(-1, "m-BolusReq")
+        with pytest.raises(ValueError):
+            ScenarioProgram("x", req1, CycleSpacing(ms(4200)), samples=0)
+        with pytest.raises(ValueError):
+            CycleSpacing(ms(10), ms(5))

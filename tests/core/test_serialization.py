@@ -1,12 +1,13 @@
 """Unit tests for trace / report serialization."""
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.core.four_variables import Event, EventKind, Trace
 from repro.core.m_testing import MTestAnalyzer
-from repro.core.r_testing import RTestRunner, SampleVerdict
+from repro.core.r_testing import SampleVerdict, execute_r_test
 from repro.core.serialization import (
     m_report_to_dict,
     m_report_to_json,
@@ -20,14 +21,15 @@ from repro.core.serialization import (
     trace_to_dict,
     trace_to_json,
 )
-from repro.gpca import bolus_request_test_case, build_pump_interface, req1_bolus_start, scheme_factory
+from repro.gpca import bolus_request_program, build_pump_interface, req1_bolus_start
 from repro.platform.kernel.time import ms
+from repro.systems import GPCA_PACK
 
 
 @pytest.fixture(scope="module")
 def scheme1_reports():
-    test_case = bolus_request_test_case(samples=3, seed=4)
-    r_report = RTestRunner(scheme_factory(1, seed=11)).run(test_case)
+    test_case = bolus_request_program(3).compile(4)
+    r_report = execute_r_test(partial(GPCA_PACK.build_system, 1, seed=11), test_case)
     analyzer = MTestAnalyzer(build_pump_interface(), req1_bolus_start())
     m_report = analyzer.analyze(r_report.trace, sut_name=r_report.sut_name)
     return r_report, m_report

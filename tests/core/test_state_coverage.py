@@ -40,12 +40,14 @@ class TestStateCoverage:
         assert "uncovered: none" in coverage.summary()
 
     def test_coverage_of_a_real_run(self, fig2_artifacts):
-        from repro.core import RTestRunner
-        from repro.gpca import bolus_request_test_case, scheme_factory
+        from functools import partial
 
-        report = RTestRunner(scheme_factory(2, seed=3)).run(
-            bolus_request_test_case(samples=2, seed=2)
-        )
+        from repro.core.r_testing import execute_r_test
+        from repro.gpca import bolus_request_program
+        from repro.systems import GPCA_PACK
+
+        case = bolus_request_program(2).compile(2)
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=3), case)
         coverage = StateCoverage.for_code_model(fig2_artifacts.code_model)
         coverage.add_trace(report.trace)
         # The bolus scenario never reaches the EmptyAlarm state.

@@ -45,12 +45,12 @@ def test_hunt_stops_early_once_every_survivor_is_killed():
 def test_mc_signature_is_blind_to_internal_events():
     """The kill oracle observes monitored/controlled variables only."""
     from repro.core.r_testing import execute_r_test
-    from repro.gpca import bolus_request_test_case
+    from repro.gpca import bolus_request_program
     from repro.systems import get_pack
 
     report = execute_r_test(
         lambda: get_pack("gpca").build_system(2, seed=11),
-        bolus_request_test_case(samples=1, seed=1),
+        bolus_request_program(1).compile(1),
     )
     verdicts, c_events = mc_signature(report)
     assert len(verdicts) == 1

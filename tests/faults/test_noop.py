@@ -16,7 +16,7 @@ from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_dict
 from repro.faults import FaultPlan
-from repro.gpca import bolus_request_test_case, build_pump_interface
+from repro.gpca import bolus_request_program, build_pump_interface
 from repro.systems import get_pack
 
 
@@ -29,7 +29,7 @@ def trace_signature(trace):
 
 @pytest.mark.parametrize("scheme", [1, 2, 3])
 def test_empty_plan_keeps_traces_and_reports_byte_identical(scheme):
-    test_case = bolus_request_test_case(samples=3, seed=7)
+    test_case = bolus_request_program(3).compile(7)
 
     def clean_factory():
         return get_pack("gpca").build_system(scheme, seed=scheme * 11)

@@ -1,13 +1,15 @@
 """Tests of the analysis helpers (statistics, tables, figure series)."""
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.figures import SweepPoint, render_sweep, sweep_point
 from repro.analysis.statistics import Summary, percentile, to_milliseconds, violation_rate
 from repro.analysis.tables import SchemeResult, TableOne
-from repro.core import RTestRunner
-from repro.gpca import bolus_request_test_case, scheme_factory
-from repro.systems import generic_scheme_name
+from repro.core.r_testing import execute_r_test
+from repro.gpca import bolus_request_program
+from repro.systems import GPCA_PACK, generic_scheme_name
 
 
 class TestStatistics:
@@ -42,7 +44,8 @@ class TestStatistics:
 
 class TestSweep:
     def test_sweep_point_from_report(self):
-        report = RTestRunner(scheme_factory(2, seed=1)).run(bolus_request_test_case(samples=3, seed=1))
+        case = bolus_request_program(3).compile(1)
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=1), case)
         point = sweep_point(25.0, report)
         assert point.parameter == 25.0
         assert 0.0 <= point.violation_rate <= 1.0
@@ -66,7 +69,8 @@ class TestTableOneEdgeCases:
         assert "TABLE I" in table.render()
 
     def test_scheme_without_m_report(self):
-        report = RTestRunner(scheme_factory(2, seed=1)).run(bolus_request_test_case(samples=2, seed=1))
+        case = bolus_request_program(2).compile(1)
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=1), case)
         result = SchemeResult(2, generic_scheme_name(2), report, m_report=None)
         table = TableOne([result])
         row = table.rows()[0]

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from functools import partial
 
 import pytest
 
@@ -13,22 +14,22 @@ from repro.analysis.export import (
     table_one_to_markdown,
 )
 from repro.analysis.figures import SweepPoint
-from repro.core import MTestAnalyzer, RTestRunner
+from repro.core import MTestAnalyzer
+from repro.core.r_testing import execute_r_test
 from repro.gpca import (
-    bolus_request_test_case,
+    bolus_request_program,
     build_pump_interface,
     req1_bolus_start,
-    scheme_factory,
 )
-from repro.systems import generic_scheme_name
+from repro.systems import GPCA_PACK, generic_scheme_name
 
 
 @pytest.fixture(scope="module")
 def small_table():
     table = TableOne()
-    test_case = bolus_request_test_case(samples=3, seed=2)
+    test_case = bolus_request_program(3).compile(2)
     for scheme in (1, 2):
-        r_report = RTestRunner(scheme_factory(scheme, seed=scheme)).run(test_case)
+        r_report = execute_r_test(partial(GPCA_PACK.build_system, scheme, seed=scheme), test_case)
         m_report = MTestAnalyzer(build_pump_interface(), req1_bolus_start()).analyze(
             r_report.trace, sut_name=r_report.sut_name
         )

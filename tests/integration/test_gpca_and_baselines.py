@@ -1,5 +1,6 @@
 """Tests of the GPCA scenario catalogue and the related-work baselines."""
 
+from functools import partial
 
 from repro.baselines import (
     BlackBoxOnlineTester,
@@ -7,71 +8,77 @@ from repro.baselines import (
     FunctionalStep,
 )
 from repro.codegen import generate_code
-from repro.core import RTestRunner
+from repro.core.r_testing import execute_r_test
 from repro.gpca import (
-    alarm_clear_test_case,
-    bolus_request_test_case,
+    alarm_clear_program,
+    bolus_request_program,
     build_extended_statechart,
     build_fig2_statechart,
-    empty_reservoir_alarm_test_case,
-    empty_reservoir_stop_test_case,
-    scheme_factory,
+    empty_reservoir_alarm_program,
+    empty_reservoir_stop_program,
 )
+from repro.systems import GPCA_PACK
 
 
 class TestGpcaScenarios:
     def test_bolus_scenario_spacing_respects_bolus_duration(self):
-        case = bolus_request_test_case(samples=6, seed=1)
+        case = bolus_request_program(6).compile(1)
         times = case.stimulus_times()
         assert all(b - a >= case.requirement.min_stimulus_separation_us for a, b in zip(times, times[1:]))
 
     def test_empty_reservoir_alarm_scenario_on_scheme2(self):
-        report = RTestRunner(scheme_factory(2, seed=5)).run(empty_reservoir_alarm_test_case(samples=3))
+        case = empty_reservoir_alarm_program(3).compile()
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=5), case)
         assert len(report.samples) == 3
         assert report.passed
 
     def test_empty_reservoir_stop_scenario_on_scheme2(self):
-        report = RTestRunner(scheme_factory(2, seed=5)).run(empty_reservoir_stop_test_case(samples=3))
+        case = empty_reservoir_stop_program(3).compile()
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=5), case)
         assert len(report.samples) == 3
         assert report.passed
 
     def test_alarm_clear_scenario_on_scheme2(self):
-        report = RTestRunner(scheme_factory(2, seed=5)).run(alarm_clear_test_case(samples=3))
+        case = alarm_clear_program(3).compile()
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=5), case)
         assert len(report.samples) == 3
         assert report.passed
 
     def test_extended_model_runs_on_scheme2(self):
-        # Start after the 500 ms power-on self test of the extended chart.
-        case = bolus_request_test_case(samples=3, seed=2, start_offset_us=800_000)
-        report = RTestRunner(scheme_factory(2, seed=6, use_extended_model=True)).run(case)
+        # The pack starts the schedule after the extended chart's 500 ms
+        # power-on self test: at 800 ms instead of 150 ms.
+        case = GPCA_PACK.schedule(bolus_request_program(3), 2, "extended")
+        assert case.stimulus_times()[0] == 800_000
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=6, model="extended"), case)
         assert len(report.samples) == 3
         assert report.passed
 
     def test_request_during_power_on_test_is_ignored(self):
         """A request during the extended model's self test gets no bolus (MAX),
         exactly as the model specifies."""
-        case = bolus_request_test_case(samples=1, seed=2, start_offset_us=150_000)
-        report = RTestRunner(scheme_factory(2, seed=6, use_extended_model=True)).run(case)
+        case = bolus_request_program(1).compile(2)
+        assert case.stimulus_times() == [150_000]
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=6, model="extended"), case)
         assert report.samples[0].timed_out
 
 
 class TestBlackBoxBaseline:
     def test_reaches_same_verdict_as_r_testing(self):
-        case = bolus_request_test_case(samples=4, seed=3)
-        r_report = RTestRunner(scheme_factory(3, seed=44)).run(case)
-        bb_report = BlackBoxOnlineTester(scheme_factory(3, seed=44)).run(case)
+        case = bolus_request_program(4).compile(3)
+        r_report = execute_r_test(partial(GPCA_PACK.build_system, 3, seed=44), case)
+        bb_report = BlackBoxOnlineTester(partial(GPCA_PACK.build_system, 3, seed=44)).run(case)
         assert bb_report.passed == r_report.passed
         assert bb_report.violation_count == r_report.violation_count
 
     def test_provides_no_diagnostic_information(self):
-        case = bolus_request_test_case(samples=2, seed=3)
-        report = BlackBoxOnlineTester(scheme_factory(3, seed=44)).run(case)
+        case = bolus_request_program(2).compile(3)
+        report = BlackBoxOnlineTester(partial(GPCA_PACK.build_system, 3, seed=44)).run(case)
         assert report.diagnostic_information() == []
         assert "0 delay segments" in report.summary()
 
     def test_passing_system_passes(self):
-        case = bolus_request_test_case(samples=3, seed=3)
-        report = BlackBoxOnlineTester(scheme_factory(2, seed=7)).run(case)
+        case = bolus_request_program(3).compile(3)
+        report = BlackBoxOnlineTester(partial(GPCA_PACK.build_system, 2, seed=7)).run(case)
         assert report.passed
         assert all(verdict.passed for verdict in report.verdicts)
 
@@ -102,9 +109,8 @@ class TestFunctionalConformanceBaseline:
         checker = FunctionalConformanceChecker(chart, generate_code(chart))
         functional = checker.run(checker.bolus_scenario(), "bolus")
         assert functional.conformant
-        timing = RTestRunner(scheme_factory(3, seed=44)).run(
-            bolus_request_test_case(samples=3, seed=3)
-        )
+        case = bolus_request_program(3).compile(3)
+        timing = execute_r_test(partial(GPCA_PACK.build_system, 3, seed=44), case)
         assert not timing.passed
         assert "timing not assessed" in functional.summary()
 

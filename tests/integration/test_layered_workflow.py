@@ -1,26 +1,28 @@
 """End-to-end tests of the layered R-then-M workflow on the case study."""
 
+from functools import partial
+
 import pytest
 
 from repro.analysis import SchemeResult, TableOne, fig3_views, model_timing_view
-from repro.core import MTestAnalyzer, RTestRunner, TransitionCoverage, render_layered_summary
+from repro.core import MTestAnalyzer, TransitionCoverage, render_layered_summary
+from repro.core.r_testing import execute_r_test
 from repro.gpca import (
     TRANS_BOLUS_REQUEST,
     TRANS_START_INFUSION,
-    bolus_request_test_case,
+    bolus_request_program,
     build_fig2_statechart,
     build_pump_interface,
     req1_bolus_start,
-    scheme_factory,
 )
-from repro.systems import generic_scheme_name
+from repro.systems import GPCA_PACK, generic_scheme_name
 
 
 @pytest.fixture(scope="module")
 def scheme3_run():
     """One scheme-3 R-test execution shared by the workflow tests (expensive)."""
-    test_case = bolus_request_test_case(samples=5, seed=9)
-    report = RTestRunner(scheme_factory(3, seed=99)).run(test_case)
+    test_case = bolus_request_program(5).compile(9)
+    report = execute_r_test(partial(GPCA_PACK.build_system, 3, seed=99), test_case)
     return test_case, report
 
 

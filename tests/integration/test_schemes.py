@@ -1,14 +1,17 @@
 """Integration tests of the three implementation schemes on the simulated platform."""
 
+from functools import partial
+
 import pytest
 
-from repro.core import EventKind, RTestRunner
+from repro.core import EventKind
+from repro.core.r_testing import execute_r_test
 from repro.core.test_generation import Stimulus
-from repro.gpca import bolus_request_test_case, scheme_factory
+from repro.gpca import bolus_request_program
 from repro.integration.multi_threaded import MultiThreadedConfig
 from repro.integration.single_threaded import SingleThreadedConfig
 from repro.platform.kernel.time import ms, seconds
-from repro.systems import get_pack
+from repro.systems import GPCA_PACK, get_pack
 
 build_system = get_pack("gpca").build_system
 
@@ -120,21 +123,19 @@ class TestSchemeComparison:
     """The paper's qualitative Table I shape across the three schemes."""
 
     def test_scheme2_passes_req1(self):
-        report = RTestRunner(scheme_factory(2, seed=22)).run(
-            bolus_request_test_case(samples=5, seed=5)
-        )
+        case = bolus_request_program(5).compile(5)
+        report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=22), case)
         assert report.passed
 
     def test_scheme3_violates_req1(self):
-        report = RTestRunner(scheme_factory(3, seed=33)).run(
-            bolus_request_test_case(samples=5, seed=5)
-        )
+        case = bolus_request_program(5).compile(5)
+        report = execute_r_test(partial(GPCA_PACK.build_system, 3, seed=33), case)
         assert not report.passed
 
     def test_scheme3_is_worse_than_scheme1(self):
-        case = bolus_request_test_case(samples=5, seed=5)
-        scheme1 = RTestRunner(scheme_factory(1, seed=11)).run(case)
-        scheme3 = RTestRunner(scheme_factory(3, seed=11)).run(case)
+        case = bolus_request_program(5).compile(5)
+        scheme1 = execute_r_test(partial(GPCA_PACK.build_system, 1, seed=11), case)
+        scheme3 = execute_r_test(partial(GPCA_PACK.build_system, 3, seed=11), case)
         assert scheme3.violation_count >= scheme1.violation_count
 
     def test_build_system_dispatch(self):

@@ -42,10 +42,14 @@ def test_violation_rate_bounds(latencies, deadline):
         assert rate == 1.0
 
 
-@given(st.integers(min_value=0, max_value=100), st.integers(min_value=1, max_value=100))
-def test_wilson_interval_is_a_valid_interval(successes, extra):
+@given(
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=1, max_value=100),
+    st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+)
+def test_wilson_interval_is_a_valid_interval(successes, extra, confidence):
     samples = successes + extra
-    low, high = wilson_interval(successes, samples)
+    low, high = wilson_interval(successes, samples, confidence)
     assert 0.0 <= low <= high <= 1.0
     # The observed proportion always lies inside the interval.
     assert low <= successes / samples <= high

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro._reference import SEED_ENGINE
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import r_report_to_dict
+from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.rtos.scheduler import RTOSScheduler
 from repro.scenarios import ScenarioSampler
 from repro.systems import get_pack
@@ -50,13 +51,13 @@ def _no_window(scheduler, limit_us):
     return min(task.release_handle.time_us for task in scheduler.tasks)
 
 
-def _run(system_id, scheme, case, sut_seed, *, engine=None, windows=True):
+def _run(system_id, scheme, case, sut_seed, *, engine=DEFAULT_ENGINE, windows=True):
     pack = get_pack(system_id)
     built = []
 
     def factory():
         system = pack.build_system(scheme, seed=sut_seed, engine=engine)
-        if engine is None:
+        if engine is DEFAULT_ENGINE:
             system.scheduler.observer = _Recorder()
         built.append(system)
         return system

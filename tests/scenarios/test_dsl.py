@@ -1,22 +1,19 @@
 """Tests of the scenario DSL: compilation, determinism, legacy equivalence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.core.test_generation import RTestGenerator, TestGenerationConfig
 from repro.gpca import (
     alarm_clear_program,
-    alarm_clear_test_case,
     bolus_request_program,
-    bolus_request_test_case,
     empty_reservoir_alarm_program,
-    empty_reservoir_alarm_test_case,
     empty_reservoir_stop_program,
-    empty_reservoir_stop_test_case,
     req1_bolus_start,
     req2_empty_reservoir_alarm,
 )
+from repro.gpca.scenarios import BOLUS_SPACING_US
 from repro.platform.kernel.time import ms, seconds
 from repro.scenarios import (
     ROLE_SETUP,
@@ -28,37 +25,59 @@ from repro.scenarios import (
 )
 
 
-class TestLegacyScenarioEquivalence:
-    """The DSL programs reproduce the hand-written builders byte for byte.
+def _cycle_schedule(samples):
+    """The hand-written multi-step GPCA schedule: one 8 s cycle per sample,
+    bolus request, reservoir empty, alarm cleared, reservoir refilled."""
+    steps = (
+        (0, "m-BolusReq"),
+        (seconds(1), "m-EmptyReservoir"),
+        (seconds(3), "m-ClearAlarm"),
+        (seconds(4), "m-ReservoirRefill"),
+    )
+    return [
+        (ms(150) + index * seconds(8) + offset, variable)
+        for index in range(samples)
+        for offset, variable in steps
+    ]
 
-    The expected schedules are pinned as literals (not recomputed through the
-    delegating builders), so a regression in either the DSL or the builders
-    is caught against ground truth.
+
+class TestLegacyScenarioEquivalence:
+    """The DSL programs reproduce the hand-written schedules byte for byte.
+
+    The expected schedules are pinned as literals, so a regression in the
+    DSL or in a program is caught against ground truth.
     """
 
     def test_bolus_request_randomized_matches_pinned_schedule(self):
         case = bolus_request_program(4).compile(seed=0)
-        assert case == bolus_request_test_case(4, seed=0)
         assert case.name == "bolus-request"
         assert [s.variable for s in case.stimuli] == ["m-BolusReq"] * 4
         # Pinned: RandomSource(0).stream("rtest") inter-arrival draws.
         assert case.stimulus_times() == [150_000, 5_457_656, 10_504_287, 15_900_905]
 
     def test_bolus_request_uniform_matches_legacy(self):
-        program = bolus_request_program(5, randomized=False)
-        case = program.compile(seed=3)
-        assert case == bolus_request_test_case(5, seed=3, randomized=False)
-        assert case.name == "bolus-request-uniform"
-        gaps = {b - a for a, b in zip(case.stimulus_times(), case.stimulus_times()[1:])}
-        assert gaps == {ms(4600)}
+        # The bolus program at a fixed 4.6 s spacing: the legacy uniform
+        # schedule, for every seed.
+        program = replace(bolus_request_program(5), spacing=CycleSpacing(BOLUS_SPACING_US))
+        for seed in (0, 3):
+            assert program.compile(seed).stimulus_times() == [
+                150_000,
+                4_750_000,
+                9_350_000,
+                13_950_000,
+                18_550_000,
+            ]
 
     def test_empty_reservoir_programs_match_legacy(self):
-        for program_builder, case_builder in [
-            (empty_reservoir_alarm_program, empty_reservoir_alarm_test_case),
-            (empty_reservoir_stop_program, empty_reservoir_stop_test_case),
+        for program_builder, requirement_id in [
+            (empty_reservoir_alarm_program, "REQ2"),
+            (empty_reservoir_stop_program, "REQ3"),
         ]:
             for samples in (1, 3, 5):
-                assert program_builder(samples).compile() == case_builder(samples)
+                case = program_builder(samples).compile()
+                assert case.name == f"empty-reservoir-{requirement_id}"
+                assert case.requirement.requirement_id == requirement_id
+                assert [(s.at_us, s.variable) for s in case.stimuli] == _cycle_schedule(samples)
 
     def test_empty_reservoir_alarm_pinned_first_cycle(self):
         case = empty_reservoir_alarm_program(2).compile()
@@ -72,7 +91,10 @@ class TestLegacyScenarioEquivalence:
 
     def test_alarm_clear_program_matches_legacy(self):
         for samples in (1, 2, 5):
-            assert alarm_clear_program(samples).compile() == alarm_clear_test_case(samples)
+            case = alarm_clear_program(samples).compile()
+            assert case.name == "alarm-clear"
+            assert case.requirement.requirement_id == "REQ4"
+            assert [(s.at_us, s.variable) for s in case.stimuli] == _cycle_schedule(samples)
 
 
 class TestCompilation:
@@ -89,19 +111,20 @@ class TestCompilation:
         assert program.compile(seed=1) == program.compile(seed=99)
 
     def test_pure_program_lowers_through_core_generator(self):
-        requirement = req1_bolus_start()
-        program = bolus_request_program(6, requirement=requirement)
-        generator = RTestGenerator(
-            requirement,
-            TestGenerationConfig(
-                sample_count=6,
-                start_offset_us=ms(150),
-                min_separation_us=ms(4600),
-                max_separation_us=ms(5500),
-                seed=17,
-            ),
-        )
-        assert program.compile(seed=17) == generator.randomized(name="bolus-request")
+        # Pinned: the schedule the pre-DSL generator drew for the same bounds
+        # (4.6-5.5 s gaps from 150 ms) and seed, from the "rtest" stream.
+        case = bolus_request_program(6).compile(seed=17)
+        assert case.stimulus_times() == [
+            150_000,
+            5_497_729,
+            10_386_259,
+            15_701_087,
+            20_506_859,
+            25_844_982,
+        ]
+        assert [s.variable for s in case.stimuli] == ["m-BolusReq"] * 6
+        assert case.name == "bolus-request"
+        assert case.description == "6 stimuli on m-BolusReq for REQ1"
 
     def test_general_path_orders_interleaved_steps(self):
         program = ScenarioProgram(

@@ -27,6 +27,7 @@ from repro.core.serialization import m_report_to_dict, r_report_to_dict
 from repro.faults import FaultPlan, SensorGlitchFault, SensorStuckFault, generate_mutants
 from repro.gpca.model import build_fig2_statechart
 from repro.systems import get_pack, pack_ids
+from repro.systems.base import ALL_SCHEMES
 from repro.systems.platform import PackEnvironment, PackHardware, build_pack_system
 
 SAMPLES = 2
@@ -109,7 +110,7 @@ class TestStructure:
     def test_every_pack_builds_on_the_declarative_platform(self, system):
         pack = get_pack(system)
         assert pack.build_system.func is build_pack_system
-        for scheme in pack.schemes:
+        for scheme in ALL_SCHEMES:
             bundle = pack.build_system(scheme).bundle
             assert type(bundle.hardware) is PackHardware
             assert type(bundle.environment) is PackEnvironment

@@ -46,12 +46,12 @@ from repro.core.serialization import m_report_to_dict, r_report_to_json
 from repro.faults import ClockDriftFault, FaultPlan
 from repro.gpca.interface import build_pump_interface
 from repro.gpca.model import build_fig2_statechart
-from repro.gpca.pump import ALL_SCHEMES
-from repro.gpca.scenarios import all_requirement_test_cases
+from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.devices.device import StateInputDevice
 from repro.platform.kernel.simulator import Simulator
 from repro.platform.kernel.time import ms
-from repro.systems import get_pack
+from repro.systems import GPCA_PACK, get_pack
+from repro.systems.base import ALL_SCHEMES
 
 requires_cc = pytest.mark.skipif(
     find_c_compiler() is None, reason="no host C compiler available"
@@ -60,11 +60,11 @@ requires_cc = pytest.mark.skipif(
 #: Small sample counts keep the full cross-product affordable; identity either
 #: holds on every event or it doesn't.
 SAMPLES = 2
-CASES = all_requirement_test_cases(SAMPLES, seed=0)
+CASES = [program(SAMPLES).compile(0) for program in GPCA_PACK.case_builders.values()]
 CASE_IDS = [case.name for case in CASES]
 
 
-def _run_case(case, scheme, *, engine=None, code_model=None):
+def _run_case(case, scheme, *, engine=DEFAULT_ENGINE, code_model=None):
     """R-test ``case`` on fresh GPCA systems; ``code_model`` swaps in the
     compiled-C executor for the generated Python CODE(M)."""
 
@@ -224,7 +224,7 @@ class TestDormantSampling:
 
     @staticmethod
     def _compare(scenario):
-        production = scenario(None)
+        production = scenario(DEFAULT_ENGINE)
         seed_path = scenario(SEED_ENGINE)
         assert production[0] == seed_path[0]
         assert production[1]["kernel_dormant_rearms"] > 0
