@@ -69,7 +69,9 @@ Exit codes, shared by every sub-command:
   failed (e.g. an unknown snapshot id, a snapshot with no Table I at the
   requested case, a ``store``/``serve`` path that holds no run store).
 * ``2`` — usage error: unknown flag or value rejected by validation
-  (argparse also uses 2 for parse failures).
+  (argparse also uses 2 for parse failures), including an output path
+  that names a directory or a file in a directory that does not exist,
+  which is rejected before anything runs.
 """
 
 from __future__ import annotations
@@ -973,10 +975,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The argparse destinations of every flag that names a file to write.
+OUTPUT_FLAGS = ("output", "json", "csv", "m_json", "timeline", "table1", "table1_csv")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Files are written after the work, so a path no file can be written to
+    # is caught here rather than as a traceback that loses the result.
+    for dest in OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            flag = "--" + dest.replace("_", "-")
+            print(
+                f"repro {args.command}: error: {flag} {path}: not a file in an existing directory",
+                file=sys.stderr,
+            )
+            return 2
     return args.handler(args)
 
 

@@ -37,6 +37,7 @@ platforms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from ..platform.kernel.random import JitterModel, RandomSource
@@ -72,18 +73,16 @@ class FaultModel:
 
     kind: ClassVar[str] = "base"
 
-    def instrument(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:  # pragma: no cover - abstract hook
         """Wrap the fault into ``system``; ``rng`` is this fault's named stream.
 
-        The system is marked ``faulted``: a fault may act on any job, so a
-        faulted system runs every job on the callback path and never in a
-        quiescent window.
+        A fault whose hook an idle job or the quiescence check can reach (the
+        kernel's ``schedule``, the scheduler's directive advance, a level
+        sensor's ``read``) sets ``system.idle_jobs_faulted``, which keeps
+        every job of the run on the callback path.  Any other fault leaves
+        quiescent windows open: its hook runs only on a kernel entry or a
+        job that already closes the window.
         """
-        system.faulted = True
-        self._wrap(system, rng)
-
-    def _wrap(self, system, rng) -> None:  # pragma: no cover - abstract hook
-        """Install the fault's hooks on ``system``."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -120,7 +119,9 @@ class ClockDriftFault(FaultModel):
         if self.drift <= -1.0:
             raise ValueError("clock drift must keep delays positive (drift > -1)")
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
+        # Every compute-segment completion is timed through ``schedule``.
+        system.idle_jobs_faulted = True
         simulator = system.bundle.simulator
         original = simulator.schedule
         factor = 1.0 + self.drift
@@ -183,7 +184,9 @@ class ExecutionInflationFault(FaultModel):
         if not 0.0 <= self.overrun_probability <= 1.0:
             raise ValueError("overrun probability must be in [0, 1]")
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
+        # ``_advance`` runs on every segment, idle jobs' included.
+        system.idle_jobs_faulted = True
         scheduler = system.scheduler
         original = scheduler._advance
         factor = self.factor
@@ -255,7 +258,7 @@ class QueueFault(FaultModel):
             # configured.
             raise ValueError(f"drop+delay+reorder probabilities must sum to <= 1 (got {total:g})")
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
         scheduler = system.scheduler
         simulator = system.bundle.simulator
         original_create = scheduler.create_queue
@@ -333,7 +336,7 @@ class PriorityInversionFault(FaultModel):
         if self.period_us <= 0:
             raise ValueError("inversion period must be positive")
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
         from ..platform.rtos.directives import Compute
 
         window = self.window
@@ -341,13 +344,15 @@ class PriorityInversionFault(FaultModel):
         def hog_job():
             yield Compute(window.sample(rng), label="fault:inversion-window")
 
-        system.scheduler.create_task(
+        hog = system.scheduler.create_task(
             "fault_inversion_hog",
             priority=self.priority,
             job_factory=hog_job,
             period_us=self.period_us,
             offset_us=self.offset_us,
         )
+        # Every hog job is this one segment, so it is also its idle shape.
+        hog.idle_shape = ((partial(window.sample, rng), window.worst_case_us, None),)
 
     def describe(self) -> str:
         return (
@@ -372,12 +377,14 @@ class SensorStuckFault(FaultModel):
     stuck_value: Any = False
     from_us: int = 0
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
         simulator = system.bundle.simulator
         device = getattr(system.bundle.hardware, self.device)
         start = self.from_us
         stuck_value = self.stuck_value
         if hasattr(device, "read"):
+            # Idle sensing jobs and the quiescence check read level sensors.
+            system.idle_jobs_faulted = True
             original_read = device.read
 
             def stuck_read():
@@ -420,7 +427,7 @@ class SensorGlitchFault(FaultModel):
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
 
-    def _wrap(self, system, rng) -> None:
+    def instrument(self, system, rng) -> None:
         device = getattr(system.bundle.hardware, self.device)
         probability = self.drop_probability
         inactive = self.inactive_value
@@ -432,6 +439,9 @@ class SensorGlitchFault(FaultModel):
 
             device.poll = glitched_poll
         elif hasattr(device, "read"):
+            # Idle sensing jobs and the quiescence check read level sensors,
+            # and every read draws from the fault stream.
+            system.idle_jobs_faulted = True
             original_read = device.read
 
             def glitched_read():

@@ -129,9 +129,10 @@ class ImplementedSystem(SystemUnderTest):
         self._code_clock_anchor_us = 0
         self._built = False
         self.name = self.scheme_name
-        #: Set by fault instrumentation (``repro.faults``): a faulted system
-        #: runs every job on the callback path, never in a quiescent window.
-        self.faulted = False
+        #: Set by a fault (``repro.faults``) whose hook an idle job or the
+        #: quiescence check reaches: every job then runs on the callback
+        #: path, never in a quiescent window.
+        self.idle_jobs_faulted = False
 
     # ------------------------------------------------------------------
     # SystemUnderTest interface
@@ -163,16 +164,19 @@ class ImplementedSystem(SystemUnderTest):
         (:meth:`RTOSScheduler.fast_forward`) instead of one generator
         activation at a time; traces, reports, RNG draws and every engine
         counter but ``kernel_window_events`` are those of the callback path.
-        The kernel stops before each task-release instant to check; a
-        faulted system, a task without an idle shape or another engine keep
-        the plain callback path.
+        The kernel stops before each task-release instant to check.  A fault
+        whose hook an idle job or the quiescence check reaches (see
+        :meth:`FaultModel.instrument <repro.faults.models.FaultModel.instrument>`),
+        a task without an idle shape, a busy period no bound holds, or
+        another engine keep the plain callback path; every other fault acts
+        only on kernel entries and jobs that end a window anyway.
         """
         if not self._built:
             self.build()
         simulator = self.bundle.simulator
         scheduler = self.scheduler
         if (
-            self.faulted
+            self.idle_jobs_faulted
             or type(simulator) is not Simulator
             or type(scheduler) is not RTOSScheduler
             or scheduler.idle_busy_bound() is None

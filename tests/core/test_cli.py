@@ -1,11 +1,12 @@
 """Tests of the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.campaign.worker import execution_count
-from repro.cli import main
+from repro.cli import OUTPUT_FLAGS, build_parser, main
 
 
 class TestVerifyCommand:
@@ -123,6 +124,75 @@ class TestRejectedValues:
         assert captured.err == "repro faults: error: hunt episode count cannot be negative\n"
         assert captured.out == ""
         assert execution_count() == before
+
+
+class TestUnwritableOutputPath:
+    """Output files are written after the work, so a path in a directory
+    that does not exist, or a directory, is a usage error caught before
+    anything runs."""
+
+    CASES = [
+        ["codegen", "--output"],
+        ["rtest", "--scheme", "2", "--samples", "1", "--json"],
+        ["rtest", "--scheme", "2", "--samples", "1", "--csv"],
+        ["rtest", "--scheme", "3", "--samples", "1", "--m-test", "--m-json"],
+        ["table1", "--samples", "1", "--output"],
+        ["profile", "--timeline"],
+        ["campaign", "--samples", "1", "--json"],
+        ["campaign", "--samples", "1", "--csv"],
+        ["faults", "--samples", "1", "--json"],
+        ["faults", "--samples", "1", "--csv"],
+        ["systems", "--json"],
+        ["explore", "--episodes", "1", "--json"],
+        ["store", "diff", "--db", "runs.db", "latest", "prev", "--json"],
+        ["store", "export", "--db", "runs.db", "--json"],
+        ["store", "export", "--db", "runs.db", "--csv"],
+        ["store", "export", "--db", "runs.db", "--table1"],
+        ["store", "export", "--db", "runs.db", "--table1-csv"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", CASES, ids=lambda argv: " ".join(argv[: 2 if argv[0] == "store" else 1] + argv[-1:])
+    )
+    def test_a_missing_directory_is_a_usage_error_before_anything_runs(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "missing" / "out.txt"
+        before = execution_count()
+        assert main(argv + [str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro {argv[0]}: error: {argv[-1]} {target}: not a file in an existing directory\n"
+        )
+        assert captured.out == ""
+        assert execution_count() == before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_is_a_usage_error_before_anything_runs(self, tmp_path, capsys):
+        before = execution_count()
+        assert main(["faults", "--samples", "1", "--json", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro faults: error: --json {tmp_path}: not a file in an existing directory\n"
+        )
+        assert captured.out == ""
+        assert execution_count() == before
+
+    def test_every_file_writing_flag_is_checked(self):
+        """A new ``--flag`` whose help says it writes a file must be listed."""
+        writers = set()
+        pending = [build_parser()]
+        while pending:
+            parser = pending.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    pending.extend(action.choices.values())
+                elif action.option_strings and (action.help or "").startswith("write"):
+                    writers.add(action.dest)
+        assert writers == set(OUTPUT_FLAGS)
+        checked = {argv[-1] for argv in self.CASES}
+        assert checked == {"--" + dest.replace("_", "-") for dest in OUTPUT_FLAGS}
 
 
 class TestParser:

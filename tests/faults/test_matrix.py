@@ -180,7 +180,7 @@ class TestDefaultGpcaMatrix:
     ENGINE_TOTALS = {
         "kernel_events_processed_total": 2_574_914,
         "kernel_dormant_rearms_total": 1_918_728,
-        "kernel_window_events_total": 1_348_218,
+        "kernel_window_events_total": 2_159_004,
         "kernel_cancellations_total": 32_134,
         "kernel_compactions_total": 0,
         "scheduler_activations_total": 369_014,

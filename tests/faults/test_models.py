@@ -27,6 +27,12 @@ from repro.systems import get_pack
 
 build_system = get_pack("gpca").build_system
 
+#: Faults on a GPCA level sensor, whose ``read`` idle sensing jobs call.
+GPCA_LEVEL_PLANS = (
+    FaultPlan((SensorStuckFault(device="reservoir_sensor", stuck_value=True),), name="level-stuck"),
+    FaultPlan((SensorGlitchFault(device="reservoir_sensor", drop_probability=0.5),), name="level-glitch"),
+)
+
 
 class _StubSystem:
     """The minimal system surface the fault models instrument."""
@@ -250,19 +256,59 @@ class TestFaultPlan:
         )
         assert before == after  # no wrapper hooks were installed
 
-    @pytest.mark.parametrize("plan", default_fault_suite(), ids=lambda plan: plan.name)
+    #: Per pack and plan of its fault suite (plus a stuck and a glitching
+    #: GPCA level sensor): whether the plan marks the system
+    #: ``idle_jobs_faulted`` (its hook reaches an idle job or the quiescence
+    #: check), and the schemes on which the faulted system still opens
+    #: quiescent windows.  The priority-inversion hog leaves scheme 1 no
+    #: busy-period bound: its worst-case utilisation reaches one.
+    WINDOW_RULE = {
+        ("gpca", "clock-drift"): (True, ()),
+        ("gpca", "exec-inflation"): (True, ()),
+        ("gpca", "queue-loss"): (False, (1, 2)),
+        ("gpca", "queue-delay"): (False, (1, 2)),
+        ("gpca", "priority-inversion"): (False, (2,)),
+        ("gpca", "sensor-stuck"): (False, (1, 2)),
+        ("gpca", "sensor-glitch"): (False, (1, 2)),
+        ("gpca", "level-stuck"): (True, ()),
+        ("gpca", "level-glitch"): (True, ()),
+        ("pacemaker", "clock-drift"): (True, ()),
+        ("pacemaker", "exec-inflation"): (True, ()),
+        ("pacemaker", "queue-loss"): (False, (1, 2)),
+        ("pacemaker", "sensor-stuck"): (False, (1, 2)),
+        ("pacemaker", "sensor-glitch"): (False, (1, 2)),
+        ("cruise", "clock-drift"): (True, ()),
+        ("cruise", "exec-inflation"): (True, ()),
+        ("cruise", "queue-delay"): (False, (1, 2)),
+        ("cruise", "sensor-stuck"): (False, (1, 2)),
+        ("cruise", "sensor-glitch"): (False, (1, 2)),
+    }
+
+    @pytest.mark.parametrize(
+        "system_id, plan",
+        [
+            (system_id, plan)
+            for system_id in ("gpca", "pacemaker", "cruise")
+            for plan in get_pack(system_id).fault_suite()
+        ]
+        + [("gpca", plan) for plan in GPCA_LEVEL_PLANS],
+        ids=lambda value: getattr(value, "name", value),
+    )
     @pytest.mark.parametrize("scheme", (1, 2))
-    def test_a_faulted_system_never_opens_a_quiescent_window(self, plan, scheme):
-        """A fault may act on any job, so every job of a faulted system runs
-        on the callback path; the same system unfaulted opens windows."""
-        clean = build_system(scheme, seed=3)
+    def test_which_faults_close_windows(self, system_id, plan, scheme):
+        """A fault keeps the callback path only when idle jobs or the
+        quiescence check reach its hook; the same system unfaulted opens
+        windows."""
+        marks, window_schemes = self.WINDOW_RULE[(system_id, plan.name)]
+        build = get_pack(system_id).build_system
+        clean = build(scheme, seed=3)
         clean.run(ms(2000))
-        assert not clean.faulted
         assert clean.bundle.simulator.counters()["kernel_window_events"] > 0
-        faulted = plan.instrument(build_system(scheme, seed=3), seed=3)
+        faulted = plan.instrument(build(scheme, seed=3), seed=3)
         faulted.run(ms(2000))
-        assert faulted.faulted
-        assert faulted.bundle.simulator.counters()["kernel_window_events"] == 0
+        assert faulted.idle_jobs_faulted is marks
+        opened = faulted.bundle.simulator.counters()["kernel_window_events"] > 0
+        assert opened is (scheme in window_schemes)
 
     def test_round_trips_through_dict_and_pickle(self):
         for plan in default_fault_suite():
