@@ -65,7 +65,7 @@ Campaign quickstart (the Table I grid, sharded across four workers)::
     print(result.table_one().render())
 """
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "__version__",

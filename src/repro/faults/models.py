@@ -77,11 +77,13 @@ class FaultModel:
         """Wrap the fault into ``system``; ``rng`` is this fault's named stream.
 
         A fault whose hook an idle job or the quiescence check can reach (the
-        kernel's ``schedule``, the scheduler's directive advance, a level
-        sensor's ``read``) sets ``system.idle_jobs_faulted``, which keeps
-        every job of the run on the callback path.  Any other fault leaves
-        quiescent windows open: its hook runs only on a kernel entry or a
-        job that already closes the window.
+        scheduler's directive advance, a level sensor's ``read``) sets
+        ``system.idle_jobs_faulted``, which keeps every job of the run on the
+        callback path; clock drift, which reaches idle jobs through the
+        kernel's ``schedule``, declares its factor to the scheduler instead
+        (see :class:`ClockDriftFault`).  Any other fault leaves quiescent
+        windows open: its hook runs only on a kernel entry or a job that
+        already closes the window.
         """
         raise NotImplementedError
 
@@ -108,6 +110,16 @@ class ClockDriftFault(FaultModel):
     releases — are untouched.  The net effect is that all software activity
     slows relative to the physical timeline, exactly the failure a
     mis-trimmed oscillator produces.
+
+    Idle jobs reach the hook (every compute-segment completion is timed
+    through ``schedule``), so the fault declares its factor to the scheduler
+    (:attr:`RTOSScheduler.clock_factor`): quiescent windows then time each
+    replayed completion as ``int(round(pending * factor))``, and the
+    busy-period bound scales every worst case by the factor, rounded up.
+    That argument holds for a factor of one or more only, and for one
+    factor: a slow-down below one, or a second drift stacked on this one
+    (whose two roundings no single factor reproduces), marks the system
+    ``idle_jobs_faulted`` instead, which keeps the callback path.
     """
 
     kind: ClassVar[str] = "clock-drift"
@@ -120,11 +132,14 @@ class ClockDriftFault(FaultModel):
             raise ValueError("clock drift must keep delays positive (drift > -1)")
 
     def instrument(self, system, rng) -> None:
-        # Every compute-segment completion is timed through ``schedule``.
-        system.idle_jobs_faulted = True
         simulator = system.bundle.simulator
         original = simulator.schedule
         factor = 1.0 + self.drift
+        scheduler = system.scheduler
+        if factor < 1.0 or scheduler.clock_factor != 1.0:
+            system.idle_jobs_faulted = True
+        else:
+            scheduler.clock_factor = factor
 
         # Mirrors Simulator.schedule's full signature (positional-or-keyword
         # priority/label plus the reuse recycling hint) so the hot-path
@@ -352,7 +367,9 @@ class PriorityInversionFault(FaultModel):
             offset_us=self.offset_us,
         )
         # Every hog job is this one segment, so it is also its idle shape.
-        hog.idle_shape = ((partial(window.sample, rng), window.worst_case_us, None),)
+        hog.idle_shape = (
+            (partial(window.sample, rng), window.worst_case_us, window.best_case_us, None),
+        )
 
     def describe(self) -> str:
         return (

@@ -336,7 +336,7 @@ class ImplementedSystem(SystemUnderTest):
         execution model's ``*_cost`` methods the job bodies call do.
         """
         scan = self.execution_model.input_scan
-        return (partial(scan.sample, self._rng), scan.worst_case_us, None)
+        return (partial(scan.sample, self._rng), scan.worst_case_us, scan.best_case_us, None)
 
     def _idle_code_segment(self) -> Optional[IdleSegment]:
         """Idle-shape segment of a CODE(M) invocation that fires nothing.
@@ -349,7 +349,12 @@ class ImplementedSystem(SystemUnderTest):
         if self.config.transitions_per_cycle == 0:
             return None
         scan = self.execution_model.idle_scan
-        return (partial(scan.sample, self._rng), scan.worst_case_us, self._advance_code_clock)
+        return (
+            partial(scan.sample, self._rng),
+            scan.worst_case_us,
+            scan.best_case_us,
+            self._advance_code_clock,
+        )
 
     def _collect_inputs(self) -> List[Tuple[str, Any]]:
         """Run the input interfacing code (zero simulated time; callers charge cost)."""

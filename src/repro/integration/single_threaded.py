@@ -65,7 +65,12 @@ class SingleThreadedSystem(ImplementedSystem):
             task.idle_shape = (
                 self._scan_segment(),
                 code_segment,
-                (partial(housekeeping.sample, self._rng), housekeeping.worst_case_us, None),
+                (
+                    partial(housekeeping.sample, self._rng),
+                    housekeeping.worst_case_us,
+                    housekeeping.best_case_us,
+                    None,
+                ),
             )
 
     # ------------------------------------------------------------------

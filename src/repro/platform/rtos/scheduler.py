@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heapreplace
-from typing import Any, Callable, List, Optional
+from math import inf, lcm
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..kernel.simulator import Simulator
 from .directives import Compute, Receive, Send
@@ -65,6 +66,97 @@ class NullSchedulerObserver:
 #: Module-level null sink shared by every scheduler instance.
 NULL_SCHEDULER_OBSERVER = NullSchedulerObserver()
 
+# What a group plan's piece of CPU time does once it starts: a same-instant
+# release preempts it before any time elapses; it completes and its job has
+# segments left; it completes its job's last segment.  A job without segments
+# is one ``_EMPTY`` piece, ending the instant it is dispatched.
+_PREEMPTED, _COMPLETES, _FINISHES, _EMPTY = range(4)
+
+
+class _GroupPlan:
+    """How a confined release group runs, fixed before any of its draws.
+
+    ``ops`` lists the group's pieces in the order the callback path runs them,
+    each ``(draw, enter, charge, kind, slot, stats, name, deadline)``: the
+    segment's draw and ``enter`` hook (both None when the piece resumes a job
+    a same-instant release preempted), the context-switch charge, the piece
+    kind, the job's position in the group, and its task's stats, name and
+    deadline.  Everything else the group does is a constant: ``events``
+    (releases and completions), dispatch ``rounds``, ``cancellations`` (the
+    zero-elapsed preemptions), ``tallies`` (each job's stats and preemption
+    count; every job is one activation and one completion) and the ``last``
+    dispatched task after it.  ``runs`` counts replays not yet folded into
+    the stats.  A group no plan may run has ``worst_us`` infinite.
+    """
+
+    __slots__ = ("order", "worst_us", "ops", "last", "events", "rounds", "cancellations", "tallies", "runs")
+
+    def __init__(self, order: Tuple[int, ...]) -> None:
+        self.order = order
+        self.worst_us: float = inf
+        self.ops: Tuple[tuple, ...] = ()
+        self.last: Optional[Task] = None
+        self.events = self.rounds = self.cancellations = self.runs = 0
+        self.tallies: Tuple[tuple, ...] = ()
+
+
+class _ReleaseRun:
+    """The confined groups that follow one release state, fixed before any draw.
+
+    A release state is every task's next release instant relative to the
+    first, in kernel order.  ``groups`` lists ``(offset, plan, state)`` for
+    each group: its instant relative to the run's start, its plan and the
+    release state just before it.  The run ends ``length`` µs after its start,
+    in release ``state`` with ``last`` dispatched last: a hyperperiod later,
+    where the window that compiled it could reach no further, or before a
+    group that is not confined.
+    """
+
+    __slots__ = ("groups", "length", "state", "last")
+
+    def __init__(self, groups, length, state, last) -> None:
+        self.groups = groups
+        self.length = length
+        self.state = state
+        self.last = last
+
+
+class _WindowModel:
+    """The window loop's per-scheduler constants, rebuilt when ``key`` changes.
+
+    ``key`` holds every task attribute and scheduler setting the constants
+    derive from.  ``plans`` maps ``(release order, last dispatched task)`` to
+    a :class:`_GroupPlan` and ``runs`` maps ``(release state, last dispatched
+    task)`` to a :class:`_ReleaseRun`, both compiled on first use; ``plans``
+    is None when no group can be confined, so such a task set pays one check
+    per window.
+    """
+
+    __slots__ = ("key", "bound", "costs", "positive", "periods", "hyperperiod", "scale", "plans", "runs")
+
+    def __init__(self, scheduler: "RTOSScheduler", key: tuple) -> None:
+        tasks = scheduler.tasks
+        self.key = key
+        self.bound = scheduler.idle_busy_bound()
+        self.costs = scheduler._idle_job_costs()
+        self.periods = [task.period_us for task in tasks]
+        self.hyperperiod = lcm(*self.periods) if tasks else 0
+        factor = scheduler.clock_factor
+        self.scale = None if factor == 1.0 else factor
+        self.positive = [
+            task.idle_shape is not None and all(segment[2] > 0 for segment in task.idle_shape)
+            for task in tasks
+        ]
+        # A group costs at least its cheapest job, and the next release
+        # instant is at most a shortest period away.
+        plannable = [cost for cost, positive in zip(self.costs or (), self.positive) if positive]
+        self.plans: Optional[Dict[tuple, _GroupPlan]] = (
+            {}
+            if self.bound is not None and plannable and min(plannable) < min(self.periods)
+            else None
+        )
+        self.runs: Dict[tuple, _ReleaseRun] = {}
+
 
 class RTOSScheduler:
     """A single-core fixed-priority preemptive scheduler."""
@@ -99,6 +191,12 @@ class RTOSScheduler:
         # refilled on the fire path only (a preempted segment's handle is
         # cancelled and must never be recycled — its heap entry is stale).
         self._completion_spare = None
+        #: The factor by which a clock-drift fault scales every relative
+        #: kernel delay (``repro.faults.ClockDriftFault``), so that quiescent
+        #: windows time replayed completions the way the drifted kernel does.
+        #: No busy-period bound is written for a factor below one.
+        self.clock_factor = 1.0
+        self._window: Optional[_WindowModel] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -478,27 +576,52 @@ class RTOSScheduler:
         """True when no job is running or ready."""
         return self._running is None and not self._ready
 
-    def idle_busy_bound(self) -> Optional[int]:
-        """Longest busy period a window of idle jobs can hold, or None.
+    def _idle_job_costs(self) -> Optional[List[int]]:
+        """Each task's worst-case idle job, in µs of drifted time, or None.
 
-        Every task must declare an idle shape.  A job of task ``i`` costs at
-        most its segments' worst cases plus one context switch per segment
-        and one more for a preemption it suffers (each release preempts at
-        most once), and at most ``L // period + 1`` of its releases fall in
-        any closed interval of length ``L``.  The least fixed point of the
-        summed demand bounds every busy period that starts on an idle CPU.
-        None when the worst-case utilisation reaches one, or when a busy
-        period could hold enough preemptions to trigger a kernel compaction.
+        A job costs its segments' worst cases plus one context switch per
+        segment, and one more for a preemption it may inflict (each release
+        preempts at most once), each segment and that switch scaled by the
+        clock factor ``f`` and rounded up: ``Σ ⌈(wₛ + s)·f⌉ + ⌈s·f⌉``, which
+        is ``Σ wₛ + (n + 1)·s`` at ``f = 1``.  The drifted kernel times a
+        segment piece of undrifted pending ``p`` as ``round(p·f)``, at most
+        ``⌈p·f⌉``, and a preemption after ``e`` drifted µs leaves ``p − e``
+        undrifted; as ``e + ⌈(p − e)·f⌉ ≤ ⌈p·f⌉`` for ``f ≥ 1``, a segment
+        whose pieces were charged ``D`` in all runs at most ``⌈D·f⌉``, and
+        ``⌈x·f⌉`` is subadditive.  None when a task declares no idle shape or
+        the factor is below one, where that argument fails.
         """
-        demands = []
+        numerator, denominator = float(self.clock_factor).as_integer_ratio()
+        if numerator < denominator:
+            return None
         switch = self.context_switch_us
+        costs = []
         for task in self.tasks:
             shape = task.idle_shape
             if shape is None:
                 return None
-            cost = sum(segment[1] for segment in shape) + (len(shape) + 1) * switch
-            demands.append((task.period_us, cost))
-        if not demands or sum(cost / period for period, cost in demands) >= 1.0:
+            charges = [segment[1] + switch for segment in shape]
+            charges.append(switch)
+            costs.append(sum(-(-us * numerator // denominator) for us in charges))
+        return costs
+
+    def idle_busy_bound(self) -> Optional[int]:
+        """Longest busy period a window of idle jobs can hold, or None.
+
+        Every task must declare an idle shape.  A job of task ``i`` costs at
+        most its idle job's worst case (:meth:`_idle_job_costs`), and at most
+        ``L // period + 1`` of its releases fall in any closed interval of
+        length ``L``.  The least fixed point of the summed demand bounds every
+        busy period that starts on an idle CPU.  None when a task has no idle
+        shape, the clock factor is below one, the worst-case utilisation
+        reaches one, or a busy period could hold enough preemptions to
+        trigger a kernel compaction.
+        """
+        costs = self._idle_job_costs()
+        if not costs:
+            return None
+        demands = [(task.period_us, cost) for task, cost in zip(self.tasks, costs)]
+        if sum(cost / period for period, cost in demands) >= 1.0:
             return None
         length = 0
         while True:
@@ -509,8 +632,222 @@ class RTOSScheduler:
         releases = sum(length // period + 1 for period, _ in demands)
         return length if releases < Simulator._COMPACTION_MIN_STALE else None
 
+    def _window_model(self) -> _WindowModel:
+        """The window loop's constants, rebuilt whenever what they derive from changes."""
+        key = (
+            self.context_switch_us,
+            self.clock_factor,
+            tuple(
+                (task.priority, task.period_us, task.deadline_us, task.idle_shape)
+                for task in self.tasks
+            ),
+        )
+        model = self._window
+        if model is None or model.key != key:
+            model = self._window = _WindowModel(self, key)
+        return model
+
+    def _group_plan(self, order: Tuple[int, ...], last: Optional[Task], model: _WindowModel) -> _GroupPlan:
+        """How the jobs of ``order``, released at one idle instant, run.
+
+        ``order`` lists task indices in release order and ``last`` is the
+        last dispatched task.  When every draw is positive, no job can
+        finish at the release instant, so the dispatch decisions of the
+        callback path — which job runs, which same-instant release preempts
+        which job before any time elapses, which start pays a context switch
+        — depend on these two alone, never on a draw.  This replays those
+        decisions once.  The plan may run only a group that is *confined*:
+        every job's segments have a positive best case, and the group's
+        summed worst cases (``model.costs``) end before the next release
+        instant; otherwise its ``worst_us`` stays infinite.  Compiled once
+        per scheduler for each pair.
+        """
+        key = (order, last)
+        plan = model.plans.get(key)
+        if plan is not None:
+            return plan
+        plan = model.plans[key] = _GroupPlan(order)
+        worst = sum(model.costs[index] for index in order)
+        if worst >= min(model.periods[index] for index in order) or not all(
+            model.positive[index] for index in order
+        ):
+            return plan
+        tasks = self.tasks
+        switch = self.context_switch_us
+        ops: List[list] = []
+        preemptions = dict.fromkeys(order, 0)
+        # A job is ``[slot, task index, next segment, its open piece or None,
+        # preempted mid-piece]``.
+        ready: List[list] = []
+        running: Optional[list] = None
+        rounds = cancellations = completions = 0
+
+        def dispatch() -> None:
+            nonlocal running, last
+            while running is None and ready:
+                best = 0
+                for position in range(1, len(ready)):
+                    if tasks[ready[position][1]].priority > tasks[ready[best][1]].priority:
+                        best = position
+                job = ready.pop(best)
+                slot, index, segment, piece, resumed = job
+                task = tasks[index]
+                shape = task.idle_shape
+                if resumed or segment < len(shape):
+                    draw = enter = None
+                    if not resumed:
+                        draw, _, _, enter = shape[segment]
+                        job[2] = segment + 1
+                    charge = switch if last is not task else 0
+                    job[3] = [draw, enter, charge, _COMPLETES, slot, task.stats, task.name, task.deadline_us]
+                    job[4] = False
+                    ops.append(job[3])
+                    running = job
+                    last = task
+                elif piece is None:
+                    ops.append([None, None, 0, _EMPTY, slot, task.stats, task.name, task.deadline_us])
+                else:
+                    # The job's last piece has just completed.
+                    piece[3] = _FINISHES
+
+        for slot, index in enumerate(order):
+            ready.append([slot, index, 0, None, False])
+            if running is None or tasks[index].priority > tasks[running[1]].priority:
+                rounds += 1
+                if running is not None:
+                    running[3][3] = _PREEMPTED
+                    running[4] = True
+                    preemptions[running[1]] += 1
+                    cancellations += 1
+                    ready.insert(0, running)
+                    running = None
+                dispatch()
+        while running is not None:
+            completions += 1
+            ready.insert(0, running)
+            running = None
+            rounds += 1
+            dispatch()
+
+        plan.worst_us = worst
+        plan.ops = tuple(tuple(op) for op in ops)
+        plan.last = last
+        plan.events = len(order) + completions
+        plan.rounds = rounds
+        plan.cancellations = cancellations
+        plan.tallies = tuple((tasks[index].stats, preemptions[index]) for index in order)
+        return plan
+
+    def _release_run(
+        self, state: tuple, last: Optional[Task], span: int, model: _WindowModel
+    ) -> _ReleaseRun:
+        """The confined groups from release ``state``, ``last`` dispatched last.
+
+        The groups' instants and orders follow from the state alone (each
+        release re-arms a period later, after every entry already queued),
+        and so does every plan: the run stops a hyperperiod on, at ``span``
+        if that is sooner, or before the first group that is not confined.
+        Compiled once per scheduler for each pair.
+        """
+        key = (state, last)
+        run = model.runs.get(key)
+        if run is not None:
+            return run
+        periods = model.periods
+        span = min(span, model.hyperperiod)
+        heap = [(offset, rank, member) for rank, (offset, member) in enumerate(state)]
+        draws = len(heap)
+        groups = []
+        while True:
+            at = heap[0][0]
+            before = tuple([(time - at, member) for time, _, member in sorted(heap)])
+            if at >= span:
+                break
+            order = []
+            while heap[0][0] == at:
+                member = heap[0][2]
+                order.append(member)
+                heapreplace(heap, (at + periods[member], draws, member))
+                draws += 1
+            plan = self._group_plan(tuple(order), last, model)
+            if not at + plan.worst_us < heap[0][0]:
+                break
+            groups.append((at, plan, before))
+            last = plan.last
+        run = model.runs[key] = _ReleaseRun(tuple(groups), at, before, last)
+        return run
+
+    def _replay_runs(
+        self,
+        run: _ReleaseRun,
+        base: int,
+        last: Optional[Task],
+        bound: int,
+        horizon: int,
+        model: _WindowModel,
+    ) -> Tuple[int, tuple, Optional[Task], int]:
+        """Replay confined groups from their plans, run after run, from ``base``.
+
+        ``run`` starts at ``base`` with ``last`` dispatched last, and its first
+        group ends before ``horizon``.  Stops before the first group whose
+        busy period might not (its instant plus ``bound``), or that is not
+        confined.  Returns that group's instant, the release state there, the
+        last dispatched task and the instant of the last group replayed.
+        """
+        observer = self.observer
+        observed = observer is not NULL_SCHEDULER_OBSERVER
+        segment = observer.segment
+        deadline_miss = observer.deadline_miss
+        scale = model.scale
+        instant = base
+        # Pending µs of a group's jobs that a same-instant release preempted.
+        carried = [0] * len(self.tasks)
+        while True:
+            for offset, plan, state in run.groups:
+                at = base + offset
+                if at + bound >= horizon:
+                    return at, state, last, instant
+                now = at
+                for draw, enter, charge, kind, slot, stats, name, deadline in plan.ops:
+                    if kind != _EMPTY:
+                        if draw is None:
+                            pending = carried[slot] + charge
+                        else:
+                            if enter is not None:
+                                enter(now)
+                            pending = draw() + charge
+                        if kind == _PREEMPTED:
+                            carried[slot] = pending
+                            if observed:
+                                segment(name, now, now, True)
+                            continue
+                        if scale is not None:
+                            pending = int(round(pending * scale))
+                        stats.cpu_time_us += pending
+                        if observed:
+                            segment(name, now, now + pending, False)
+                        now += pending
+                        if kind == _COMPLETES:
+                            continue
+                    response = now - at
+                    stats.response_times_us.append(response)
+                    if deadline is not None and response > deadline:
+                        stats.deadline_misses += 1
+                        deadline_miss(name, now)
+                plan.runs += 1
+                last = plan.last
+                instant = at
+            base += run.length
+            if base + bound >= horizon:
+                return base, run.state, last, instant
+            successor = self._release_run(run.state, last, horizon - bound - base, model)
+            if not successor.groups:
+                # The next group is not confined.
+                return base, run.state, last, instant
+            run = successor
+
     def fast_forward(self, limit_us: int) -> int:
-        """Replay a quiescent stretch of idle jobs in one integer loop.
+        """Replay a quiescent stretch of idle jobs without the kernel.
 
         The caller stops the kernel just before the next task release and
         calls this only while the system the tasks serve is quiescent: every
@@ -519,18 +856,30 @@ class RTOSScheduler:
         also ends at the kernel's first entry that is neither a dormant chain
         nor a task release (:meth:`Simulator.window_scan`).
 
-        The loop replays releases and compute-segment completions exactly as
-        the callback path dispatches them — fixed-priority preemption, FIFO
+        Releases and compute-segment completions replay exactly as the
+        callback path dispatches them — fixed-priority preemption, FIFO
         ties, the context-switch charge, each segment's draw at the instant
-        the job enters it, same-instant order by the kernel's sequence draws —
-        and keeps every :class:`TaskStats` field, ``dispatch_rounds``, the job
-        sequence and the observer's ``segment``/``deadline_miss`` calls
-        exact.  It opens a busy period on an idle CPU only when the period
+        the job enters it, same-instant order by the kernel's sequence draws,
+        completions timed by the :attr:`clock_factor` as the drifted kernel
+        times them — and every :class:`TaskStats` field, ``dispatch_rounds``,
+        the job sequence and the observer's ``segment``/``deadline_miss``
+        calls stay exact.  A busy period opens on an idle CPU only when it
         provably ends before the window does (:meth:`idle_busy_bound`), so
-        no draw is ever speculative, and it stops at an instant where the
-        CPU is idle and nothing due there has run.  :meth:`Simulator.skip_window`
-        then moves the kernel's dormant chains and release entries past the
-        stretch.
+        no draw is ever speculative, and the window stops at an instant
+        where the CPU is idle and nothing due there has run.
+        :meth:`Simulator.skip_window` then moves the kernel's dormant chains
+        and release entries past the stretch.
+
+        A busy period runs one of two ways.  If the releases due at its
+        first instant form a confined group (:meth:`_group_plan`), it and
+        the confined groups after it replay from precompiled plans without
+        the release heap (:meth:`_release_run`, :meth:`_replay_runs`): per
+        job only the draws, the ``enter`` hooks, the CPU time, the
+        response, the deadline check and the observer calls remain, and a
+        hyperperiod whose release state repeats loops on one run.  The heap
+        is rebuilt where that replay stops.  Any other busy period runs the
+        general loop: a release heap, a ready list and preemption, one event
+        at a time.
 
         Returns that instant: the caller resumes the callback path there.
         No job may be running or ready; otherwise (or when no window fits)
@@ -539,8 +888,11 @@ class RTOSScheduler:
         tasks = self.tasks
         handles = [task.release_handle for task in tasks]
         start = min(handle.time_us for handle in handles)
-        bound = self.idle_busy_bound()
-        if bound is None or self._running is not None or self._ready:
+        if self._running is not None or self._ready:
+            return start
+        model = self._window_model()
+        bound = model.bound
+        if bound is None:
             return start
         horizon, sequences = self.simulator.window_scan(handles)
         if horizon is None or horizon > limit_us:
@@ -559,6 +911,9 @@ class RTOSScheduler:
         segment = observer.segment
         deadline_miss = observer.deadline_miss
         switch = self.context_switch_us
+        scale = model.scale
+        periods = model.periods
+        plans = model.plans
         # The release entries, keyed like the kernel's heap: ``(time,
         # sequence, task index)``.  The running segment's completion is kept
         # apart as ``(due, due_sequence)``; a preempted segment's completion
@@ -580,6 +935,7 @@ class RTOSScheduler:
         last = self._last_dispatched_task
         events = rounds = cancellations = jobs = 0
         instant = -1
+
         while True:
             release_us, release_sequence, index = heap[0]
             if running is not None and (
@@ -604,6 +960,21 @@ class RTOSScheduler:
                     # next busy period only if it provably ends in the window.
                     if release_us + bound >= horizon:
                         break
+                    if plans is not None:
+                        state = tuple(
+                            [(time - release_us, member) for time, _, member in sorted(heap)]
+                        )
+                        run = self._release_run(state, last, horizon - bound - release_us, model)
+                        if run.groups:
+                            base, state, last, instant = self._replay_runs(
+                                run, release_us, last, bound, horizon, model
+                            )
+                            heap = [
+                                (base + offset, draws + rank, member)
+                                for rank, (offset, member) in enumerate(state)
+                            ]
+                            draws += len(heap)
+                            continue
                 # A task release (_release).
                 now = instant = release_us
                 events += 1
@@ -671,7 +1042,7 @@ class RTOSScheduler:
                                     stats.deadline_misses += 1
                                     deadline_miss(task.name, now)
                                 break
-                            draw, _, enter = constant[1][position]
+                            draw, _, _, enter = constant[1][position]
                             job[1] = position + 1
                             if enter is not None:
                                 enter(now)
@@ -684,16 +1055,30 @@ class RTOSScheduler:
                             job[3] = now
                             running = job
                             last = task
-                            due = now + pending
+                            due = now + (pending if scale is None else int(round(pending * scale)))
                             due_sequence = draws
                             draws += 1
                             break
                         job[2] = None
             if index >= 0:
                 # The release re-arms after its dispatch round (_periodic_release).
-                heapreplace(heap, (now + constants[index][3].period_us, draws, index))
+                heapreplace(heap, (now + periods[index], draws, index))
                 draws += 1
 
+        if plans is not None:
+            # Fold the plans' replays into the counters and stats.
+            for plan in plans.values():
+                runs = plan.runs
+                if runs:
+                    plan.runs = 0
+                    events += runs * plan.events
+                    rounds += runs * plan.rounds
+                    cancellations += runs * plan.cancellations
+                    jobs += runs * len(plan.order)
+                    for stats, preemptions in plan.tallies:
+                        stats.activations += runs
+                        stats.completions += runs
+                        stats.preemptions += runs * preemptions
         stop = release_us if release_us < horizon else horizon
         if not events:
             return stop

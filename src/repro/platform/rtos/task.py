@@ -17,10 +17,12 @@ JobBody = Generator[Any, Any, None]
 JobFactory = Callable[[], JobBody]
 
 #: One compute segment of an idle job: a zero-argument callable drawing the
-#: segment's duration (exactly the draw the job body makes), the largest
-#: duration it can draw, and an optional hook called with the instant the job
-#: enters the segment, before the draw.
-IdleSegment = Tuple[Callable[[], int], int, Optional[Callable[[int], None]]]
+#: segment's duration (exactly the draw the job body makes), the largest and
+#: the smallest duration it can draw, and an optional hook called with the
+#: instant the job enters the segment, before the draw.  A positive smallest
+#: duration is what lets a quiescent window replay the job's release group
+#: from a precompiled plan (see RTOSScheduler.fast_forward).
+IdleSegment = Tuple[Callable[[], int], int, int, Optional[Callable[[int], None]]]
 
 
 class TaskState(enum.Enum):

@@ -114,17 +114,23 @@ class RunStore:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._lock = threading.RLock()
-        # One shared connection: request-handler threads of the serving layer
-        # funnel through the lock, which SQLite's serialized mode tolerates.
-        self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._connection.row_factory = sqlite3.Row
+        connection = None
         try:
+            # One shared connection: request-handler threads of the serving
+            # layer funnel through the lock, which SQLite's serialized mode
+            # tolerates.  Opening it is inside the handler: a path SQLite
+            # cannot open (a missing directory, a directory) is a StoreError.
+            connection = self._connection = sqlite3.connect(
+                str(self.path), check_same_thread=False
+            )
+            connection.row_factory = sqlite3.Row
             self._initialise()
         except StoreError:
-            self._connection.close()
+            connection.close()
             raise
         except sqlite3.DatabaseError as error:
-            self._connection.close()
+            if connection is not None:
+                connection.close()
             raise StoreError(f"{self.path} is not a usable run store: {error}") from error
 
     def _initialise(self) -> None:

@@ -17,6 +17,27 @@ from repro.faults import (
 from repro.obs import REGISTRY
 from repro.systems import GPCA_PACK
 
+#: The engine counters a default matrix's systems fold into the registry.
+ENGINE_COUNTERS = (
+    "kernel_events_processed_total",
+    "kernel_dormant_rearms_total",
+    "kernel_window_events_total",
+    "kernel_cancellations_total",
+    "kernel_compactions_total",
+    "scheduler_activations_total",
+    "scheduler_completions_total",
+    "scheduler_dispatch_rounds_total",
+    "scheduler_preemptions_total",
+    "scheduler_deadline_misses_total",
+)
+
+
+def engine_deltas_of(spec):
+    """Run ``spec`` serially; return it and the registry's engine-counter deltas."""
+    before = {name: REGISTRY.counter_value(name) for name in ENGINE_COUNTERS}
+    result = CampaignRunner(spec, workers=1).run()
+    return result, {name: REGISTRY.counter_value(name) - before[name] for name in ENGINE_COUNTERS}
+
 STUCK_BUTTON = FaultPlan((SensorStuckFault(device="bolus_button"),), name="stuck-button")
 MOTOR_DROP = MutantSpec(
     operator="action-drop",
@@ -180,7 +201,7 @@ class TestDefaultGpcaMatrix:
     ENGINE_TOTALS = {
         "kernel_events_processed_total": 2_574_914,
         "kernel_dormant_rearms_total": 1_918_728,
-        "kernel_window_events_total": 2_159_004,
+        "kernel_window_events_total": 2_214_038,
         "kernel_cancellations_total": 32_134,
         "kernel_compactions_total": 0,
         "scheduler_activations_total": 369_014,
@@ -201,11 +222,8 @@ class TestDefaultGpcaMatrix:
 
     @pytest.fixture(scope="class")
     def campaign(self, spec, engine_deltas):
-        before = {name: REGISTRY.counter_value(name) for name in self.ENGINE_TOTALS}
-        result = CampaignRunner(spec, workers=1).run()
-        engine_deltas.update(
-            {name: REGISTRY.counter_value(name) - before[name] for name in self.ENGINE_TOTALS}
-        )
+        result, deltas = engine_deltas_of(spec)
+        engine_deltas.update(deltas)
         return result
 
     def test_engine_counters_are_pinned(self, campaign, engine_deltas):
@@ -249,3 +267,40 @@ class TestDefaultGpcaMatrix:
                 sample.latency_label() + ("" if sample.passed else " *")
                 for sample in record.r_report().samples
             ]
+
+
+#: The ten engine totals of the pacemaker and cruise default matrices at
+#: samples 6, seed 0 (what the ledger's ``packs-parallel`` workload runs),
+#: summed like ``TestDefaultGpcaMatrix.ENGINE_TOTALS``.
+PACK_ENGINE_TOTALS = {
+    "pacemaker": {
+        "kernel_events_processed_total": 886_489,
+        "kernel_dormant_rearms_total": 567_798,
+        "kernel_window_events_total": 775_067,
+        "kernel_cancellations_total": 16_633,
+        "kernel_compactions_total": 0,
+        "scheduler_activations_total": 188_004,
+        "scheduler_completions_total": 187_770,
+        "scheduler_dispatch_rounds_total": 232_152,
+        "scheduler_preemptions_total": 16_633,
+        "scheduler_deadline_misses_total": 4_652,
+    },
+    "cruise": {
+        "kernel_events_processed_total": 1_419_669,
+        "kernel_dormant_rearms_total": 1_116_533,
+        "kernel_window_events_total": 1_217_694,
+        "kernel_cancellations_total": 15_620,
+        "kernel_compactions_total": 0,
+        "scheduler_activations_total": 176_195,
+        "scheduler_completions_total": 175_952,
+        "scheduler_dispatch_rounds_total": 221_850,
+        "scheduler_preemptions_total": 15_620,
+        "scheduler_deadline_misses_total": 6_193,
+    },
+}
+
+
+@pytest.mark.parametrize("system", sorted(PACK_ENGINE_TOTALS))
+def test_pack_matrix_engine_counters_are_pinned(system):
+    _, deltas = engine_deltas_of(default_matrix_spec(samples=6, base_seed=0, system=system))
+    assert deltas == PACK_ENGINE_TOTALS[system]

@@ -68,6 +68,36 @@ class TestClockDrift:
         with pytest.raises(ValueError):
             ClockDriftFault(drift=-1.0)
 
+    def test_declares_its_factor_to_the_scheduler(self):
+        system = _StubSystem()
+        system.idle_jobs_faulted = False
+        ClockDriftFault(drift=1.5).instrument(system, _rng())
+        assert system.scheduler.clock_factor == 2.5
+        assert not system.idle_jobs_faulted
+
+    @pytest.mark.parametrize(
+        "system_id, bounds", [("gpca", (None, 8000)), ("pacemaker", (None, 6125)), ("cruise", (None, 6125))]
+    )
+    def test_scales_the_busy_period_bound(self, system_id, bounds):
+        """The suite's drift (×2.5) leaves scheme 2 a bound, scheme 1 none."""
+        build = get_pack(system_id).build_system
+        for scheme, bound in zip((1, 2), bounds):
+            system = FaultPlan((ClockDriftFault(drift=1.5),)).instrument(build(scheme, seed=3), seed=3)
+            system.build()
+            assert system.scheduler.idle_busy_bound() == bound
+
+    @pytest.mark.parametrize(
+        "faults",
+        [(ClockDriftFault(drift=-0.5),), (ClockDriftFault(drift=0.5), ClockDriftFault(drift=0.5))],
+        ids=("fast-clock", "stacked"),
+    )
+    def test_drift_no_written_bound_covers_keeps_the_callback_path(self, faults):
+        """A factor below one, or two roundings in a row, marks the system."""
+        system = FaultPlan(faults).instrument(build_system(2, seed=3), seed=3)
+        system.run(ms(2000))
+        assert system.idle_jobs_faulted
+        assert system.bundle.simulator.counters()["kernel_window_events"] == 0
+
 
 class TestExecutionInflation:
     def _run_one_job(self, fault):
@@ -261,9 +291,11 @@ class TestFaultPlan:
     #: ``idle_jobs_faulted`` (its hook reaches an idle job or the quiescence
     #: check), and the schemes on which the faulted system still opens
     #: quiescent windows.  The priority-inversion hog leaves scheme 1 no
-    #: busy-period bound: its worst-case utilisation reaches one.
+    #: busy-period bound: its worst-case utilisation reaches one.  Clock
+    #: drift declares its factor instead of marking the system; scaled by
+    #: it, scheme 2 keeps a bound and scheme 1 does not.
     WINDOW_RULE = {
-        ("gpca", "clock-drift"): (True, ()),
+        ("gpca", "clock-drift"): (False, (2,)),
         ("gpca", "exec-inflation"): (True, ()),
         ("gpca", "queue-loss"): (False, (1, 2)),
         ("gpca", "queue-delay"): (False, (1, 2)),
@@ -272,12 +304,12 @@ class TestFaultPlan:
         ("gpca", "sensor-glitch"): (False, (1, 2)),
         ("gpca", "level-stuck"): (True, ()),
         ("gpca", "level-glitch"): (True, ()),
-        ("pacemaker", "clock-drift"): (True, ()),
+        ("pacemaker", "clock-drift"): (False, (2,)),
         ("pacemaker", "exec-inflation"): (True, ()),
         ("pacemaker", "queue-loss"): (False, (1, 2)),
         ("pacemaker", "sensor-stuck"): (False, (1, 2)),
         ("pacemaker", "sensor-glitch"): (False, (1, 2)),
-        ("cruise", "clock-drift"): (True, ()),
+        ("cruise", "clock-drift"): (False, (2,)),
         ("cruise", "exec-inflation"): (True, ()),
         ("cruise", "queue-delay"): (False, (1, 2)),
         ("cruise", "sensor-stuck"): (False, (1, 2)),

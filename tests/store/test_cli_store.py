@@ -9,6 +9,7 @@ import pytest
 
 from repro import __version__
 from repro.campaign import CampaignResult
+from repro.campaign.worker import execution_count
 from repro.cli import main, package_version
 from repro.store import RunStore
 
@@ -70,6 +71,27 @@ def test_campaign_rejects_unusable_store_file(tmp_path, capsys):
     bogus.write_text("not sqlite", encoding="utf-8")
     assert main(["campaign", "--grid", "table1", "--samples", "2", "--store", str(bogus)]) == 1
     assert "not a usable run store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    (
+        ["campaign", "--grid", "table1", "--samples", "1"],
+        ["faults", "--samples", "1"],
+    ),
+    ids=("campaign", "faults"),
+)
+@pytest.mark.parametrize("where", ("missing-directory", "directory"))
+def test_unopenable_store_path_is_a_clean_error_before_any_run(command, where, tmp_path, capsys):
+    """A ``--store`` path SQLite cannot open is an exit-1 error line, not a traceback."""
+    path = tmp_path / "missing" / "x.db" if where == "missing-directory" else tmp_path
+    before = execution_count()
+    assert main([*command, "--store", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"repro {command[0]}: error: {path} is not a usable run store: "
+        "unable to open database file\n"
+    )
+    assert execution_count() == before
 
 
 def test_store_list_and_runs(tmp_path, capsys):

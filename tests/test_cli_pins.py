@@ -5,7 +5,8 @@
   one that fails REQ1): the SHA-256 of stdout (without its "written to"
   lines, which name the temporary paths) and of every written file.
 * ``repro faults --samples 1 --seed 0 --store DB``: the content-addressed
-  snapshot id it prints, which hashes every run of the GPCA kill matrix.
+  snapshot id it prints, which hashes every run of the GPCA kill matrix,
+  and the same with ``--system pacemaker`` and ``--system cruise``.
 
 Any change to how a system is built, how its schedule is written or how a
 run is judged moves one of these digests.
@@ -55,6 +56,12 @@ RTEST_PINS = {
 
 FAULTS_SNAPSHOT = "b580f57d7b98df6ace174137"
 
+#: system -> snapshot id of its kill matrix (``repro faults --system``).
+PACK_SNAPSHOTS = {
+    "pacemaker": "8790e5fc463fad348d7d19fb",
+    "cruise": "213ec6e796e037c1be9e53d6",
+}
+
 
 @pytest.mark.parametrize("scheme", sorted(RTEST_PINS))
 def test_rtest_output_is_pinned(scheme, tmp_path, capsys):
@@ -76,3 +83,11 @@ def test_faults_snapshot_id_is_pinned(tmp_path, capsys):
     store = tmp_path / "runs.db"
     assert main(["faults", "--samples", "1", "--seed", "0", "--store", str(store)]) == 0
     assert f"snapshot {FAULTS_SNAPSHOT} saved to {store}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("system", sorted(PACK_SNAPSHOTS))
+def test_pack_faults_snapshot_id_is_pinned(system, tmp_path, capsys):
+    store = tmp_path / "runs.db"
+    argv = ["faults", "--system", system, "--samples", "1", "--seed", "0", "--store", str(store)]
+    assert main(argv) == 0
+    assert f"snapshot {PACK_SNAPSHOTS[system]} saved to {store}" in capsys.readouterr().out
