@@ -53,13 +53,18 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Coverage-guided exploration against scheme 1
     # ------------------------------------------------------------------
+    pack = get_pack("gpca")
     artifacts = process_cache().artifacts_for_model("fig2")
 
     def factory():
-        return get_pack("gpca").build_system(1, seed=11, artifacts=artifacts)
+        return pack.build_system(1, seed=11, artifacts=artifacts)
 
     explorer = CoverageGuidedExplorer(
-        gpca_scenario_space(), factory, artifacts.code_model, seed=0
+        gpca_scenario_space(),
+        factory,
+        artifacts.code_model,
+        seed=0,
+        schedule=lambda program, seed: pack.schedule(program, seed, "fig2"),
     )
     report = explorer.explore(episodes=24)
     print("== Coverage-guided exploration ==")

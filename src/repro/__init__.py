@@ -8,8 +8,7 @@ The package is organised by layer, mirroring the paper's methodology:
 * :mod:`repro.model` — timed statechart modelling, simulation and verification
   (the Simulink/Stateflow + Design Verifier substitute);
 * :mod:`repro.codegen` — generation of CODE(M) from a statechart (the
-  RealTime Workshop substitute), including traceability and an execution-time
-  model;
+  RealTime Workshop substitute), with an execution-time model;
 * :mod:`repro.platform` — the simulated target platform: DES kernel,
   FreeRTOS-like scheduler and generic sensor/actuator drivers;
 * :mod:`repro.integration` — the three implementation schemes that integrate

@@ -492,9 +492,6 @@ class SeedTraceRecorder:
     def record_transition_end(self, transition_id: str, **meta: Any) -> Event:
         return self._record(EventKind.TRANSITION_END, transition_id, None, **meta)
 
-    def reset(self) -> None:
-        self.trace = SeedTrace()
-
 
 # ----------------------------------------------------------------------
 # Seed RTOS scheduler
@@ -547,6 +544,11 @@ class SeedRTOSScheduler(RTOSScheduler):
                 best_priority = job.task.priority
                 best_index = index
         return self._ready.pop(best_index)
+
+    def _highest_ready_priority(self) -> Optional[int]:
+        if not self._ready:
+            return None
+        return max(job.task.priority for job in self._ready)
 
     def _higher_priority_ready(self, priority: int) -> bool:
         highest = self._highest_ready_priority()

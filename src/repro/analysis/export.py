@@ -1,9 +1,8 @@
-"""Export of analysis artefacts to Markdown and CSV.
+"""Export of the reproduced Table I to Markdown and CSV.
 
-EXPERIMENTS.md and downstream papers want the reproduced Table I and the
-ablation sweeps in document-friendly formats; these helpers render the same
-structured rows the plain-text renderers use as GitHub-flavoured Markdown
-tables and as CSV.
+``repro store export`` writes a stored campaign's Table I in
+document-friendly formats: these helpers render the same structured rows the
+plain-text renderer uses as a GitHub-flavoured Markdown table and as CSV.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import csv
 import io
 from typing import List, Sequence
 
-from .figures import SweepPoint
 from .tables import TableOne
 
 
@@ -71,39 +69,4 @@ def table_one_to_csv(table: TableOne) -> str:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    return buffer.getvalue()
-
-
-def sweep_to_markdown(points: Sequence[SweepPoint], parameter_name: str) -> str:
-    """Render an ablation sweep as a Markdown table."""
-    headers = [parameter_name, "violation rate", "MAX", "max latency (ms)", "mean latency (ms)"]
-    rows = []
-    for point in sorted(points, key=lambda p: p.parameter):
-        rows.append(
-            [
-                f"{point.parameter:g}",
-                f"{point.violation_rate:.0%}",
-                point.timeout_count,
-                "-" if point.max_latency_ms is None else f"{point.max_latency_ms:.1f}",
-                "-" if point.mean_latency_ms is None else f"{point.mean_latency_ms:.1f}",
-            ]
-        )
-    return _markdown_table(headers, rows)
-
-
-def sweep_to_csv(points: Sequence[SweepPoint], parameter_name: str) -> str:
-    """Render an ablation sweep as CSV."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([parameter_name, "violation_rate", "timeouts", "max_latency_ms", "mean_latency_ms"])
-    for point in sorted(points, key=lambda p: p.parameter):
-        writer.writerow(
-            [
-                point.parameter,
-                point.violation_rate,
-                point.timeout_count,
-                point.max_latency_ms,
-                point.mean_latency_ms,
-            ]
-        )
     return buffer.getvalue()

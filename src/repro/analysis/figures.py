@@ -19,7 +19,7 @@ versus polling period, versus interference load).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.delays import DelaySegments
 from ..core.m_testing import MTestReport
@@ -62,16 +62,6 @@ class Fig3View:
     def r_view(self) -> Tuple[Optional[int], Optional[int]]:
         """Fig. 3-(b): (m-event time, c-event time) in microseconds."""
         return self.segments.m_time_us, self.segments.c_time_us
-
-    @property
-    def io_view(self) -> Dict[str, Optional[int]]:
-        """Fig. 3-(c): the four boundary instants in microseconds."""
-        return {
-            "m": self.segments.m_time_us,
-            "i": self.segments.i_time_us,
-            "o": self.segments.o_time_us,
-            "c": self.segments.c_time_us,
-        }
 
     @property
     def transition_view(self) -> List[Tuple[str, int, int]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,3 @@ def violation_rate(latencies_us: Sequence[Optional[int]], deadline_us: int) -> f
         1 for latency in latencies_us if latency is None or latency > deadline_us
     )
     return violations / len(latencies_us)
-
-
-def to_milliseconds(values_us: Sequence[Optional[int]]) -> List[Optional[float]]:
-    """Convert a list of microsecond values to milliseconds, preserving ``None``."""
-    return [None if value is None else value / 1000.0 for value in values_us]

@@ -110,12 +110,3 @@ class FunctionalConformanceChecker:
             FunctionalStep(advance_ticks=200),
             FunctionalStep(advance_ticks=4200),
         ]
-
-    @staticmethod
-    def alarm_scenario() -> List[FunctionalStep]:
-        """Bolus, reservoir empties mid-infusion, caregiver clears the alarm."""
-        return [
-            FunctionalStep(advance_ticks=10, events=("i-BolusReq",)),
-            FunctionalStep(advance_ticks=500, events=("i-EmptyAlarm",)),
-            FunctionalStep(advance_ticks=1000, events=("i-ClearAlarm",)),
-        ]

@@ -31,7 +31,7 @@ grid); see ``docs/architecture.md`` for the engine's design notes.
 from .cache import ArtifactCache, chart_fingerprint, model_fingerprint, process_cache
 from .profiler import profile_run
 from .results import SUMMARY_FIELDS, CampaignResult
-from .runner import CampaignRunner, default_worker_count, run_campaign, shard_grid
+from .runner import CampaignRunner, default_worker_count, shard_grid
 from .spec import (
     PRESETS,
     CampaignSpec,
@@ -72,7 +72,6 @@ __all__ = [
     "preset_spec",
     "process_cache",
     "profile_run",
-    "run_campaign",
     "scenario_grid_spec",
     "shard_grid",
     "table_one_spec",

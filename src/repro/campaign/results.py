@@ -148,26 +148,6 @@ class CampaignResult:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record_for(self, *, scheme: Optional[int] = None, case: Optional[str] = None,
-                   period_us: Optional[int] = None,
-                   interference_scale: Optional[float] = None) -> RunRecord:
-        """The single record matching the given grid coordinates."""
-        matches = [
-            record
-            for record in self.records
-            if (scheme is None or record.spec.scheme == scheme)
-            and (case is None or record.spec.case == case)
-            and (period_us is None or record.spec.period_us == period_us)
-            and (interference_scale is None or record.spec.interference_scale == interference_scale)
-        ]
-        if len(matches) != 1:
-            raise LookupError(
-                f"expected exactly one matching record, found {len(matches)} "
-                f"(scheme={scheme}, case={case}, period_us={period_us}, "
-                f"interference_scale={interference_scale})"
-            )
-        return matches[0]
-
     # ------------------------------------------------------------------
     # Bridges into repro.analysis
     # ------------------------------------------------------------------
@@ -268,7 +248,7 @@ class CampaignResult:
         """The canonical aggregate: identical for 1 and N workers, by design.
 
         Timing fields (``wall_seconds``, per-record ``elapsed_s``, worker
-        count) are deliberately excluded; use :meth:`timing_dict` for those.
+        count) are deliberately excluded.
         """
         return {
             "format_version": RESULT_FORMAT_VERSION,
@@ -304,10 +284,6 @@ class CampaignResult:
             records=[RunRecord.from_dict(record) for record in payload.get("runs", [])],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignResult":
-        return cls.from_dict(json.loads(text))
-
     def to_csv(self) -> str:
         """The per-run summary table as CSV.
 
@@ -319,18 +295,3 @@ class CampaignResult:
         writer.writeheader()
         writer.writerows(self.summary_rows())
         return buffer.getvalue()
-
-    def timing_dict(self) -> Dict[str, Any]:
-        """The non-deterministic side channel: wall-clock and worker count."""
-        return {
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-            "run_seconds": {
-                str(record.spec.index): record.elapsed_s for record in self.records
-            },
-            "run_phases": {
-                str(record.spec.index): record.phase_seconds
-                for record in self.records
-                if record.phase_seconds is not None
-            },
-        }

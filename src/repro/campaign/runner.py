@@ -220,11 +220,3 @@ class CampaignRunner:
                 if results[position] is None:
                     results[position] = execute_shard(shard, progress=self._on_run_complete)
         return [record for shard_records in results for record in shard_records]
-
-
-def run_campaign(
-    spec: CampaignSpec, *, workers: int = 1, runner: Optional[CampaignRunner] = None
-) -> CampaignResult:
-    """Convenience wrapper: build a runner and execute the campaign."""
-    runner = runner or CampaignRunner(spec, workers=workers)
-    return runner.run()

@@ -58,13 +58,6 @@ class ExecutionTimeModel:
         actions = sum(self.per_action.sample(rng) for _ in row.actions)
         return base + actions
 
-    def worst_case_transition_us(self, row: TransitionIR) -> int:
-        """Upper bound of :meth:`transition_cost` for ``row`` (used by analysis)."""
-        override = self.transition_overrides.get(row.name)
-        if override is not None:
-            return override.worst_case_us
-        return self.transition_base.worst_case_us + len(row.actions) * self.per_action.worst_case_us
-
     def scaled(self, factor: float) -> "ExecutionTimeModel":
         """A copy with every cost scaled by ``factor`` (used by ablation benches)."""
         return ExecutionTimeModel(

@@ -88,15 +88,6 @@ class GeneratedCode:
         for name in self.inputs:
             self.inputs[name] = False
 
-    def reset(self) -> None:
-        """Return to the initial configuration (power-on reset)."""
-        self.state_index = self.model.initial_state_index
-        self.state_clock_ticks = 0
-        self.inputs = {name: False for name in self.model.input_names}
-        self.outputs = dict(self.model.output_initials)
-        self.locals = dict(self.model.local_initials)
-        self.firing_history = []
-
     # ------------------------------------------------------------------
     # Transition-table execution
     # ------------------------------------------------------------------
@@ -167,8 +158,8 @@ class GeneratedCode:
         """Fire enabled transitions until quiescence (or ``max_transitions``).
 
         This mirrors one invocation of the generated step function; the
-        integration schemes configure how many transitions a single invocation
-        may take (``transitions_per_cycle``).
+        integration schemes bound how many transitions a single invocation
+        may take (scheme 1 takes one, schemes 2 and 3 run to completion).
         """
         limit = max_transitions if max_transitions is not None else 64
         firings: List[Firing] = []

@@ -5,9 +5,10 @@ tool chain.  Generation performs three steps:
 
 1. validate the statechart (errors abort generation, warnings are attached to
    the artefacts);
-2. lower it to the transition-table IR;
-3. package the executable runtime factory, the C-like source text and the
-   traceability map into :class:`GeneratedArtifacts`.
+2. lower it to the transition-table IR, whose rows keep each model
+   transition's name, index and source and target states;
+3. package the executable runtime factory and the C-like source text into
+   :class:`GeneratedArtifacts`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ..model.validation import Finding, assert_valid
 from .c_emitter import emit_c_source
 from .generated import GeneratedCode
 from .ir import CodeModel, lower_statechart
-from .traceability import TraceabilityMap
 
 
 @dataclass
@@ -30,16 +30,11 @@ class GeneratedArtifacts:
     chart: Statechart
     code_model: CodeModel
     c_source: str
-    traceability: TraceabilityMap
     warnings: List[Finding] = field(default_factory=list)
 
     def new_instance(self) -> GeneratedCode:
         """Instantiate a fresh CODE(M) runtime (equivalent to flashing the target)."""
         return GeneratedCode(self.code_model)
-
-    @property
-    def transition_names(self) -> List[str]:
-        return self.code_model.transition_names
 
     def summary(self) -> str:
         """One-line description used by reports and examples."""
@@ -51,24 +46,13 @@ class GeneratedArtifacts:
         )
 
 
-class CodeGenerator:
-    """Generates CODE(M) artefacts from validated statecharts."""
-
-    def generate(self, chart: Statechart) -> GeneratedArtifacts:
-        """Generate artefacts for ``chart``; raises on structural errors."""
-        warnings = assert_valid(chart)
-        code_model = lower_statechart(chart)
-        c_source = emit_c_source(code_model)
-        traceability = TraceabilityMap(chart, code_model)
-        return GeneratedArtifacts(
-            chart=chart,
-            code_model=code_model,
-            c_source=c_source,
-            traceability=traceability,
-            warnings=warnings,
-        )
-
-
 def generate_code(chart: Statechart) -> GeneratedArtifacts:
-    """Module-level convenience wrapper around :class:`CodeGenerator`."""
-    return CodeGenerator().generate(chart)
+    """Generate artefacts for ``chart``; raises on structural errors."""
+    warnings = assert_valid(chart)
+    code_model = lower_statechart(chart)
+    return GeneratedArtifacts(
+        chart=chart,
+        code_model=code_model,
+        c_source=emit_c_source(code_model),
+        warnings=warnings,
+    )

@@ -5,8 +5,8 @@ that "implements transition tables, boolean (or integer) variables to
 represent input and output occurrences, and execution logic (switch-case or
 if-then-else statements), which maps to the model structure".  The IR here is
 exactly that: numbered states, input flags, output variables and a transition
-table whose rows keep a reference back to the model transition they came from
-(the traceability M-testing needs to name Trans1 / Trans2 delays).
+table whose rows keep the name and index of the model transition they came
+from (M-testing names the Trans1 / Trans2 delays by them).
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ class TransitionIR:
     guard: Optional[Callable[[Dict[str, Any]], bool]]
     actions: Tuple[ActionIR, ...]
     priority: int
-
-    @property
-    def is_event_triggered(self) -> bool:
-        return self.trigger_kind == "event"
-
-    @property
-    def is_temporal(self) -> bool:
-        return self.trigger_kind in ("after", "at", "before")
 
 
 @dataclass

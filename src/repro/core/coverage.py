@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set
+from typing import List, Set
 
 from ..codegen.ir import CodeModel
 from .four_variables import EventKind, Trace
@@ -44,13 +44,6 @@ class TransitionCoverage:
         for event in trace.select(kind=EventKind.TRANSITION_START):
             if event.variable in known:
                 self.covered.add(event.variable)
-
-    def add_fired(self, transition_names: Iterable[str]) -> None:
-        """Count transitions reported fired by the generated-code runtime."""
-        known = set(self.all_transitions)
-        for name in transition_names:
-            if name in known:
-                self.covered.add(name)
 
     # ------------------------------------------------------------------
     @property
@@ -132,18 +125,6 @@ class SufficiencyAssessment:
     interval_low: float
     interval_high: float
 
-    @property
-    def conclusive(self) -> bool:
-        """Is the observed verdict statistically separated from the boundary?
-
-        A clean pass is conclusive when the upper bound of the violation-rate
-        interval stays below 50 %; an observed violation is always conclusive
-        evidence of non-conformance (a single counterexample suffices).
-        """
-        if self.violations > 0:
-            return True
-        return self.interval_high < 0.5
-
 
 def wilson_interval(successes: int, samples: int, confidence: float = 0.95) -> tuple:
     """Wilson score interval for a binomial proportion (no SciPy dependency)."""
@@ -184,17 +165,3 @@ def assess_sufficiency(report: RTestReport, confidence: float = 0.95) -> Suffici
         interval_low=low,
         interval_high=high,
     )
-
-
-def samples_needed_for_rate(max_violation_rate: float, confidence: float = 0.95) -> int:
-    """How many consecutive passing samples bound the violation rate below a target.
-
-    Uses the rule of three generalisation: with ``n`` passes and zero failures,
-    the upper confidence bound on the violation probability is about
-    ``-ln(1 - confidence) / n``.
-    """
-    if not 0 < max_violation_rate < 1:
-        raise ValueError("target violation rate must be in (0, 1)")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    return math.ceil(-math.log(1 - confidence) / max_violation_rate)

@@ -219,18 +219,6 @@ class FourVariableInterface:
                 return mapping.input
         return None
 
-    def controlled_for_output(self, output_name: str) -> Optional[str]:
-        for mapping in self._output_mappings:
-            if mapping.output == output_name:
-                return mapping.controlled
-        return None
-
-    def monitored_for_input(self, input_name: str) -> Optional[str]:
-        for mapping in self._input_mappings:
-            if mapping.input == input_name:
-                return mapping.monitored
-        return None
-
     def output_for_controlled(self, controlled: str) -> Optional[str]:
         for mapping in self._output_mappings:
             if mapping.controlled == controlled:
@@ -692,7 +680,3 @@ class TraceRecorder:
     def record_transition_end(self, transition_id: str, **meta: Any) -> None:
         """Record that CODE(M) finished executing a model transition."""
         self.trace._append_raw(EventKind.TRANSITION_END, transition_id, None, self._clock(), meta or None)
-
-    def reset(self) -> None:
-        """Start a fresh trace (used between test-case executions)."""
-        self.trace = Trace()

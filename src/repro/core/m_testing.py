@@ -93,13 +93,7 @@ class MTestReport:
 class MTestAnalyzer:
     """Extracts delay segments from a fully instrumented trace."""
 
-    def __init__(
-        self,
-        interface: FourVariableInterface,
-        requirement: TimingRequirement,
-        *,
-        response_output_spec: Optional[EventSpec] = None,
-    ) -> None:
+    def __init__(self, interface: FourVariableInterface, requirement: TimingRequirement) -> None:
         self.interface = interface
         self.requirement = requirement
         self._input_variable = interface.input_for_monitored(requirement.stimulus.variable)
@@ -115,9 +109,7 @@ class MTestAnalyzer:
                 f"{requirement.response.variable!r}; declare it with link_output()"
             )
         #: Which o-variable write counts as the response at the CODE(M) boundary.
-        if response_output_spec is not None:
-            self._output_spec = response_output_spec
-        elif requirement.model_response_variable is not None:
+        if requirement.model_response_variable is not None:
             self._output_spec = EventSpec.becomes(
                 requirement.model_response_variable, requirement.model_response_value
             )

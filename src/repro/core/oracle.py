@@ -32,20 +32,11 @@ class MatchedPair:
 
 
 class ResponseMatcher:
-    """Pairs stimulus events with response events in a trace."""
+    """Pairs stimulus m-events with response c-events in a trace."""
 
-    def __init__(
-        self,
-        stimulus: EventSpec,
-        response: EventSpec,
-        *,
-        stimulus_kind: EventKind = EventKind.M,
-        response_kind: EventKind = EventKind.C,
-    ) -> None:
+    def __init__(self, stimulus: EventSpec, response: EventSpec) -> None:
         self.stimulus = stimulus
         self.response = response
-        self.stimulus_kind = stimulus_kind
-        self.response_kind = response_kind
 
     def match(self, trace: Trace, timeout_us: Optional[int] = None) -> List[MatchedPair]:
         """Pair every stimulus in ``trace`` with its response.
@@ -62,12 +53,12 @@ class ResponseMatcher:
         """
         stimuli = [
             event
-            for event in trace.select(kind=self.stimulus_kind, variable=self.stimulus.variable)
+            for event in trace.select(kind=EventKind.M, variable=self.stimulus.variable)
             if self.stimulus.matches(event)
         ]
         responses = [
             event
-            for event in trace.select(kind=self.response_kind, variable=self.response.variable)
+            for event in trace.select(kind=EventKind.C, variable=self.response.variable)
             if self.response.matches(event)
         ]
         pairs: List[MatchedPair] = []

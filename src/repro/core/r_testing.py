@@ -97,11 +97,6 @@ class RTestReport:
         latencies = self.observed_latencies_us
         return max(latencies) if latencies else None
 
-    @property
-    def mean_latency_us(self) -> Optional[float]:
-        latencies = self.observed_latencies_us
-        return sum(latencies) / len(latencies) if latencies else None
-
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         worst = "MAX" if self.timeout_count else (

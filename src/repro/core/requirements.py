@@ -161,10 +161,6 @@ class RequirementSet:
     def __len__(self) -> int:
         return len(self._requirements)
 
-    @property
-    def ids(self) -> List[str]:
-        return list(self._requirements.keys())
-
     def with_model_counterpart(self) -> List[TimingRequirement]:
         """The subset of requirements that can also be verified at model level."""
         return [requirement for requirement in self if requirement.has_model_counterpart]

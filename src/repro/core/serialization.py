@@ -134,16 +134,6 @@ def trace_from_dict(payload: Dict[str, Any]) -> Trace:
     return Trace(events)
 
 
-def trace_to_json(trace: Trace, *, indent: Optional[int] = None) -> str:
-    """Serialise a trace to a JSON string."""
-    return json.dumps(trace_to_dict(trace), indent=indent)
-
-
-def trace_from_json(text: str) -> Trace:
-    """Deserialise a trace from a JSON string."""
-    return trace_from_dict(json.loads(text))
-
-
 # ----------------------------------------------------------------------
 # R-test reports
 # ----------------------------------------------------------------------

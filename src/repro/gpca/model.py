@@ -28,8 +28,8 @@ BOLUS_DURATION_TICKS = 4000
 #: Duration of the power-on self test in the extended chart.
 POWER_ON_TEST_TICKS = 500
 
-# Canonical transition names (referenced by the hardware execution profile,
-# the traceability queries and several tests).
+# Canonical transition names (referenced by the hardware execution profile
+# and several tests).
 TRANS_BOLUS_REQUEST = "t_bolus_req"
 TRANS_START_INFUSION = "t_start_infusion"
 TRANS_BOLUS_DONE = "t_bolus_done"

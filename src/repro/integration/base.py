@@ -31,6 +31,9 @@ from .interfacing import EventInputBinding, InputInterfacing, LevelInputBinding,
 #: A callable that injects one m-event stimulus at an absolute platform time.
 StimulusAction = Callable[[int], None]
 
+#: CPU time the target RTOS charges for every context switch.
+CONTEXT_SWITCH_US = 150
+
 
 @dataclass(frozen=True)
 class EngineProfile:
@@ -98,10 +101,6 @@ class SchemeConfig:
 
     execution_model: ExecutionTimeModel = field(default_factory=ExecutionTimeModel)
     probes: ProbeConfiguration = field(default_factory=ProbeConfiguration.m_level)
-    context_switch_us: int = 150
-    #: How many transitions one CODE(M) invocation may execute (None = run to
-    #: completion, the behaviour of a full generated step function).
-    transitions_per_cycle: Optional[int] = None
     seed: int = 0
 
 
@@ -121,9 +120,7 @@ class ImplementedSystem(SystemUnderTest):
         self.config = config or SchemeConfig()
         self.code = artifacts.new_instance()
         scheduler_class = bundle.scheduler_class or RTOSScheduler
-        self.scheduler = scheduler_class(
-            bundle.simulator, context_switch_us=self.config.context_switch_us
-        )
+        self.scheduler = scheduler_class(bundle.simulator, context_switch_us=CONTEXT_SWITCH_US)
         self.execution_model = self.config.execution_model
         self._rng = RandomSource(self.config.seed).stream(f"exec:{self.scheme_name}")
         self._code_clock_anchor_us = 0
@@ -268,7 +265,8 @@ class ImplementedSystem(SystemUnderTest):
 
         Latches the pending i-variable occurrences (recording the i-events),
         advances the model clock by the platform time elapsed since the last
-        invocation, then executes up to ``transitions_limit`` transitions,
+        invocation, then executes up to ``transitions_limit`` transitions
+        (None = run to completion, as a full generated step function does),
         charging the execution-time model's CPU cost for each and recording
         transition start/end probes plus o-events as the writes happen.
 
@@ -338,16 +336,12 @@ class ImplementedSystem(SystemUnderTest):
         scan = self.execution_model.input_scan
         return (partial(scan.sample, self._rng), scan.worst_case_us, scan.best_case_us, None)
 
-    def _idle_code_segment(self) -> Optional[IdleSegment]:
+    def _idle_code_segment(self) -> IdleSegment:
         """Idle-shape segment of a CODE(M) invocation that fires nothing.
 
         The invocation advances the model clock, then charges the idle table
-        scan.  None when an invocation may fire no transition at all
-        (``transitions_per_cycle == 0``): it then charges nothing and has no
-        segment to declare.
+        scan.
         """
-        if self.config.transitions_per_cycle == 0:
-            return None
         scan = self.execution_model.idle_scan
         return (
             partial(scan.sample, self._rng),

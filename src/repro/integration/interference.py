@@ -25,7 +25,8 @@ from typing import Any, Generator, Optional, Tuple
 from ..platform.kernel.random import JitterModel, uniform
 from ..platform.kernel.time import ms
 from ..platform.rtos.directives import Compute
-from .multi_threaded import MultiThreadedConfig, MultiThreadedSystem
+from .base import SchemeConfig
+from .multi_threaded import CODEM_PRIORITY, MultiThreadedSystem
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,6 @@ class InterferenceTaskConfig:
     priority_offset: int
     period_us: int
     burst: JitterModel
-
-    @property
-    def utilization(self) -> float:
-        """Nominal CPU utilisation of this thread."""
-        if self.period_us <= 0:
-            return 0.0
-        return self.burst.nominal_us / self.period_us
 
 
 def default_interference_profile() -> Tuple[InterferenceTaskConfig, ...]:
@@ -77,17 +71,12 @@ def default_interference_profile() -> Tuple[InterferenceTaskConfig, ...]:
 
 
 @dataclass
-class InterferedConfig(MultiThreadedConfig):
+class InterferedConfig(SchemeConfig):
     """Configuration of scheme 3: scheme 2 plus interfering threads."""
 
     interference: Tuple[InterferenceTaskConfig, ...] = field(
         default_factory=default_interference_profile
     )
-
-    @property
-    def interference_utilization(self) -> float:
-        """Total nominal CPU utilisation of the interfering threads."""
-        return sum(task.utilization for task in self.interference)
 
     def scaled_interference(self, factor: float) -> "InterferedConfig":
         """A copy whose interference bursts are scaled by ``factor`` (ablation)."""
@@ -117,7 +106,7 @@ class InterferedSystem(MultiThreadedSystem):
     def _create_tasks(self) -> None:
         super()._create_tasks()
         for index, task_config in enumerate(self.config.interference):
-            priority = max(0, self.config.codem_priority + task_config.priority_offset)
+            priority = max(0, CODEM_PRIORITY + task_config.priority_offset)
             self.scheduler.create_task(
                 task_config.name,
                 priority=priority,

@@ -11,14 +11,13 @@ From the paper:
     and CODE(M) threads is implemented using FIFO queues."
 
 Three periodic tasks are created — sensing, CODE(M) and actuation — connected
-by two FIFO queues.  The default periods (10 ms + 25 ms + 10 ms = 45 ms) keep
+by two FIFO queues.  The periods (10 ms + 25 ms + 10 ms = 45 ms) keep
 the period sum comfortably below the 100 ms REQ1 deadline, as the paper's
 scheme 2 does by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..platform.kernel.time import ms
@@ -26,24 +25,16 @@ from ..platform.rtos.directives import Compute, Receive, Send
 from ..platform.rtos.queue import MessageQueue
 from .base import ImplementedSystem, SchemeConfig
 
-
-@dataclass
-class MultiThreadedConfig(SchemeConfig):
-    """Configuration of the multi-threaded scheme."""
-
-    sensing_period_us: int = ms(10)
-    codem_period_us: int = ms(25)
-    actuation_period_us: int = ms(10)
-    sensing_priority: int = 4
-    codem_priority: int = 3
-    actuation_priority: int = 4
-    input_queue_capacity: int = 16
-    output_queue_capacity: int = 16
-
-    @property
-    def period_sum_us(self) -> int:
-        """Sum of the thread periods along the sensing-CODE(M)-actuation path."""
-        return self.sensing_period_us + self.codem_period_us + self.actuation_period_us
+#: Thread periods along the sensing-CODE(M)-actuation path (sum 45 ms).
+SENSING_PERIOD_US = ms(10)
+CODEM_PERIOD_US = ms(25)
+ACTUATION_PERIOD_US = ms(10)
+#: Thread priorities: the I/O threads outrank the CODE(M) thread.
+SENSING_PRIORITY = 4
+CODEM_PRIORITY = 3
+ACTUATION_PRIORITY = 4
+#: Capacity of each FIFO queue between the threads.
+QUEUE_CAPACITY = 16
 
 
 class MultiThreadedSystem(ImplementedSystem):
@@ -51,46 +42,39 @@ class MultiThreadedSystem(ImplementedSystem):
 
     scheme_name = "scheme2-multi-threaded"
 
-    def __init__(self, bundle, artifacts, config: Optional[MultiThreadedConfig] = None) -> None:
-        super().__init__(bundle, artifacts, config or MultiThreadedConfig())
-        self.config: MultiThreadedConfig
+    def __init__(self, bundle, artifacts, config: Optional[SchemeConfig] = None) -> None:
+        super().__init__(bundle, artifacts, config)
         self.input_queue: Optional[MessageQueue] = None
         self.output_queue: Optional[MessageQueue] = None
 
     # ------------------------------------------------------------------
     def _create_tasks(self) -> None:
-        config = self.config
-        self.input_queue = self.scheduler.create_queue(
-            "i_events", capacity=config.input_queue_capacity
-        )
-        self.output_queue = self.scheduler.create_queue(
-            "o_events", capacity=config.output_queue_capacity
-        )
-        sensing = self.scheduler.create_task(
+        scheduler = self.scheduler
+        self.input_queue = scheduler.create_queue("i_events", capacity=QUEUE_CAPACITY)
+        self.output_queue = scheduler.create_queue("o_events", capacity=QUEUE_CAPACITY)
+        sensing = scheduler.create_task(
             "sensing",
-            priority=config.sensing_priority,
+            priority=SENSING_PRIORITY,
             job_factory=self._sensing_job,
-            period_us=config.sensing_period_us,
+            period_us=SENSING_PERIOD_US,
         )
-        codem = self.scheduler.create_task(
+        codem = scheduler.create_task(
             "codem",
-            priority=config.codem_priority,
+            priority=CODEM_PRIORITY,
             job_factory=self._codem_job,
-            period_us=config.codem_period_us,
+            period_us=CODEM_PERIOD_US,
         )
-        actuation = self.scheduler.create_task(
+        actuation = scheduler.create_task(
             "actuation",
-            priority=config.actuation_priority,
+            priority=ACTUATION_PRIORITY,
             job_factory=self._actuation_job,
-            period_us=config.actuation_period_us,
+            period_us=ACTUATION_PERIOD_US,
         )
         # Idle jobs: a scan that finds nothing to send, a CODE(M) invocation
         # that receives nothing and fires nothing, an actuation that receives
         # nothing and charges nothing.
         sensing.idle_shape = (self._scan_segment(),)
-        code_segment = self._idle_code_segment()
-        if code_segment is not None:
-            codem.idle_shape = (code_segment,)
+        codem.idle_shape = (self._idle_code_segment(),)
         actuation.idle_shape = ()
 
     def _quiescent(self) -> bool:
@@ -113,7 +97,8 @@ class MultiThreadedSystem(ImplementedSystem):
             if item is None:
                 break
             pending.append(item)
-        writes = yield from self._execute_code_cycle(pending, self.config.transitions_per_cycle)
+        # One invocation runs the chart to completion (no transition limit).
+        writes = yield from self._execute_code_cycle(pending, None)
         for write in writes:
             yield Send(self.output_queue, write)
 

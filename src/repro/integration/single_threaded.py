@@ -16,14 +16,22 @@ which is what makes this scheme's cycle occasionally overrun its period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Generator, Optional
 
-from ..platform.kernel.random import JitterModel, uniform
+from ..platform.kernel.random import uniform
 from ..platform.kernel.time import ms
 from ..platform.rtos.directives import Compute
 from .base import ImplementedSystem, SchemeConfig
+
+#: Priority of the single CODE(M) thread.
+PRIORITY = 3
+#: Per-cycle cost of everything else the monolithic loop does.
+HOUSEKEEPING = uniform(ms(13), ms(5))
+#: Transitions one invocation may fire: scheme 1 steps the chart once per
+#: invocation, mirroring a Stateflow periodic step.
+TRANSITIONS_PER_CYCLE = 1
 
 
 @dataclass
@@ -32,13 +40,6 @@ class SingleThreadedConfig(SchemeConfig):
 
     #: Invocation period of the single CODE(M) thread (the paper uses 25 ms).
     period_us: int = ms(25)
-    #: Priority of the single thread (only relevant if other tasks are added).
-    priority: int = 3
-    #: Per-cycle cost of everything else the monolithic loop does.
-    housekeeping: JitterModel = field(default_factory=lambda: uniform(ms(13), ms(5)))
-    #: Scheme 1 integrations typically step the chart once per invocation,
-    #: mirroring a Stateflow periodic step; run-to-completion is opt-in.
-    transitions_per_cycle: Optional[int] = 1
 
 
 class SingleThreadedSystem(ImplementedSystem):
@@ -51,41 +52,36 @@ class SingleThreadedSystem(ImplementedSystem):
         self.config: SingleThreadedConfig
 
     def _create_tasks(self) -> None:
-        config = self.config
         task = self.scheduler.create_task(
             "codem_loop",
-            priority=config.priority,
+            priority=PRIORITY,
             job_factory=self._cycle_job,
-            period_us=config.period_us,
+            period_us=self.config.period_us,
         )
         # An idle cycle senses nothing, fires nothing and actuates nothing.
-        code_segment = self._idle_code_segment()
-        if code_segment is not None:
-            housekeeping = config.housekeeping
-            task.idle_shape = (
-                self._scan_segment(),
-                code_segment,
-                (
-                    partial(housekeeping.sample, self._rng),
-                    housekeeping.worst_case_us,
-                    housekeeping.best_case_us,
-                    None,
-                ),
-            )
+        task.idle_shape = (
+            self._scan_segment(),
+            self._idle_code_segment(),
+            (
+                partial(HOUSEKEEPING.sample, self._rng),
+                HOUSEKEEPING.worst_case_us,
+                HOUSEKEEPING.best_case_us,
+                None,
+            ),
+        )
 
     # ------------------------------------------------------------------
     def _cycle_job(self) -> Generator[Any, Any, None]:
         """One 25 ms cycle: sense -> CODE(M) -> housekeeping -> actuate."""
-        config = self.config
         # Read every sensor through its driver.
         yield Compute(self.execution_model.input_scan_cost(self._rng), label="sense")
         pending = self._collect_inputs()
 
         # Execute the generated code (per-transition costs are charged inside).
-        writes = yield from self._execute_code_cycle(pending, config.transitions_per_cycle)
+        writes = yield from self._execute_code_cycle(pending, TRANSITIONS_PER_CYCLE)
 
         # The rest of the monolithic loop's work for this cycle.
-        yield Compute(config.housekeeping.sample(self._rng), label="housekeeping")
+        yield Compute(HOUSEKEEPING.sample(self._rng), label="housekeeping")
 
         # Write c-events to the actuators at the end of the computations.
         if writes:

@@ -14,8 +14,8 @@ and against which the implemented system's *timing* deviates.  Characteristics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from .declarations import OutputWrite
 from .statechart import Statechart, Transition
@@ -45,26 +45,6 @@ class TransitionFiring:
     tick: int
 
 
-@dataclass
-class ScenarioResult:
-    """Outcome of running a stimulus scenario on the model."""
-
-    output_changes: List[OutputChange] = field(default_factory=list)
-    firings: List[TransitionFiring] = field(default_factory=list)
-    final_state: str = ""
-    final_outputs: Dict[str, Any] = field(default_factory=dict)
-
-    def first_change(self, variable: str, value: Any = None) -> Optional[OutputChange]:
-        """First change of ``variable`` (optionally to a specific value)."""
-        for change in self.output_changes:
-            if change.variable != variable:
-                continue
-            if value is not None and change.value != value:
-                continue
-            return change
-        return None
-
-
 class ModelExecutor:
     """Executes a statechart with instantaneous transition semantics."""
 
@@ -89,16 +69,6 @@ class ModelExecutor:
     def elapsed_in_state(self) -> int:
         """Model ticks spent in the current state."""
         return self.current_tick - self.state_entered_tick
-
-    def reset(self) -> None:
-        """Return to the initial configuration and clear history."""
-        self.current_state = self.chart.initial_state
-        self.current_tick = 0
-        self.state_entered_tick = 0
-        self.outputs = self.chart.initial_outputs()
-        self.locals = self.chart.initial_locals()
-        self.output_changes = []
-        self.firings = []
 
     def _guard_context(self) -> Dict[str, Any]:
         context = dict(self.locals)
@@ -147,33 +117,6 @@ class ModelExecutor:
             writes.extend(self._fire(transition))
             writes.extend(self._run_eager_chain())
         return writes
-
-    def run_scenario(
-        self,
-        stimuli: Iterable[Tuple[int, str]],
-        horizon_ticks: Optional[int] = None,
-    ) -> ScenarioResult:
-        """Run a sequence of ``(tick, event)`` stimuli from the initial state.
-
-        The executor is reset first.  ``horizon_ticks`` extends the run beyond
-        the last stimulus so that pending temporal behaviour (e.g. the 4000 ms
-        bolus completion) is observed.
-        """
-        self.reset()
-        ordered = sorted(stimuli, key=lambda item: item[0])
-        for tick, event in ordered:
-            if tick < self.current_tick:
-                raise ModelExecutionError("stimuli must be in non-decreasing tick order")
-            self.advance(tick - self.current_tick)
-            self.inject(event)
-        if horizon_ticks is not None and horizon_ticks > self.current_tick:
-            self.advance(horizon_ticks - self.current_tick)
-        return ScenarioResult(
-            output_changes=list(self.output_changes),
-            firings=list(self.firings),
-            final_state=self.current_state,
-            final_outputs=dict(self.outputs),
-        )
 
     # ------------------------------------------------------------------
     # Internals

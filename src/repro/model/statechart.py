@@ -63,14 +63,6 @@ class Transition:
         if not self.source or not self.target:
             raise ValueError(f"transition {self.name!r} must name source and target states")
 
-    @property
-    def is_event_triggered(self) -> bool:
-        return self.event is not None
-
-    @property
-    def is_temporal(self) -> bool:
-        return self.temporal is not None
-
 
 class StatechartError(ValueError):
     """Raised when a statechart is structurally malformed."""
@@ -190,9 +182,6 @@ class Statechart:
         """Outgoing transitions of ``state_name`` in priority (document) order."""
         outgoing = [t for t in self._transitions if t.source == state_name]
         return sorted(outgoing, key=lambda t: t.priority)
-
-    def transitions_on_event(self, event_name: str) -> List[Transition]:
-        return [t for t in self._transitions if t.event == event_name]
 
     # ------------------------------------------------------------------
     # Structural validation (full validation lives in model.validation)

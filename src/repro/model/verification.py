@@ -65,13 +65,6 @@ class VerificationResult:
     trigger_states: List[str] = field(default_factory=list)
     witness: List[str] = field(default_factory=list)
 
-    @property
-    def margin_ticks(self) -> Optional[int]:
-        """Slack between the worst case and the deadline (None when violated)."""
-        if not self.passed or self.worst_case_ticks is None:
-            return None
-        return self.requirement.deadline_ticks - self.worst_case_ticks
-
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         worst = "unbounded" if self.worst_case_ticks is None else f"{self.worst_case_ticks} ticks"

@@ -4,7 +4,7 @@ The framework equivalent of the paper's layered measurement probes
 (:mod:`repro.core.instrumentation`): observe the stack — kernel, scheduler,
 campaign, store, server — without perturbing it.  Three pieces:
 
-* :mod:`repro.obs.metrics` — process-local counters/gauges/histograms with
+* :mod:`repro.obs.metrics` — process-local counters and histograms with
   fixed deterministic bucket edges, rendered as JSON or Prometheus text on
   ``repro serve``'s ``/metrics``.  Hot loops are never instrumented
   directly: the kernel and scheduler keep plain integer counters that the

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges and fixed-bucket histograms.
+"""Process-local metrics: counters and fixed-bucket histograms.
 
 The registry is the aggregation point of the observability layer
 (:mod:`repro.obs`): every subsystem that wants to be scraped — the campaign
@@ -27,17 +27,15 @@ serialises updates, which the threaded serving layer relies on.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_EDGES_S",
     "DEFAULT_PHASE_EDGES_S",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
 ]
 
 #: Default bucket edges (seconds) for request-latency histograms.  Fixed and
@@ -99,38 +97,12 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge for decrements")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
 
     @property
     def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock: threading.RLock) -> None:
-        self._lock = lock
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
         return self._value
 
 
@@ -239,11 +211,6 @@ class MetricsRegistry:
             "counter", name, labels, help, lambda: Counter(self._lock)
         )
 
-    def gauge(
-        self, name: str, *, labels: Optional[Dict[str, Any]] = None, help: str = ""
-    ) -> Gauge:
-        return self._instrument("gauge", name, labels, help, lambda: Gauge(self._lock))
-
     def histogram(
         self,
         name: str,
@@ -312,12 +279,6 @@ class MetricsRegistry:
                 )
         return "\n".join(lines) + "\n"
 
-    def reset(self) -> None:
-        """Drop every instrument (tests use this to isolate scrapes)."""
-        with self._lock:
-            self._families.clear()
-            self._instruments.clear()
-
     def counter_value(self, name: str, labels: Optional[Dict[str, Any]] = None) -> int:
         """The current value of a counter series (0 when it does not exist)."""
         instrument = self._instruments.get((name, _canonical_labels(labels)))
@@ -326,17 +287,3 @@ class MetricsRegistry:
 
 #: The process-local registry: one per worker process, one per serve process.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-local metrics registry."""
-    return REGISTRY
-
-
-def counters_from(
-    registry: MetricsRegistry, pairs: Iterable[Tuple[str, int]], *, help: str = ""
-) -> None:
-    """Bulk-increment counters from ``(name, delta)`` pairs (pull-collection)."""
-    for name, delta in pairs:
-        if delta:
-            registry.counter(name, help=help).inc(delta)

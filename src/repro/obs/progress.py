@@ -2,7 +2,7 @@
 
 :class:`CampaignProgress` is the runner-side accumulator behind the
 ``/progress/<campaign>`` endpoint: the runner feeds it run outcomes
-(completed / cached / failed) as shards finish, and it renders a compact
+(completed / cached) as shards finish, and it renders a compact
 snapshot dict that the store persists and the server exposes.
 
 Time comes from an injected monotonic source (``time.perf_counter`` by
@@ -39,7 +39,6 @@ class CampaignProgress:
         self.started = 0
         self.completed = 0
         self.cached = 0
-        self.failed = 0
         self._started_at = monotonic()
         self._finished_at: Optional[float] = None
 
@@ -59,10 +58,6 @@ class CampaignProgress:
         with self._lock:
             self.completed += count
 
-    def record_failed(self, count: int = 1) -> None:
-        with self._lock:
-            self.failed += count
-
     def finish(self) -> None:
         with self._lock:
             if self._finished_at is None:
@@ -73,7 +68,7 @@ class CampaignProgress:
     # ------------------------------------------------------------------
     @property
     def done(self) -> int:
-        return self.completed + self.cached + self.failed
+        return self.completed + self.cached
 
     @property
     def remaining(self) -> int:
@@ -90,7 +85,7 @@ class CampaignProgress:
         elapsed = self.elapsed_s()
         if elapsed <= 0.0:
             return 0.0
-        return (self.completed + self.failed) / elapsed
+        return self.completed / elapsed
 
     def eta_s(self) -> Optional[float]:
         """Seconds until done at the current rate; None before any signal."""
@@ -112,7 +107,9 @@ class CampaignProgress:
                 "started": self.started,
                 "completed": self.completed,
                 "cached": self.cached,
-                "failed": self.failed,
+                # A run that raises aborts the campaign, so none is
+                # counted as failed yet (ROADMAP item C).
+                "failed": 0,
                 "remaining": self.remaining,
                 "finished": finished,
                 "elapsed_s": round(self.elapsed_s(), 6),

@@ -6,8 +6,8 @@ matters because the testing framework reasons about differences between
 timestamps taken at different abstraction boundaries.
 
 The model layer (``repro.model``) uses *model ticks* of one millisecond,
-matching the ``E_CLK`` clock of the paper's Stateflow model; helpers here
-convert between the two.
+matching the ``E_CLK`` clock of the paper's Stateflow model;
+:data:`US_PER_MODEL_TICK` converts between the two.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 # Conversion constants.  All are plain ints so arithmetic stays exact.
 US_PER_MS = 1_000
 US_PER_SECOND = 1_000_000
-MS_PER_SECOND = 1_000
 
 #: Model tick duration (the paper's ``E_CLK`` advances in milliseconds).
 US_PER_MODEL_TICK = US_PER_MS
@@ -44,30 +43,6 @@ def seconds(value: float) -> int:
 def us(value: int) -> int:
     """Identity helper so call-sites can spell the unit explicitly."""
     return int(value)
-
-
-def to_ms(value_us: int) -> float:
-    """Convert microseconds to (float) milliseconds for reporting.
-
-    >>> to_ms(2500)
-    2.5
-    """
-    return value_us / US_PER_MS
-
-
-def to_seconds(value_us: int) -> float:
-    """Convert microseconds to (float) seconds for reporting."""
-    return value_us / US_PER_SECOND
-
-
-def ticks_to_us(ticks: int) -> int:
-    """Convert model ticks (1 ms each) to microseconds."""
-    return ticks * US_PER_MODEL_TICK
-
-
-def us_to_ticks(value_us: int) -> int:
-    """Convert microseconds to whole model ticks (floor division)."""
-    return value_us // US_PER_MODEL_TICK
 
 
 def format_us(value_us: int) -> str:

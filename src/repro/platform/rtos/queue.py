@@ -34,13 +34,6 @@ class QueueStats:
     max_depth: int = 0
     total_residence_us: int = 0
 
-    @property
-    def mean_residence_us(self) -> float:
-        """Mean time a received message spent in the queue."""
-        if self.received == 0:
-            return 0.0
-        return self.total_residence_us / self.received
-
 
 class MessageQueue:
     """A bounded FIFO queue with drop-on-full semantics.

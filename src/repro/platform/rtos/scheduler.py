@@ -173,7 +173,6 @@ class RTOSScheduler:
         self.simulator = simulator
         self.context_switch_us = context_switch_us
         self.name = name
-        self._started_at_us = simulator.now
         self.tasks: List[Task] = []
         self._ready: List[Job] = []
         self._running: Optional[Job] = None
@@ -249,28 +248,12 @@ class RTOSScheduler:
         if self._started:
             return
         self._started = True
-        self._started_at_us = self.simulator.now
         for task in self.tasks:
             self._schedule_release(task, self.simulator.now + task.offset_us)
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def cpu_utilization(self) -> float:
-        """Fraction of elapsed simulated time spent in task compute segments.
-
-        Elapsed time is measured since :meth:`start` (falling back to
-        construction time for schedulers that are never started), not from
-        absolute time zero, so a simulator constructed with ``start_us > 0``
-        — or warmed up before the scheduler starts — does not under-report
-        utilization.
-        """
-        elapsed = self.simulator.now - self._started_at_us
-        if elapsed <= 0:
-            return 0.0
-        busy = sum(task.stats.cpu_time_us for task in self.tasks)
-        return busy / elapsed
-
     def scheduler_stats(self) -> dict:
         """A telemetry snapshot of scheduler-wide lifetime counters.
 
@@ -379,20 +362,6 @@ class RTOSScheduler:
                 best_index = index
         return ready.pop(best_index)
 
-    def _highest_ready_priority(self) -> Optional[int]:
-        if not self._ready:
-            return None
-        return max(job.task.priority for job in self._ready)
-
-    def _higher_priority_ready(self, priority: int) -> bool:
-        ready = self._ready
-        if not ready:
-            return False
-        for job in ready:
-            if job.task.priority > priority:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Dispatching
     # ------------------------------------------------------------------
@@ -414,8 +383,9 @@ class RTOSScheduler:
                     while self._running is None and ready:
                         self._run_job(ready.pop() if len(ready) == 1 else self._pop_ready())
                 else:
-                    # Inline _higher_priority_ready: this is the per-release
-                    # fast exit, so the extra frame is measurable.
+                    # Preempt when a ready job outranks the running one: the
+                    # per-release fast exit, inlined because a call frame
+                    # here is measurable.
                     priority = running.task.priority
                     for job in ready:
                         if job.task.priority > priority:
@@ -430,7 +400,7 @@ class RTOSScheduler:
 
     def _run_job(self, job: Job) -> None:
         """Advance ``job`` until it starts a compute segment or finishes."""
-        # _higher_priority_ready and _make_ready are inlined below: this loop
+        # The preemption check and _make_ready are inlined below: this loop
         # runs once per directive, and the ready list is empty or one deep on
         # almost every check.  ``ready`` aliases self._ready, which is mutated
         # in place but never rebound.

@@ -45,10 +45,6 @@ class TaskStats:
     cpu_time_us: int = 0
     response_times_us: List[int] = field(default_factory=list)
 
-    @property
-    def max_response_us(self) -> int:
-        return max(self.response_times_us) if self.response_times_us else 0
-
 
 class Task:
     """A periodic schedulable task.

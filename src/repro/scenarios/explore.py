@@ -62,10 +62,6 @@ class Episode:
     new_transitions: List[str]
     transition_ratio_after: float
 
-    @property
-    def productive(self) -> bool:
-        return bool(self.new_transitions)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "index": self.index,
@@ -98,10 +94,6 @@ class ExplorationReport:
     episodes: List[Episode] = field(default_factory=list)
     transition_coverage: Optional[TransitionCoverage] = None
     state_coverage: Optional[StateCoverage] = None
-
-    @property
-    def productive_episodes(self) -> List[Episode]:
-        return [episode for episode in self.episodes if episode.productive]
 
     def summary(self) -> str:
         lines = [f"coverage-guided exploration (seed {self.seed}, {len(self.episodes)} episodes)"]
@@ -141,14 +133,14 @@ class CoverageGuidedExplorer:
         sut_factory: SutFactory,
         code_model: CodeModel,
         *,
+        schedule: Callable[[ScenarioProgram, int], RTestCase],
         seed: int = 0,
-        schedule: Callable[[ScenarioProgram, int], RTestCase] = ScenarioProgram.compile,
     ) -> None:
         self.space = space
         self.sut_factory = sut_factory
         self.seed = seed
-        #: ``(program, compile seed) -> RTestCase``; callers running against
-        #: a pack model pass ``SystemPack.schedule`` bound to that model.
+        #: ``(program, compile seed) -> RTestCase``: ``SystemPack.schedule``
+        #: bound to the model the factory's systems run.
         self.schedule = schedule
         self.sampler = ScenarioSampler(space, seed=seed)
         self.transition_coverage = TransitionCoverage.for_code_model(code_model)

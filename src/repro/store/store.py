@@ -206,10 +206,6 @@ class RunStore:
         payload = f"{run_key(record.spec)}|{r_json}|{m_json}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def put_record(self, record: RunRecord) -> str:
-        """Persist one record; returns its record id (idempotent per content)."""
-        return self.put_records([record])[0]
-
     def put_records(self, records: Iterable[RunRecord]) -> List[str]:
         """Persist a batch of records in one transaction; returns record ids."""
         rows = []

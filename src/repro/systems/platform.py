@@ -24,7 +24,7 @@ from ..codegen.execution_model import ExecutionTimeModel
 from ..codegen.generator import GeneratedArtifacts, generate_code
 from ..core.instrumentation import ProbeConfiguration
 from ..core.four_variables import TraceRecorder
-from ..integration.base import DEFAULT_ENGINE, EngineProfile, PlatformBundle
+from ..integration.base import DEFAULT_ENGINE, EngineProfile, PlatformBundle, SchemeConfig
 from ..integration.interference import InterferedConfig, InterferedSystem
 from ..integration.interfacing import (
     EventInputBinding,
@@ -33,7 +33,7 @@ from ..integration.interfacing import (
     OutputBinding,
     OutputInterfacing,
 )
-from ..integration.multi_threaded import MultiThreadedConfig, MultiThreadedSystem
+from ..integration.multi_threaded import MultiThreadedSystem
 from ..integration.single_threaded import SingleThreadedConfig, SingleThreadedSystem
 from ..platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
 from ..platform.kernel.random import JitterModel, RandomSource, uniform
@@ -306,7 +306,7 @@ def build_pack_bundle(
 #: Scheme id -> (configuration class, system class).
 _SCHEMES = {
     1: (SingleThreadedConfig, SingleThreadedSystem),
-    2: (MultiThreadedConfig, MultiThreadedSystem),
+    2: (SchemeConfig, MultiThreadedSystem),
     3: (InterferedConfig, InterferedSystem),
 }
 

@@ -8,7 +8,8 @@ and executes it through :mod:`ctypes`, so the tests can check that the C
 in lockstep, and across whole scheme runs
 (``system.code = CompiledGeneratedCode(model)`` on a built system).
 
-Nothing in production calls it.  Campaigns always run the generated Python
+Only the tests use it (``tests/test_runtime_engine.py`` imports it; pytest
+does not collect this module).  Campaigns always run the generated Python
 CODE(M): the compiled chart yields byte-identical verdicts and is no faster,
 because the SUT runtime is about 1.4 % of a run.
 
@@ -45,10 +46,15 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..model.declarations import OutputWrite
-from .c_emitter import _emit_actions, _emit_transition_condition, _identifier, emit_c_source
-from .generated import Firing, GeneratedCodeError
-from .ir import CodeModel
+from repro.codegen.c_emitter import (
+    _emit_actions,
+    _emit_transition_condition,
+    _identifier,
+    emit_c_source,
+)
+from repro.codegen.generated import Firing, GeneratedCodeError
+from repro.codegen.ir import CodeModel
+from repro.model.declarations import OutputWrite
 
 #: Compiler executables probed on PATH, in preference order.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")

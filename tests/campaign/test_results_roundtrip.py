@@ -42,7 +42,7 @@ def test_campaign_result_json_round_trip_is_byte_identical():
 def test_program_backed_campaign_round_trips():
     """Scenario-DSL programs survive the dict round trip inside specs."""
     result = CampaignRunner(scenario_grid_spec(count=1, samples=2)).run()
-    rebuilt = CampaignResult.from_json(result.to_json())
+    rebuilt = CampaignResult.from_dict(json.loads(result.to_json()))
     assert rebuilt.to_json() == result.to_json()
     assert rebuilt.records[0].spec.program is not None
 

@@ -16,7 +16,6 @@ from repro.campaign import (
     default_worker_count,
     execute_run,
     execution_count,
-    run_campaign,
     shard_grid,
     table_one_spec,
 )
@@ -105,11 +104,6 @@ class TestRunnerDeterminism:
         result = CampaignRunner(tiny_spec(), workers=1).run()
         assert [record.spec.index for record in result.records] == [0, 1]
 
-    def test_run_campaign_wrapper(self):
-        result = run_campaign(tiny_spec(m_test="none"))
-        assert len(result) == 2
-        assert result.wall_seconds > 0
-
     def test_rejects_negative_worker_count(self):
         with pytest.raises(ValueError):
             CampaignRunner(tiny_spec(), workers=-1)
@@ -181,15 +175,10 @@ class TestBrokenPool:
 
 
 class TestResultAccessors:
-    def test_record_lookup_by_coordinates(self):
-        result = run_campaign(tiny_spec(m_test="none"))
-        record = result.record_for(scheme=2)
-        assert record.spec.scheme == 2
-        with pytest.raises(LookupError):
-            result.record_for(scheme=3)
-
     def test_summary_and_csv_cover_every_run(self):
-        result = run_campaign(tiny_spec(m_test="none"))
+        result = CampaignRunner(tiny_spec(m_test="none")).run()
+        assert len(result) == 2
+        assert result.wall_seconds > 0
         rows = result.summary_rows()
         assert len(rows) == 2
         csv_text = result.to_csv()
@@ -197,8 +186,9 @@ class TestResultAccessors:
         assert "scheme1/bolus-request" in result.render_summary()
 
     def test_reports_reconstruct_from_payloads(self):
-        result = run_campaign(tiny_spec(m_test="all"))
-        record = result.record_for(scheme=1)
+        result = CampaignRunner(tiny_spec(m_test="all")).run()
+        record = result.records[0]
+        assert record.spec.scheme == 1
         r_report = record.r_report()
         assert len(r_report.samples) == 2
         assert r_report.test_case.requirement.requirement_id == "REQ1"

@@ -1,4 +1,4 @@
-"""Unit tests for the traceability map and the execution-time model."""
+"""Unit tests for the execution-time model."""
 
 import pytest
 
@@ -6,46 +6,6 @@ from repro.codegen.execution_model import ExecutionTimeModel
 from repro.gpca import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION, arm7_execution_model
 from repro.platform.kernel.random import RandomSource, constant, uniform
 from repro.platform.kernel.time import ms
-
-
-class TestTraceability:
-    def test_every_row_is_linked(self, fig2_artifacts):
-        trace_map = fig2_artifacts.traceability
-        assert len(trace_map.links) == len(fig2_artifacts.code_model.transitions)
-
-    def test_row_for_transition_round_trip(self, fig2_artifacts):
-        trace_map = fig2_artifacts.traceability
-        link = trace_map.row_for_transition("t_start_infusion")
-        assert trace_map.transition_for_row(link.row_index).model_transition == "t_start_infusion"
-        assert link.source_state == "BolusRequested"
-        assert link.target_state == "Infusion"
-
-    def test_unknown_lookups_raise(self, fig2_artifacts):
-        trace_map = fig2_artifacts.traceability
-        with pytest.raises(KeyError):
-            trace_map.row_for_transition("missing")
-        with pytest.raises(KeyError):
-            trace_map.transition_for_row(999)
-
-    def test_path_between_idle_and_infusion(self, fig2_artifacts):
-        path = fig2_artifacts.traceability.path_between("Idle", "Infusion")
-        assert [link.model_transition for link in path] == [
-            TRANS_BOLUS_REQUEST,
-            TRANS_START_INFUSION,
-        ]
-
-    def test_path_to_same_state_is_empty(self, fig2_artifacts):
-        assert fig2_artifacts.traceability.path_between("Idle", "Idle") == []
-
-    def test_no_path_raises(self, fig2_artifacts):
-        # EmptyAlarm only reaches Idle; there is no path Idle -> Idle via 0 hops
-        with pytest.raises(KeyError):
-            fig2_artifacts.traceability.path_between("EmptyAlarm", "EmptyAlarm2")
-
-    def test_transitions_writing_output(self, fig2_artifacts):
-        writers = fig2_artifacts.traceability.transitions_writing("o-MotorState")
-        names = {link.model_transition for link in writers}
-        assert names == {"t_start_infusion", "t_bolus_done", "t_empty_alarm"}
 
 
 class TestExecutionTimeModel:
@@ -70,7 +30,6 @@ class TestExecutionTimeModel:
         rows = {row.name: row for row in fig2_artifacts.code_model.transitions}
         model.transition_overrides["t_bolus_req"] = constant(ms(11))
         assert model.transition_cost(rows["t_bolus_req"]) == ms(11)
-        assert model.worst_case_transition_us(rows["t_bolus_req"]) == ms(11)
 
     def test_deterministic_without_rng(self, fig2_artifacts):
         model = arm7_execution_model()

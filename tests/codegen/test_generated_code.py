@@ -75,15 +75,6 @@ class TestBasicExecution:
         with pytest.raises(GeneratedCodeError):
             fig2_artifacts.new_instance().advance_clock(-1)
 
-    def test_reset(self, fig2_artifacts):
-        code = fig2_artifacts.new_instance()
-        code.set_input("i-BolusReq")
-        code.scan()
-        code.reset()
-        assert code.state_name == "Idle"
-        assert code.outputs == {"o-MotorState": 0, "o-BuzzerState": 0}
-        assert code.firing_history == []
-
 
 class TestModelEquivalence:
     """The generated code must preserve the model behaviour (functionally)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.codegen.c_emitter import emit_c_source
-from repro.codegen.generator import CodeGenerator, generate_code
+from repro.codegen.generator import generate_code
 from repro.codegen.ir import lower_statechart
 from repro.model.builder import StatechartBuilder
 from repro.model.statechart import StatechartError
@@ -80,7 +80,6 @@ class TestGeneratorFacade:
         artifacts = generate_code(fig2_chart)
         assert artifacts.code_model.name == "gpca_fig2"
         assert "gpca_fig2_step" in artifacts.c_source
-        assert len(artifacts.traceability.links) == 5
         assert "5 transitions" in artifacts.summary()
 
     def test_new_instance_is_independent(self, fig2_artifacts):
@@ -99,7 +98,7 @@ class TestGeneratorFacade:
             .build()
         )
         with pytest.raises(StatechartError):
-            CodeGenerator().generate(chart)
+            generate_code(chart)
 
     def test_extended_chart_generates(self, extended_chart):
         artifacts = generate_code(extended_chart)

@@ -1,7 +1,5 @@
 """Unit tests for R-testing using a synthetic (trace-replay) system under test."""
 
-import pytest
-
 from repro.core.four_variables import Event, EventKind, FourVariableInterface, Trace
 from repro.core.r_testing import SampleVerdict, evaluate_r_trace, execute_r_test
 from repro.core.requirements import EventSpec, TimingRequirement
@@ -98,7 +96,6 @@ class TestVerdicts:
         requirement = make_requirement()
         report = execute_r_test(lambda: ReplaySut([50, 150, 100]), make_case(requirement))
         assert report.max_latency_us == ms(150)
-        assert report.mean_latency_us == pytest.approx(ms(100))
         assert len(report.violating_samples) == 1
 
     def test_summary_mentions_requirement_and_verdict(self):

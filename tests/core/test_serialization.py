@@ -17,9 +17,7 @@ from repro.core.serialization import (
     r_report_to_json,
     segments_from_dict,
     trace_from_dict,
-    trace_from_json,
     trace_to_dict,
-    trace_to_json,
 )
 from repro.gpca import bolus_request_program, build_pump_interface, req1_bolus_start
 from repro.platform.kernel.time import ms
@@ -45,7 +43,7 @@ class TestTraceSerialization:
                 Event(EventKind.C, "c-X", 2, ms(4)),
             ]
         )
-        rebuilt = trace_from_json(trace_to_json(trace))
+        rebuilt = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
         assert len(rebuilt) == len(trace)
         for original, copy in zip(trace, rebuilt):
             assert copy.kind is original.kind
@@ -62,7 +60,7 @@ class TestTraceSerialization:
 
     def test_real_platform_trace_round_trips(self, scheme1_reports):
         r_report, _ = scheme1_reports
-        rebuilt = trace_from_json(trace_to_json(r_report.trace))
+        rebuilt = trace_from_dict(json.loads(json.dumps(trace_to_dict(r_report.trace))))
         assert len(rebuilt) == len(r_report.trace)
 
 

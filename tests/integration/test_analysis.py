@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from repro.analysis.figures import SweepPoint, render_sweep, sweep_point
-from repro.analysis.statistics import Summary, percentile, to_milliseconds, violation_rate
+from repro.analysis.statistics import Summary, percentile, violation_rate
 from repro.analysis.tables import SchemeResult, TableOne
 from repro.core.r_testing import execute_r_test
 from repro.gpca import bolus_request_program
@@ -37,9 +37,6 @@ class TestStatistics:
     def test_violation_rate(self):
         assert violation_rate([50, 150, None], 100) == pytest.approx(2 / 3)
         assert violation_rate([], 100) == 0.0
-
-    def test_to_milliseconds(self):
-        assert to_milliseconds([1000, None, 2500]) == [1.0, None, 2.5]
 
 
 class TestSweep:

@@ -7,13 +7,7 @@ from functools import partial
 import pytest
 
 from repro.analysis import SchemeResult, TableOne
-from repro.analysis.export import (
-    sweep_to_csv,
-    sweep_to_markdown,
-    table_one_to_csv,
-    table_one_to_markdown,
-)
-from repro.analysis.figures import SweepPoint
+from repro.analysis.export import table_one_to_csv, table_one_to_markdown
 from repro.core import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.gpca import (
@@ -37,12 +31,6 @@ def small_table():
     return table
 
 
-SWEEP = [
-    SweepPoint(parameter=25.0, violation_rate=0.3, timeout_count=0, max_latency_ms=110.0, mean_latency_ms=95.0),
-    SweepPoint(parameter=10.0, violation_rate=0.0, timeout_count=0, max_latency_ms=80.0, mean_latency_ms=70.0),
-]
-
-
 class TestTableExport:
     def test_markdown_contains_all_samples_and_schemes(self, small_table):
         markdown = table_one_to_markdown(small_table)
@@ -62,16 +50,3 @@ class TestTableExport:
 
     def test_empty_table_csv(self):
         assert table_one_to_csv(TableOne()) == ""
-
-
-class TestSweepExport:
-    def test_markdown_sorted_by_parameter(self):
-        markdown = sweep_to_markdown(SWEEP, "period (ms)")
-        assert markdown.index("| 10 |") < markdown.index("| 25 |")
-        assert "0%" in markdown and "30%" in markdown
-
-    def test_csv_fields(self):
-        rows = list(csv.DictReader(io.StringIO(sweep_to_csv(SWEEP, "period_ms"))))
-        assert len(rows) == 2
-        assert rows[0]["period_ms"] == "10.0"
-        assert rows[1]["violation_rate"] == "0.3"

@@ -105,5 +105,3 @@ class TestFig3Views:
         rendered = views[0].render()
         assert "(a) model" in rendered
         assert "(d) transitions" in rendered
-        io_view = views[0].io_view
-        assert set(io_view.keys()) == {"m", "i", "o", "c"}

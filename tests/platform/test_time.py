@@ -7,11 +7,7 @@ from repro.platform.kernel.time import (
     format_us,
     ms,
     seconds,
-    ticks_to_us,
-    to_ms,
-    to_seconds,
     us,
-    us_to_ticks,
 )
 
 
@@ -27,17 +23,6 @@ class TestConversions:
 
     def test_us_is_identity(self):
         assert us(42) == 42
-
-    def test_round_trip_ms(self):
-        assert to_ms(ms(100)) == pytest.approx(100.0)
-
-    def test_round_trip_seconds(self):
-        assert to_seconds(seconds(4)) == pytest.approx(4.0)
-
-    def test_model_tick_is_one_millisecond(self):
-        assert ticks_to_us(1) == 1_000
-        assert us_to_ticks(1_999) == 1
-        assert us_to_ticks(2_000) == 2
 
     def test_format_small_values_in_ms(self):
         assert format_us(1500) == "1.500 ms"

@@ -38,7 +38,6 @@ def test_cpu_time_never_exceeds_wall_clock(task_set):
     simulator.run_until(horizon)
     busy = sum(task.stats.cpu_time_us for task in rtos.tasks)
     assert busy <= horizon
-    assert 0.0 <= rtos.cpu_utilization() <= 1.0
 
 
 @given(task_sets())

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.statistics import Summary, percentile, violation_rate
-from repro.core.coverage import samples_needed_for_rate, wilson_interval
+from repro.core.coverage import wilson_interval
 
 values = st.lists(st.integers(min_value=0, max_value=10_000_000), min_size=1, max_size=100)
 
@@ -53,10 +53,3 @@ def test_wilson_interval_is_a_valid_interval(successes, extra, confidence):
     assert 0.0 <= low <= high <= 1.0
     # The observed proportion always lies inside the interval.
     assert low <= successes / samples <= high
-
-
-@given(st.floats(min_value=0.001, max_value=0.5), st.floats(min_value=0.5, max_value=0.999))
-def test_samples_needed_monotone_in_target(rate, confidence):
-    tighter = samples_needed_for_rate(rate / 2, confidence)
-    looser = samples_needed_for_rate(rate, confidence)
-    assert tighter >= looser >= 1

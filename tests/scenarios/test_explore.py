@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.gpca import gpca_scenario_space
 from repro.scenarios import CoverageGuidedExplorer
 from repro.systems import get_pack
+from repro.systems.gpca import EXTENDED_MODEL_SHIFT_US
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +18,17 @@ def fig2_artifacts_cached():
 
 
 def build_explorer(artifacts, seed=0):
+    pack = get_pack("gpca")
+
     def factory():
-        return get_pack("gpca").build_system(1, seed=11, artifacts=artifacts)
+        return pack.build_system(1, seed=11, artifacts=artifacts)
 
     return CoverageGuidedExplorer(
-        gpca_scenario_space(), factory, artifacts.code_model, seed=seed
+        gpca_scenario_space(),
+        factory,
+        artifacts.code_model,
+        seed=seed,
+        schedule=lambda program, compile_seed: pack.schedule(program, compile_seed, "fig2"),
     )
 
 
@@ -41,7 +48,7 @@ class TestCoverageGuidedExplorer:
     def test_productive_programs_are_mutated(self, fig2_artifacts_cached):
         """Once a program uncovers transitions, later episodes exploit it."""
         report = build_explorer(fig2_artifacts_cached, seed=0).explore(8)
-        assert report.productive_episodes
+        assert any(episode.new_transitions for episode in report.episodes)
         assert any(episode.source == "mutation" for episode in report.episodes)
 
     def test_new_transitions_are_disjoint_across_episodes(self, fig2_artifacts_cached):
@@ -62,6 +69,38 @@ class TestCoverageGuidedExplorer:
             assert episode.program.setup and episode.program.teardown
         # The rich draws are what complete fig2 transition coverage at seed 0.
         assert report.transition_coverage.ratio == 1.0
+
+    def test_schedule_is_required(self, fig2_artifacts_cached):
+        """No default compiles a program past the pack, so no model shift is skipped."""
+        with pytest.raises(TypeError, match="schedule"):
+            CoverageGuidedExplorer(
+                gpca_scenario_space(), lambda: None, fig2_artifacts_cached.code_model, seed=0
+            )
+
+    def test_extended_model_episodes_run_shifted_schedules(self):
+        """Each episode runs the case its ``schedule`` writes for its program."""
+        pack = get_pack("gpca")
+        artifacts = ArtifactCache().artifacts_for_model("extended")
+        scheduled = []
+
+        def schedule(program, compile_seed):
+            case = pack.schedule(program, compile_seed, "extended")
+            scheduled.append((program, compile_seed, case))
+            return case
+
+        report = CoverageGuidedExplorer(
+            gpca_scenario_space(),
+            lambda: pack.build_system(1, model="extended", seed=11, artifacts=artifacts),
+            artifacts.code_model,
+            seed=0,
+            schedule=schedule,
+        ).explore(2)
+        assert [program for program, _, _ in scheduled] == [
+            episode.program for episode in report.episodes
+        ]
+        for program, compile_seed, case in scheduled:
+            base_times = program.compile(compile_seed).stimulus_times()
+            assert case.stimulus_times() == [t + EXTENDED_MODEL_SHIFT_US for t in base_times]
 
     def test_report_dict_is_json_serializable(self, fig2_artifacts_cached):
         report = build_explorer(fig2_artifacts_cached, seed=1).explore(4)

@@ -135,7 +135,7 @@ def test_mutated_record_round_trips_through_sqlite(tmp_path):
     assert spec.mutant is not None
     record = execute_run(spec)
     store = RunStore(tmp_path / "runs.db")
-    key = store.put_record(record)
+    [key] = store.put_records([record])
     rebuilt = store.get(key, index=spec.index)
     assert rebuilt.to_dict() == record.to_dict()
     store.close()

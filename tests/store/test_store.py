@@ -14,7 +14,7 @@ from repro.store import RunStore, StoreError, run_key
 def test_put_and_lookup_round_trip(tmp_path, table1_result):
     store = RunStore(tmp_path / "runs.db")
     record = table1_result.records[0]
-    record_id = store.put_record(record)
+    [record_id] = store.put_records([record])
     assert record_id == RunStore.record_id(record)
     assert record_id != run_key(record.spec), "record ids also hash the payload"
     assert store.has(record.spec)
@@ -144,7 +144,7 @@ def test_state_token_survives_delete_then_insert(seeded_store, table1_result):
     token = seeded_store.state_token()
     newest = table1_result.records[-1]
     assert seeded_store.delete_run(run_key(newest.spec))
-    seeded_store.put_record(table1_result.records[0])  # already stored: still a write
+    seeded_store.put_records(table1_result.records[:1])  # already stored: still a write
     assert seeded_store.state_token() != token
 
 

@@ -21,7 +21,13 @@ def explore(pack, episodes, *, seed=0):
         return pack.build_system(1, seed=11, artifacts=artifacts)
 
     explorer = CoverageGuidedExplorer(
-        pack.scenario_space(), factory, artifacts.code_model, seed=seed
+        pack.scenario_space(),
+        factory,
+        artifacts.code_model,
+        seed=seed,
+        schedule=lambda program, compile_seed: pack.schedule(
+            program, compile_seed, pack.default_model
+        ),
     )
     return explorer.explore(episodes)
 

@@ -1,4 +1,4 @@
-"""Byte pins of two CLI outputs, run in-process through ``repro.cli.main``.
+"""Byte pins of CLI outputs, run in-process through ``repro.cli.main``.
 
 * ``repro rtest --scheme S --m-test --json ... --csv ...`` at the defaults
   (10 samples, seed 7) for every scheme, plus ``--m-json`` on scheme 3 (the
@@ -7,6 +7,8 @@
 * ``repro faults --samples 1 --seed 0 --store DB``: the content-addressed
   snapshot id it prints, which hashes every run of the GPCA kill matrix,
   and the same with ``--system pacemaker`` and ``--system cruise``.
+* ``repro codegen``, ``repro verify`` (each with and without ``--extended``)
+  and two seeded ``repro explore`` runs: the SHA-256 of stdout.
 
 Any change to how a system is built, how its schedule is written or how a
 run is judged moves one of these digests.
@@ -61,6 +63,27 @@ PACK_SNAPSHOTS = {
     "pacemaker": "8790e5fc463fad348d7d19fb",
     "cruise": "213ec6e796e037c1be9e53d6",
 }
+
+
+#: argv -> SHA-256 of the command's stdout (every one exits 0).
+STDOUT_PINS = {
+    ("codegen",): "c700740ea1f30575e88ec1c5faa744d5dbd661f6539bb85e34bad796e9185b6e",
+    ("codegen", "--extended"): "b5a3dbf039d37390deffff0aae4be96da85f20b6e3907000164c9aa51374bee2",
+    ("verify",): "25d8b02540bd59daa30219d02e29a0c523835e47db47f718f82d60fda96b9c76",
+    ("verify", "--extended"): "ef9cc2854ab9059d14fca334149ce296b899bc4efd7447570dd4f7afb062ee5c",
+    ("explore", "--seed", "0", "--episodes", "4"): (
+        "bb808dd7b0ea2c43d24350434df7c43d3694ef629afc3e1ab3e424e055624189"
+    ),
+    ("explore", "--system", "cruise", "--seed", "0", "--episodes", "2"): (
+        "2f2e88ec07f0faefa72ebcee4ec9f3eebdef2e68f24d0b3f947d81450f38ed92"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_PINS), ids=" ".join)
+def test_stdout_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == STDOUT_PINS[argv]
 
 
 @pytest.mark.parametrize("scheme", sorted(RTEST_PINS))

@@ -7,15 +7,24 @@ imports only subpackages below it.  These tests pin that rule three ways:
   ``if TYPE_CHECKING:`` and inside functions are not edges);
 * in a fresh interpreter, from what importing a layer actually loads;
 * for each package ``__init__``, whose re-exports must match its ``__all__``.
+
+A fourth test keeps the package to what its users reach: every definition
+that nothing else in ``src/repro`` names must be on a committed keep-list
+that names the benchmark, ledger leg, example, framework or test using it.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
+from collections import Counter
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -199,3 +208,81 @@ class TestReexports:
         ]
         unlisted = [name for name in bound if name not in getattr(module, "__all__", ())]
         assert unlisted == []
+
+
+#: Every ``src/repro`` function, class and non-dunder method whose name no
+#: other ``src/repro`` token uses, with its user: a file outside ``src/``
+#: that names it (a benchmark, a ledger leg, an example, or a test that
+#: observes other code through it), or the framework that calls it.  A new
+#: such definition is either added here with its user or deleted.
+KEEP_UNREFERENCED = {
+    "bolus_scenario": "benchmarks/bench_baselines.py",
+    "commanded_value": "tests/platform/test_devices.py",
+    "compactions": "tests/test_runtime_engine.py",
+    "complete_segments": "tests/systems/test_packs_end_to_end.py",
+    "counter_value": "tests/obs/test_metrics.py",
+    # Stages the store an interrupted campaign leaves (a run missing), for
+    # the resume, missing-run and state-token tests.
+    "delete_run": "tests/store/test_resume.py",
+    "diagnostic_information": "benchmarks/bench_baselines.py",
+    "do_GET": "BaseHTTPRequestHandler",
+    "generation_count": "ledger/traced.py",
+    "get_task": "tests/faults/test_models.py",
+    "input_devices": "tests/platform/test_environment.py",
+    "local_variable": "tests/model/test_executor.py",
+    "log_message": "BaseHTTPRequestHandler",
+    "mean_transition_delay_us": "benchmarks/bench_table1.py",
+    "output_devices": "tests/platform/test_environment.py",
+    "pending_count": "tests/platform/test_devices.py",
+    "segments_consistent": "benchmarks/bench_table1.py",
+    "stimuli_per_cycle": "examples/scenario_explore.py",
+    "stimulus_times": "tests/core/test_requirements_and_generation.py",
+    "task_statistics": "tests/integration/test_schemes.py",
+    "within_deadline": "benchmarks/bench_fig3_segments.py",
+}
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Literal text of an f-string is its own token type from Python 3.12 on.
+_TEXT_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def _token_words(source: str) -> Counter:
+    """Names and the words inside string literals, comments excluded."""
+    words: Counter = Counter()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            words[token.string] += 1
+        elif token.type in _TEXT_TOKENS:
+            words.update(_WORD.findall(token.string))
+    return words
+
+
+def unreferenced_definitions() -> Set[str]:
+    """Definitions whose name occurs once among the tokens of ``src/repro``."""
+    words: Counter = Counter()
+    defined: List[str] = []
+    for path, _ in MODULES.values():
+        source = path.read_text(encoding="utf-8")
+        words.update(_token_words(source))
+        defined.extend(
+            node.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        )
+    return {name for name in defined if words[name] == 1}
+
+
+class TestUnreferencedDefinitions:
+    def test_every_unreferenced_definition_is_kept_for_a_user(self):
+        assert unreferenced_definitions() == set(KEEP_UNREFERENCED)
+
+    @pytest.mark.parametrize("name", sorted(KEEP_UNREFERENCED))
+    def test_the_named_user_uses_it(self, name):
+        user = KEEP_UNREFERENCED[name]
+        if user == "BaseHTTPRequestHandler":
+            # ``do_<METHOD>`` handlers are looked up by name per request.
+            assert name.startswith("do_") or hasattr(BaseHTTPRequestHandler, name)
+        else:
+            assert _token_words((REPO_ROOT / user).read_text(encoding="utf-8"))[name] > 0

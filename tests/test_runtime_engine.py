@@ -29,8 +29,8 @@ import pytest
 
 from repro._reference import SEED_ENGINE
 from repro._reference.seed_engine import SeedSimulator, SeedTrace
-from repro.codegen import c_backend
-from repro.codegen.c_backend import (
+import c_backend
+from c_backend import (
     BackendUnavailable,
     CompiledGeneratedCode,
     check_compilable,
