@@ -2,7 +2,7 @@
 
 Scales the CPU bursts of scheme 3's interfering threads from zero (equivalent
 to scheme 2) to 1.2x the default profile — one campaign grid of scheme-3
-points (:func:`repro.campaign.interference_sweep_spec`) — and regenerates the
+points (:func:`repro.campaign.spec.interference_sweep_spec`) — and regenerates the
 REQ1 R-testing verdicts at every point.  The sweep shows the mechanism behind
 the paper's scheme-3 results: violations (and eventually MAX samples) appear
 as the higher-priority interference approaches CPU saturation.
@@ -10,8 +10,9 @@ as the higher-priority interference approaches CPU saturation.
 
 from __future__ import annotations
 
-from repro.analysis import render_sweep
-from repro.campaign import CampaignRunner, interference_sweep_spec
+from repro.analysis.figures import render_sweep
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import interference_sweep_spec
 
 SCALES = (0.0, 0.4, 0.8, 1.0, 1.2)
 SAMPLES = 6

@@ -2,7 +2,7 @@
 
 The paper's scheme 1 polls sensors and steps CODE(M) every 25 ms.  This sweep
 varies that period — one campaign grid of scheme-1 points
-(:func:`repro.campaign.period_sweep_spec`) — and regenerates the REQ1
+(:func:`repro.campaign.spec.period_sweep_spec`) — and regenerates the REQ1
 R-testing verdicts for each value, showing the crossover from conforming
 (short periods) to violating (long periods) behaviour — the design-space view
 behind the paper's choice to report scheme 1 at 25 ms.
@@ -10,8 +10,9 @@ behind the paper's choice to report scheme 1 at 25 ms.
 
 from __future__ import annotations
 
-from repro.analysis import render_sweep
-from repro.campaign import CampaignRunner, period_sweep_spec
+from repro.analysis.figures import render_sweep
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import period_sweep_spec
 
 PERIODS_MS = (10, 15, 20, 25, 35, 50)
 SAMPLES = 6

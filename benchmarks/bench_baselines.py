@@ -13,17 +13,16 @@ from functools import partial
 
 import pytest
 
-from repro.baselines import BlackBoxOnlineTester, FunctionalConformanceChecker
-from repro.codegen import generate_code
-from repro.core import MTestAnalyzer
+from repro.baselines.blackbox_online import BlackBoxOnlineTester
+from repro.baselines.functional_conformance import FunctionalConformanceChecker
+from repro.codegen.generator import generate_code
+from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
-from repro.gpca import (
-    bolus_request_program,
-    build_fig2_statechart,
-    build_pump_interface,
-    req1_bolus_start,
-)
-from repro.systems import GPCA_PACK
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.model import build_fig2_statechart
+from repro.gpca.requirements import req1_bolus_start
+from repro.gpca.scenarios import bolus_request_program
+from repro.systems.gpca import GPCA_PACK
 
 SCHEME = 3
 SEED = 33

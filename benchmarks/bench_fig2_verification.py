@@ -11,12 +11,8 @@ to fail — demonstrating the checker is not vacuous.
 from __future__ import annotations
 
 
-from repro.gpca import (
-    build_extended_statechart,
-    build_fig2_statechart,
-    gpca_requirements,
-    req1_bolus_start,
-)
+from repro.gpca.model import build_extended_statechart, build_fig2_statechart
+from repro.gpca.requirements import gpca_requirements, req1_bolus_start
 from repro.model.verification import BoundedResponseChecker
 
 

@@ -10,9 +10,11 @@ internal consistency.
 
 from __future__ import annotations
 
-from repro.analysis import fig3_views, model_timing_view
-from repro.campaign import CampaignRunner, CampaignSpec, CasePoint, SchemePoint
-from repro.gpca import build_fig2_statechart, req1_bolus_start
+from repro.analysis.figures import fig3_views, model_timing_view
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint
+from repro.gpca.model import build_fig2_statechart
+from repro.gpca.requirements import req1_bolus_start
 
 
 def fig3_spec(scheme: int, seed: int) -> CampaignSpec:

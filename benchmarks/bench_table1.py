@@ -2,7 +2,7 @@
 
 Reproduces the paper's Table I through the campaign engine: the ten R-testing
 samples of REQ1 per implementation scheme plus the M-testing delay segments
-are one three-run campaign grid (:func:`repro.campaign.table_one_spec`).  The
+are one three-run campaign grid (:func:`repro.campaign.spec.table_one_spec`).  The
 qualitative shape the paper reports is then checked on the aggregate:
 
 * scheme 2 (multi-threaded, period sum < 100 ms) conforms;
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import TableOne
-from repro.campaign import CampaignRunner, table_one_spec
+from repro.analysis.tables import TableOne
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import table_one_spec
 
 SAMPLES = 10
 CASE_SEED = 7

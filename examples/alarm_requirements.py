@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.core import MTestAnalyzer, assess_sufficiency, render_r_report
+from repro.core.coverage import assess_sufficiency
+from repro.core.m_testing import MTestAnalyzer
+from repro.core.report import render_r_report
 from repro.core.r_testing import execute_r_test
-from repro.systems import GPCA_PACK
+from repro.systems.gpca import GPCA_PACK
 
 
 def main() -> None:

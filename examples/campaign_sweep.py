@@ -15,14 +15,9 @@ Run with:  python examples/campaign_sweep.py
 
 from __future__ import annotations
 
-from repro.analysis import render_sweep
-from repro.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    CasePoint,
-    SchemePoint,
-    default_worker_count,
-)
+from repro.analysis.figures import render_sweep
+from repro.campaign.runner import CampaignRunner, default_worker_count
+from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint
 from repro.platform.kernel.time import ms
 
 #: Polling periods to sweep on the single-threaded scheme (paper value: 25 ms).

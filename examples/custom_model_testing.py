@@ -23,15 +23,11 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.codegen import generate_code
-from repro.core import (
-    EventSpec,
-    MTestAnalyzer,
-    RTestCase,
-    Stimulus,
-    TimingRequirement,
-    render_layered_summary,
-)
+from repro.codegen.generator import generate_code
+from repro.core.m_testing import MTestAnalyzer
+from repro.core.report import render_layered_summary
+from repro.core.requirements import EventSpec, TimingRequirement
+from repro.core.test_generation import RTestCase, Stimulus
 from repro.core.four_variables import FourVariableInterface
 from repro.core.r_testing import execute_r_test
 from repro.model import StatechartBuilder, before

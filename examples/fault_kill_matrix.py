@@ -24,15 +24,9 @@ Run with ``PYTHONPATH=src python examples/fault_kill_matrix.py`` (or after
 
 from __future__ import annotations
 
-from repro.faults import (
-    ExecutionInflationFault,
-    FaultMatrixSpec,
-    FaultPlan,
-    QueueFault,
-    SensorStuckFault,
-    generate_mutants,
-    run_kill_matrix,
-)
+from repro.faults.matrix import FaultMatrixSpec, run_kill_matrix
+from repro.faults.models import ExecutionInflationFault, FaultPlan, QueueFault, SensorStuckFault
+from repro.faults.mutants import generate_mutants
 from repro.gpca.model import build_fig2_statechart
 
 # Three fault plans: WCET inflation, a stuck bolus button, lossy IPC.

@@ -15,13 +15,8 @@ Run with:  python examples/multi_system_sweep.py
 
 from __future__ import annotations
 
-from repro.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    CasePoint,
-    SchemePoint,
-    default_worker_count,
-)
+from repro.campaign.runner import CampaignRunner, default_worker_count
+from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint
 from repro.systems import get_pack, iter_packs
 
 SAMPLES = 4

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.codegen import generate_code
-from repro.core import MTestAnalyzer, render_layered_summary, render_m_report, render_r_report
+from repro.codegen.generator import generate_code
+from repro.core.m_testing import MTestAnalyzer
+from repro.core.report import render_layered_summary, render_m_report, render_r_report
 from repro.core.r_testing import execute_r_test
-from repro.gpca import build_fig2_statechart, req1_bolus_start
+from repro.gpca.model import build_fig2_statechart
+from repro.gpca.requirements import req1_bolus_start
 from repro.model.verification import BoundedResponseChecker
-from repro.systems import GPCA_PACK
+from repro.systems.gpca import GPCA_PACK
 
 
 def main() -> None:

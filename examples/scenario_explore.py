@@ -16,9 +16,10 @@ Run with:  python examples/scenario_explore.py
 
 from __future__ import annotations
 
-from repro.campaign import process_cache
-from repro.gpca import empty_reservoir_alarm_program, gpca_scenario_space
-from repro.scenarios import CoverageGuidedExplorer, ScenarioSampler
+from repro.campaign.cache import process_cache
+from repro.gpca.scenarios import empty_reservoir_alarm_program, gpca_scenario_space
+from repro.scenarios.explore import CoverageGuidedExplorer
+from repro.scenarios.generator import ScenarioSampler
 from repro.systems import get_pack
 
 

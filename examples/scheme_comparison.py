@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.analysis import SchemeResult, TableOne
-from repro.core import MTestAnalyzer
+from repro.analysis.tables import SchemeResult, TableOne
+from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
-from repro.systems import GPCA_PACK, generic_scheme_name
+from repro.systems import generic_scheme_name
+from repro.systems.gpca import GPCA_PACK
 from repro.systems.base import ALL_SCHEMES
 
 

@@ -25,8 +25,10 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, table_one_spec
-from repro.store import RunStore, StoreServer, diff_snapshots
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import table_one_spec
+from repro.store import RunStore, StoreServer
+from repro.store.diff import diff_snapshots
 
 
 def main() -> None:

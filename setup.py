@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-layered-timing",
-    version="1.14.0",
+    version="1.15.0",
     description=(
         "Reproduction of 'A Layered Approach for Testing Timing in the "
         "Model-Based Implementation' (DATE 2014): R-/M-testing, three "

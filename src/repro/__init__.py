@@ -34,8 +34,9 @@ The package is organised by layer, mirroring the paper's methodology:
   incremental (resumable) campaigns, snapshot regression diffs and the
   ``repro serve`` JSON query API.
 
-``import repro`` loads none of these subpackages: import the one you use,
-as the quickstarts below do.  ``docs/architecture.md`` draws the layer
+``import repro`` loads none of these subpackages, and a subpackage's
+``__init__`` re-exports only names that load no other layer: import each
+name from the module that defines it, as the quickstarts below do.  ``docs/architecture.md`` draws the layer
 diagram, states the order in which the subpackages may import each other,
 and collects the design notes behind the campaign engine, the trace index
 and the scenario subsystem.
@@ -44,9 +45,9 @@ Quickstart (build the system under test, write its schedule, run it)::
 
     from functools import partial
 
-    from repro.core import MTestAnalyzer
+    from repro.core.m_testing import MTestAnalyzer
     from repro.core.r_testing import execute_r_test
-    from repro.systems import GPCA_PACK
+    from repro.systems.gpca import GPCA_PACK
 
     program = GPCA_PACK.case_builders["bolus-request"](10)
     test_case = GPCA_PACK.schedule(program, 0, "fig2")
@@ -58,13 +59,14 @@ Quickstart (build the system under test, write its schedule, run it)::
 
 Campaign quickstart (the Table I grid, sharded across four workers)::
 
-    from repro.campaign import CampaignRunner, table_one_spec
+    from repro.campaign.runner import CampaignRunner
+    from repro.campaign.spec import table_one_spec
 
     result = CampaignRunner(table_one_spec(), workers=4).run()
     print(result.table_one().render())
 """
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "__version__",

@@ -1,14 +1,6 @@
-"""Baselines from the paper's related work: black-box online testing and
-functional (SIL-style) conformance checking."""
+"""Baselines from the paper's related work: black-box online testing
+(:mod:`repro.baselines.blackbox_online`) and functional (SIL-style)
+conformance checking (:mod:`repro.baselines.functional_conformance`).
 
-from .blackbox_online import BlackBoxOnlineTester
-from .functional_conformance import (
-    FunctionalConformanceChecker,
-    FunctionalStep,
-)
-
-__all__ = [
-    "BlackBoxOnlineTester",
-    "FunctionalConformanceChecker",
-    "FunctionalStep",
-]
+Import names from those modules: this ``__init__`` loads neither.
+"""

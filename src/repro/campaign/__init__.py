@@ -24,55 +24,11 @@ pure function of its spec, seeds derive from grid coordinates rather than
 execution order, and records are re-sorted by grid index before aggregation.
 
 Scenario points either name a stock GPCA scenario or carry a
-:class:`repro.scenarios.ScenarioProgram` directly (the ``scenarios`` preset
+:class:`repro.scenarios.dsl.ScenarioProgram` directly (the ``scenarios`` preset
 grid); see ``docs/architecture.md`` for the engine's design notes.
+
+Import names from those modules (the CLI's campaign commands, for example,
+``from repro.campaign.runner import CampaignRunner``): this ``__init__``
+loads none of them, so reading a spec or a stored result never loads the
+worker and the build chain it imports.
 """
-
-from .cache import ArtifactCache, chart_fingerprint, model_fingerprint, process_cache
-from .profiler import profile_run
-from .results import SUMMARY_FIELDS, CampaignResult
-from .runner import CampaignRunner, default_worker_count, shard_grid
-from .spec import (
-    PRESETS,
-    CampaignSpec,
-    CasePoint,
-    RunSpec,
-    SchemePoint,
-    build_case,
-    derive_seed,
-    full_grid_spec,
-    interference_sweep_spec,
-    period_sweep_spec,
-    preset_spec,
-    scenario_grid_spec,
-    table_one_spec,
-)
-from .worker import execute_run, execution_count
-
-__all__ = [
-    "ArtifactCache",
-    "SUMMARY_FIELDS",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "CasePoint",
-    "PRESETS",
-    "RunSpec",
-    "SchemePoint",
-    "build_case",
-    "chart_fingerprint",
-    "default_worker_count",
-    "derive_seed",
-    "execute_run",
-    "execution_count",
-    "model_fingerprint",
-    "full_grid_spec",
-    "interference_sweep_spec",
-    "period_sweep_spec",
-    "preset_spec",
-    "process_cache",
-    "profile_run",
-    "scenario_grid_spec",
-    "shard_grid",
-    "table_one_spec",
-]

@@ -23,19 +23,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..codegen.generator import GeneratedArtifacts, generate_code
-from ..model.statechart import Statechart
+# Model names are globally unique across packs, so plain model names remain
+# sufficient cache keys; ``model_builder`` imports only the owning pack.
+from ..systems.base import model_builder
 
-# Model name -> statechart builder, aggregated across every registered system
-# pack (the same live dict object as ``repro.systems.MODEL_BUILDERS``, kept
-# under its historical name here).  Model names are globally unique across
-# packs, so plain model names remain sufficient cache keys.
-from ..systems import MODEL_BUILDERS
+if TYPE_CHECKING:
+    from ..codegen.generator import GeneratedArtifacts
+    from ..model.statechart import Statechart
 
 __all__ = [
-    "MODEL_BUILDERS",
     "ArtifactCache",
     "chart_fingerprint",
     "model_fingerprint",
@@ -167,12 +165,7 @@ def model_fingerprint(model: str) -> str:
     """
     cached = _MODEL_FINGERPRINTS.get(model)
     if cached is None:
-        try:
-            builder = MODEL_BUILDERS[model]
-        except KeyError:
-            known = ", ".join(sorted(MODEL_BUILDERS))
-            raise ValueError(f"unknown model {model!r} (known: {known})") from None
-        cached = chart_fingerprint(builder())
+        cached = chart_fingerprint(model_builder(model)())
         _MODEL_FINGERPRINTS[model] = cached
     return cached
 
@@ -187,21 +180,13 @@ class ArtifactCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _builder_for(model: str):
-        try:
-            return MODEL_BUILDERS[model]
-        except KeyError:
-            known = ", ".join(sorted(MODEL_BUILDERS))
-            raise ValueError(f"unknown model {model!r} (known: {known})") from None
-
     def artifacts_for_model(self, model: str) -> GeneratedArtifacts:
         """Artifacts for a named model of any registered pack ("fig2", ...)."""
         cached = self._by_model.get(model)
         if cached is not None:
             self.hits += 1
             return cached
-        artifacts = self.artifacts_for_chart(self._builder_for(model)())
+        artifacts = self.artifacts_for_chart(model_builder(model)())
         self._by_model[model] = artifacts
         return artifacts
 
@@ -220,7 +205,7 @@ class ArtifactCache:
         if cached is not None:
             self.hits += 1
             return cached
-        artifacts = self.artifacts_for_chart(mutant.apply(self._builder_for(model)()))
+        artifacts = self.artifacts_for_chart(mutant.apply(model_builder(model)()))
         self._by_model[key] = artifacts
         return artifacts
 
@@ -231,6 +216,8 @@ class ArtifactCache:
         if cached is not None:
             self.hits += 1
             return cached
+        from ..codegen.generator import generate_code
+
         self.misses += 1
         artifacts = generate_code(chart)
         self._by_fingerprint[fingerprint] = artifacts

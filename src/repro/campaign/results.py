@@ -19,15 +19,16 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..analysis.figures import SweepPoint, sweep_point
-from ..analysis.tables import SchemeResult, TableOne
-from ..core.m_testing import MTestReport
-from ..core.r_testing import RTestReport
-from ..core.serialization import m_report_from_dict, r_report_from_dict
-from ..systems import generic_scheme_name
+from ..systems.base import generic_scheme_name
 from .spec import CampaignSpec, RunSpec, case_requirement
+
+if TYPE_CHECKING:
+    from ..analysis.figures import SweepPoint
+    from ..analysis.tables import TableOne
+    from ..core.m_testing import MTestReport
+    from ..core.r_testing import RTestReport
 
 RESULT_FORMAT_VERSION = 1
 
@@ -77,6 +78,8 @@ class RunRecord:
         """
         cached = self.__dict__.get("_r_report_cache")
         if cached is None:
+            from ..core.serialization import r_report_from_dict
+
             cached = r_report_from_dict(self.r_payload, self.spec.test_case())
             object.__setattr__(self, "_r_report_cache", cached)
         return cached
@@ -85,6 +88,8 @@ class RunRecord:
         """Rebuild the M-test report, if this run performed M-testing."""
         if self.m_payload is None:
             return None
+        from ..core.serialization import m_report_from_dict
+
         # The requirement is sample-independent; program-backed runs carry it
         # directly, and for stock scenarios case_requirement's one-sample
         # default avoids regenerating the run's full stimulus schedule here.
@@ -159,6 +164,8 @@ class CampaignResult:
         raises :class:`LookupError` when ``case`` has no clean run, or when
         one scheme has two (a period or interference sweep).
         """
+        from ..analysis.tables import SchemeResult, TableOne
+
         table = TableOne()
         for record in self.records:
             spec = record.spec
@@ -189,6 +196,8 @@ class CampaignResult:
         ``axis`` is ``"period_ms"`` (scheme 1 polling period) or
         ``"interference_scale"`` (scheme 3 burst scaling).
         """
+        from ..analysis.figures import sweep_point
+
         points = []
         for record in self.records:
             if axis == "period_ms":

@@ -23,20 +23,26 @@ change a record.
 A process pool that breaks mid-campaign (a killed worker, no fork support)
 costs only the shards that had not finished: they re-run in-process, and
 every shard that already returned keeps its records.
+
+The worker (and with it the build chain a run needs) and the process pool
+are imported only once the runner knows runs are missing: a campaign that
+does not resume imports the worker before its wall clock starts, a resume
+right after its store lookups — in both cases before the pool forks and
+before the first run's clock starts.  A fully stored campaign loads neither.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..obs import REGISTRY, CampaignProgress
-from .results import CampaignResult, RunRecord
-from .spec import CampaignSpec, RunSpec
-from .worker import execute_shard
+from .results import CampaignResult
+
+if TYPE_CHECKING:
+    from .results import RunRecord
+    from .spec import CampaignSpec, RunSpec
 
 #: Minimum seconds between store progress snapshots (final write always lands).
 PROGRESS_WRITE_INTERVAL_S = 0.5
@@ -118,6 +124,8 @@ class CampaignRunner:
     def run(self) -> CampaignResult:
         """Execute every (missing) run of the grid and aggregate in grid order."""
         runs = self.spec.expand()
+        if not self.resume:
+            from . import worker  # noqa: F401 - loaded before the wall clock starts
         started = time.perf_counter()
         progress = self.progress = CampaignProgress(
             self.spec.name, len(runs), workers=self.workers
@@ -139,6 +147,8 @@ class CampaignRunner:
         fresh: List[RunRecord] = []
         workers_used = 1
         if missing:
+            from .worker import execute_shard
+
             progress.record_started(len(missing))
             if self.workers <= 1 or len(missing) <= 1:
                 fresh = execute_shard(missing, progress=self._on_run_complete)
@@ -187,6 +197,11 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------
     def _run_sharded(self, runs: Sequence[RunSpec]) -> List[RunRecord]:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        from .worker import execute_shard
+
         shards = shard_grid(runs, self.workers)
         # Per-shard futures instead of executor.map: progress is recorded as
         # each shard lands.  Results reassemble in shard order, and

@@ -21,17 +21,15 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from ..platform.kernel.time import ms
+from ..scenarios.dsl import ScenarioProgram
+from ..systems.base import DEFAULT_SYSTEM, get_pack, model_names, model_system
+
 if TYPE_CHECKING:  # imported lazily to keep campaign free of a faults dependency
+    from ..core.requirements import TimingRequirement
+    from ..core.test_generation import RTestCase
     from ..faults.models import FaultPlan
     from ..faults.mutants import MutantSpec
-
-from ..core.requirements import TimingRequirement
-from ..core.test_generation import RTestCase
-from .cache import MODEL_BUILDERS
-from ..gpca.scenarios import gpca_scenario_space
-from ..platform.kernel.time import ms
-from ..scenarios import ScenarioProgram, ScenarioSampler
-from ..systems import DEFAULT_SYSTEM, get_pack, model_system
 
 __all__ = [
     "CampaignSpec",
@@ -64,9 +62,9 @@ M_TEST_VIOLATIONS = "violations"
 M_TEST_NONE = "none"
 M_TEST_POLICIES = (M_TEST_ALL, M_TEST_VIOLATIONS, M_TEST_NONE)
 
-#: Models the grid can target — derived from the artifact cache's builder
-#: registry so spec validation and worker resolution share one source of truth.
-KNOWN_MODELS = tuple(sorted(MODEL_BUILDERS))
+#: Models the grid can target — the pack table's model names, so spec
+#: validation and worker resolution share one source of truth.
+KNOWN_MODELS = model_names()
 
 
 def derive_seed(base_seed: int, *coordinates: object) -> int:
@@ -170,7 +168,7 @@ class CasePoint:
     """One scenario on the campaign's test-case axis.
 
     A point either names one of its pack's ``case_builders`` or
-    carries a :class:`repro.scenarios.ScenarioProgram` directly — the DSL
+    carries a :class:`repro.scenarios.dsl.ScenarioProgram` directly — the DSL
     programs are frozen and picklable, so a generated scenario crosses the
     worker boundary exactly like a named one.
     """
@@ -539,6 +537,9 @@ def scenario_grid_spec(
     program's shape — is a pure function of ``(count, samples, base_seed)``.
     ``samples`` overrides each program's own sample count when given.
     """
+    from ..gpca.scenarios import gpca_scenario_space
+    from ..scenarios.generator import ScenarioSampler
+
     if count <= 0:
         raise ValueError("scenario count must be positive")
     sampler = ScenarioSampler(gpca_scenario_space(), seed=base_seed)

@@ -10,6 +10,12 @@ record payload bit for bit.
 :func:`execute_shard` wraps a whole shard (a list of specs) in one call so a
 campaign crosses the process boundary once per shard rather than once per
 run.
+
+This module imports the whole build chain a run needs — code generation,
+the three integration schemes and the device drivers, which
+:mod:`repro.systems.platform` otherwise imports on a system's first build —
+so that the runner, by importing the worker before it forks or starts a
+run's clock, loads all of it up front and no run pays a first import.
 """
 
 from __future__ import annotations
@@ -18,12 +24,15 @@ import contextlib
 import time
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
+from ..codegen import generator  # noqa: F401 - the build chain, see the module docstring
 from ..core.instrumentation import ProbeConfiguration
 from ..core.m_testing import MTestAnalyzer
 from ..core.r_testing import execute_r_test
 from ..core.serialization import m_report_to_dict, r_report_to_dict
+from ..integration import interference, interfacing, multi_threaded, single_threaded  # noqa: F401
 from ..obs import DEFAULT_PHASE_EDGES_S as _PHASE_EDGES, REGISTRY, SpanTracer
 from ..obs.spans import SIMULATION_PID
+from ..platform.devices import device  # noqa: F401
 from ..systems import get_pack
 from .cache import process_cache
 from .results import RunRecord

@@ -72,6 +72,11 @@ Exit codes, shared by every sub-command:
   (argparse also uses 2 for parse failures), including an output path
   that names a directory or a file in a directory that does not exist,
   which is rejected before anything runs.
+
+Start-up: each handler imports the layers it runs, and the parser is built
+from constants (the pack table in :mod:`repro.systems.base` and
+:data:`GRIDS`), so ``--version``, argument parsing and usage errors load no
+simulation code, and a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -79,31 +84,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .analysis import render_sweep
-from .analysis.export import table_one_to_csv, table_one_to_markdown
-from .campaign import (
-    PRESETS,
-    CampaignRunner,
-    preset_spec,
-    process_cache,
-    profile_run,
-    table_one_spec,
-)
-from .codegen import generate_code
-from .faults import KillMatrix, SurvivorHunter, default_matrix_spec
-from .core import MTestAnalyzer, render_m_report, render_r_report
-from .core.r_testing import execute_r_test
-from .core.serialization import m_report_to_json, r_report_to_csv, r_report_to_json
-from .gpca import build_extended_statechart, build_fig2_statechart, gpca_requirements
-from .model.verification import BoundedResponseChecker
-from .scenarios import CoverageGuidedExplorer
-from .store import ENDPOINTS, RunStore, StoreError, StoreServer, diff_snapshots
-from .systems import DEFAULT_SYSTEM, generic_scheme_name, get_pack, iter_packs, pack_ids
-from .systems.base import ALL_SCHEMES
+from .systems.base import ALL_SCHEMES, DEFAULT_SYSTEM, generic_scheme_name, get_pack, iter_packs, pack_ids
+
+if TYPE_CHECKING:
+    from .store.store import RunStore
+
+#: The stock grids ``campaign --grid`` and ``profile --grid`` accept: the
+#: names of :data:`repro.campaign.spec.PRESETS`, spelled out here so that
+#: building the parser loads no campaign code (``tests/core/test_cli.py``
+#: checks that the two agree).
+GRIDS = ("table1", "periods", "interference", "full", "scenarios")
 
 
 def package_version() -> str:
@@ -118,7 +111,20 @@ def package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: looks the version up only when the flag is given."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS, help=None):
+        super().__init__(option_strings, dest=dest, default=default, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
 def _chart_for(extended: bool):
+    from .gpca.model import build_extended_statechart, build_fig2_statechart
+
     return build_extended_statechart() if extended else build_fig2_statechart()
 
 
@@ -127,6 +133,9 @@ def _chart_for(extended: bool):
 # ----------------------------------------------------------------------
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify the GPCA timing requirements on the model (Design-Verifier step)."""
+    from .gpca.requirements import gpca_requirements
+    from .model.verification import BoundedResponseChecker
+
     chart = _chart_for(args.extended)
     checker = BoundedResponseChecker(chart)
     all_passed = True
@@ -140,6 +149,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_codegen(args: argparse.Namespace) -> int:
     """Generate CODE(M) and print / write its C-like source."""
+    from .codegen.generator import generate_code
+
     artifacts = generate_code(_chart_for(args.extended))
     print(artifacts.summary())
     for warning in artifacts.warnings:
@@ -160,6 +171,13 @@ def cmd_rtest(args: argparse.Namespace) -> int:
     if args.m_json and not args.m_test:
         print("repro rtest: error: --m-json needs --m-test", file=sys.stderr)
         return 2
+    from functools import partial
+
+    from .core.m_testing import MTestAnalyzer
+    from .core.r_testing import execute_r_test
+    from .core.report import render_m_report, render_r_report
+    from .core.serialization import m_report_to_json, r_report_to_csv, r_report_to_json
+
     pack = get_pack(DEFAULT_SYSTEM)
     test_case = pack.schedule(
         pack.case_builders["bolus-request"](args.samples), args.seed, pack.default_model
@@ -194,6 +212,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.samples <= 0:
         print("repro table1: error: sample count must be positive", file=sys.stderr)
         return 2
+    from .campaign.runner import CampaignRunner
+    from .campaign.spec import table_one_spec
+
     spec = table_one_spec(args.samples, case_seed=args.seed)
     rendered = CampaignRunner(spec).run().table_one().render()
     print(rendered)
@@ -214,6 +235,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     micro-second lane.  ``--timeline`` writes the Chrome-trace JSON, which
     opens directly in ``chrome://tracing`` or https://ui.perfetto.dev.
     """
+    from .campaign.spec import preset_spec
+
     try:
         spec = preset_spec(args.grid, samples=args.samples, seed=args.seed)
     except ValueError as error:
@@ -238,6 +261,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"{run_spec.case} model={run_spec.model} system={run_spec.system} "
         f"({run_spec.samples} samples)"
     )
+    from .campaign.profiler import profile_run
+
     result = profile_run(run_spec)
     record = result.record
     print(
@@ -261,6 +286,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.workers < 0:
         print("repro campaign: error: worker count cannot be negative", file=sys.stderr)
         return 2
+    from .campaign.spec import preset_spec
+
     try:
         spec = preset_spec(args.grid, samples=args.samples, seed=args.seed)
     except ValueError as error:
@@ -280,9 +307,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print()
         print(result.table_one().render())
     elif args.grid == "periods":
+        from .analysis.figures import render_sweep
+
         print()
         print(render_sweep(result.sweep_points("period_ms"), "period (ms)"))
     elif args.grid == "interference":
+        from .analysis.figures import render_sweep
+
         print()
         print(render_sweep(result.sweep_points("interference_scale"), "interference scale"))
 
@@ -306,6 +337,9 @@ def _run_campaign(command: str, spec, args: argparse.Namespace):
     result and the footer — the wall-clock line and, with a store, the
     ``store:`` line — that the command prints after its own report.
     """
+    from .campaign.runner import CampaignRunner
+    from .store.store import RunStore, StoreError
+
     try:
         store = RunStore(args.store) if args.store else None
     except StoreError as error:
@@ -352,6 +386,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.hunt < 0:
         print("repro faults: error: hunt episode count cannot be negative", file=sys.stderr)
         return 2
+    from .faults.matrix import KillMatrix, default_matrix_spec
+
     resolved = _resolve_pack_model("faults", args)
     if resolved is None:
         return 2
@@ -387,6 +423,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     hunt_report = None
     if args.hunt > 0 and matrix.surviving_mutants():
+        from .faults.hunt import SurvivorHunter
+
         surviving = set(matrix.surviving_mutants())
         survivors = [mutant for mutant in spec.mutants if mutant.mutant_id in surviving]
         hunter = SurvivorHunter(
@@ -426,6 +464,8 @@ def _open_existing_store(command: str, path: str) -> Optional[RunStore]:
     ``RunStore`` creates a missing file, which a read-only command must not
     do: a mistyped path would print an empty store and leave a new file.
     """
+    from .store.store import RunStore, StoreError
+
     if not Path(path).exists():
         print(f"repro {command}: error: no run store at {path}", file=sys.stderr)
         return None
@@ -438,6 +478,8 @@ def _open_existing_store(command: str, path: str) -> Optional[RunStore]:
 
 def cmd_store(args: argparse.Namespace) -> int:
     """Inspect a persistent run store: snapshots, runs, diffs and exports."""
+    from .store.store import StoreError
+
     store = _open_existing_store("store", args.db)
     if store is None:
         return 1
@@ -505,6 +547,8 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "diff":
+        from .store.diff import diff_snapshots
+
         diff = diff_snapshots(store, args.old, args.new, name=args.name)
         print(diff.render())
         if args.json:
@@ -522,6 +566,8 @@ def _store_action(store: RunStore, args: argparse.Namespace) -> int:
         print(f"snapshot {campaign_id}: campaign {result.spec.name!r}, {len(result)} runs")
         table = None
         if args.table1 or args.table1_csv:
+            from .analysis.export import table_one_to_csv, table_one_to_markdown
+
             # Built before any file is written, so a snapshot with no
             # Table I at this case leaves no partial export behind.
             try:
@@ -559,6 +605,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     store = _open_existing_store("serve", args.store)
     if store is None:
         return 1
+    from .store.server import ENDPOINTS, StoreServer
+
     server = StoreServer(store, host=args.host, port=args.port, verbose=not args.quiet)
     counts = store.counts()
     print(
@@ -660,6 +708,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if resolved is None:
         return 2
     pack, model = resolved
+    from .campaign.cache import process_cache
+    from .scenarios.explore import CoverageGuidedExplorer
+
     artifacts = process_cache().artifacts_for_model(model)
 
     def factory():
@@ -695,8 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"%(prog)s {package_version()}",
+        action=_VersionAction,
         help="print the installed package version and exit",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -732,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--grid",
-        choices=PRESETS,
+        choices=GRIDS,
         default="table1",
         help="which stock grid the coordinate comes from (default: table1)",
     )
@@ -765,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--grid",
-        choices=PRESETS,
+        choices=GRIDS,
         default="table1",
         help="which stock grid to run (default: table1)",
     )

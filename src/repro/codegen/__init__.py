@@ -1,7 +1,6 @@
-"""Code generation: lowering statecharts to executable CODE(M) artefacts."""
+"""Code generation: lowering statecharts to executable CODE(M) artefacts.
 
-from .generator import generate_code
-
-__all__ = [
-    "generate_code",
-]
+:func:`repro.codegen.generator.generate_code` is the entry point.  This
+``__init__`` loads no module, so a pack that needs only the execution-time
+model (:mod:`repro.codegen.execution_model`) does not load the generator.
+"""

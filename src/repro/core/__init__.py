@@ -1,32 +1,13 @@
-"""The paper's contribution: four-variable instrumentation and R/M testing."""
+"""The paper's contribution: four-variable instrumentation and R/M testing.
 
-from .coverage import (
-    TransitionCoverage,
-    assess_sufficiency,
-)
-from .four_variables import (
-    EventKind,
-    TraceRecorder,
-)
-from .m_testing import MTestAnalyzer
-from .report import render_layered_summary, render_m_report, render_r_report
-from .requirements import EventSpec, TimingRequirement
-from .test_generation import (
-    RTestCase,
-    Stimulus,
-)
+* :mod:`repro.core.four_variables` — m/i/o/c events, traces and the recorder;
+* :mod:`repro.core.requirements` and :mod:`repro.core.test_generation` —
+  timing requirements and R-test cases;
+* :mod:`repro.core.r_testing` — R-testing (``execute_r_test``);
+* :mod:`repro.core.m_testing` — M-testing (``MTestAnalyzer``);
+* :mod:`repro.core.report`, :mod:`repro.core.serialization`,
+  :mod:`repro.core.coverage` — reports, JSON/CSV and transition coverage.
 
-__all__ = [
-    "EventKind",
-    "EventSpec",
-    "MTestAnalyzer",
-    "RTestCase",
-    "Stimulus",
-    "TimingRequirement",
-    "TraceRecorder",
-    "TransitionCoverage",
-    "assess_sufficiency",
-    "render_layered_summary",
-    "render_m_report",
-    "render_r_report",
-]
+Import names from those modules: this ``__init__`` loads none of them, so
+a pack that states its requirements does not load the trace machinery.
+"""

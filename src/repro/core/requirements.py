@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
 
-from ..model.verification import BoundedResponseRequirement
-from .four_variables import Event
+if TYPE_CHECKING:
+    from ..model.verification import BoundedResponseRequirement
+    from .four_variables import Event
 
 
 class MatchMode(enum.Enum):
@@ -110,6 +111,8 @@ class TimingRequirement:
 
     def to_model_requirement(self) -> BoundedResponseRequirement:
         """The model-level bounded-response requirement (deadline in ticks)."""
+        from ..model.verification import BoundedResponseRequirement
+
         if not self.has_model_counterpart:
             raise ValueError(
                 f"requirement {self.requirement_id!r} has no model-level counterpart declared"

@@ -6,7 +6,7 @@ system.  The paper's example for REQ1 is::
     {(m-BolusReq, 10 ms), (m-BolusReq, 300 ms), (m-BolusReq, 500 ms), ...}
 
 Schedules are written by compiling a scenario-DSL program
-(:meth:`repro.scenarios.ScenarioProgram.compile`, through
+(:meth:`repro.scenarios.dsl.ScenarioProgram.compile`, through
 :meth:`repro.systems.SystemPack.schedule` for a pack's named and generated
 scenarios); this module holds only the values they compile to.  The paper
 leaves systematic generation as future work; the coverage module reports how

@@ -26,48 +26,14 @@ Entry points: ``repro faults`` (CLI) and ``examples/fault_kill_matrix.py``.
 The stock GPCA matrix's verdicts are pinned by ``tests/faults/test_matrix.py``
 and its speed is measured by ``python3 ledger/run.py --workload faults-gpca``.
 See ``docs/architecture.md`` for where the layer sits in the stack.
+
+Import names from those modules.  Only :func:`~repro.faults.matrix.default_matrix_spec`
+is re-exported here, because the benchmark under ``ledger/`` imports it
+through the package; nothing here loads the survivor hunter or the runner.
 """
 
-from .hunt import SurvivorHunter
-from .matrix import (
-    FaultMatrixSpec,
-    KillMatrix,
-    default_matrix_spec,
-    run_kill_matrix,
-)
-from .models import (
-    ClockDriftFault,
-    ExecutionInflationFault,
-    FaultPlan,
-    PriorityInversionFault,
-    QueueFault,
-    SensorGlitchFault,
-    SensorStuckFault,
-    default_fault_suite,
-    fault_from_dict,
-)
-from .mutants import (
-    MutantError,
-    MutantSpec,
-    generate_mutants,
-)
+from .matrix import default_matrix_spec
 
 __all__ = [
-    "ClockDriftFault",
-    "ExecutionInflationFault",
-    "FaultMatrixSpec",
-    "FaultPlan",
-    "KillMatrix",
-    "MutantError",
-    "MutantSpec",
-    "PriorityInversionFault",
-    "QueueFault",
-    "SensorGlitchFault",
-    "SensorStuckFault",
-    "SurvivorHunter",
-    "default_fault_suite",
     "default_matrix_spec",
-    "fault_from_dict",
-    "generate_mutants",
-    "run_kill_matrix",
 ]

@@ -27,10 +27,8 @@ the matrix tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..campaign.results import CampaignResult, RunRecord
-from ..campaign.runner import CampaignRunner
 from ..campaign.spec import (
     M_TEST_NONE,
     M_TEST_POLICIES,
@@ -38,9 +36,17 @@ from ..campaign.spec import (
     SchemePoint,
     coordinate_seeds,
 )
-from ..systems import DEFAULT_SYSTEM, get_pack, model_system
+from ..systems.base import DEFAULT_SYSTEM, get_pack, model_system
 from .models import FaultPlan
 from .mutants import MutantSpec, generate_mutants
+
+if TYPE_CHECKING:
+    from ..campaign.results import CampaignResult, RunRecord
+
+def _default_cases() -> Tuple[str, ...]:
+    """The default system's scenarios, read when a matrix is built without cases."""
+    return tuple(sorted(get_pack(DEFAULT_SYSTEM).case_builders))
+
 
 #: Grid-point roles, recorded per run for the scoring pass.
 ROLE_BASELINE = "baseline"
@@ -65,7 +71,7 @@ class FaultMatrixSpec:
     #: Schemes the mutant axis runs on (a conformant scheme, so kills are
     #: attributable to the mutation rather than to platform timing).
     mutant_schemes: Tuple[int, ...] = (2,)
-    cases: Tuple[str, ...] = tuple(sorted(get_pack(DEFAULT_SYSTEM).case_builders))
+    cases: Tuple[str, ...] = field(default_factory=_default_cases)
     samples: int = 4
     base_seed: int = 0
     model: str = "fig2"
@@ -447,5 +453,7 @@ def run_kill_matrix(spec: FaultMatrixSpec, *, workers: int = 1) -> KillMatrix:
     stays available as ``matrix.campaign`` (byte-identical for any worker
     count, like every campaign).
     """
+    from ..campaign.runner import CampaignRunner
+
     campaign = CampaignRunner(spec, workers=workers).run()
     return KillMatrix.from_campaign(spec, campaign)

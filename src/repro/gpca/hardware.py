@@ -16,13 +16,15 @@ in :mod:`repro.systems.gpca`; this module provides what is not a device:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..codegen.execution_model import ExecutionTimeModel
-from ..integration.base import PlatformBundle
 from ..platform.kernel.random import uniform
 from ..platform.kernel.time import ms, us
 from .model import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION
+
+if TYPE_CHECKING:
+    from ..codegen.execution_model import ExecutionTimeModel
+    from ..integration.base import PlatformBundle
 
 
 def arm7_execution_model() -> ExecutionTimeModel:
@@ -32,6 +34,8 @@ def arm7_execution_model() -> ExecutionTimeModel:
     costs the paper measures (Trans1 around 11 ms, Trans2 around 20 ms); every
     other transition uses the generic base + per-action cost.
     """
+    from ..codegen.execution_model import ExecutionTimeModel
+
     model = ExecutionTimeModel(
         input_scan=uniform(ms(1) + us(500), us(400)),
         idle_scan=uniform(us(400), us(150)),

@@ -7,11 +7,16 @@ formal abstraction boundary the paper's testing framework is anchored to.
 
 from __future__ import annotations
 
-from ..core.four_variables import FourVariableInterface
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..core.four_variables import FourVariableInterface
 
 
 def build_pump_interface() -> FourVariableInterface:
     """The complete four-variable interface of the infusion-pump implementation."""
+    from ..core.four_variables import FourVariableInterface
+
     interface = FourVariableInterface()
 
     # Monitored variables: physical changes observed by the hardware platform.

@@ -1,6 +1,6 @@
 """Named test scenarios of the GPCA case study, as scenario-DSL programs.
 
-Each scenario is a declarative :class:`repro.scenarios.ScenarioProgram` for
+Each scenario is a declarative :class:`repro.scenarios.dsl.ScenarioProgram` for
 one requirement; the GPCA pack (:mod:`repro.systems.gpca`) registers them as
 its ``case_builders``, and :meth:`repro.systems.SystemPack.schedule` compiles
 one into the R-test case (stimulus schedule) a run injects.  Their compiled
@@ -23,15 +23,15 @@ from __future__ import annotations
 
 from ..core.requirements import TimingRequirement
 from ..platform.kernel.time import ms, seconds
-from ..scenarios import (
+from ..scenarios.dsl import (
     ROLE_SETUP,
     ROLE_TEARDOWN,
     CycleSpacing,
     ScenarioProgram,
-    ScenarioSpace,
     StimulusPattern,
     StimulusStep,
 )
+from ..scenarios.generator import ScenarioSpace
 from .requirements import (
     gpca_requirements,
     req1_bolus_start,

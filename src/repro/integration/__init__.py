@@ -1,8 +1,7 @@
-"""Platform integration: the three implementation schemes of the case study."""
+"""Platform integration: the three implementation schemes of the case study.
 
-from .single_threaded import SingleThreadedConfig, SingleThreadedSystem
-
-__all__ = [
-    "SingleThreadedConfig",
-    "SingleThreadedSystem",
-]
+:mod:`repro.integration.single_threaded` (scheme 1),
+:mod:`repro.integration.multi_threaded` (scheme 2) and
+:mod:`repro.integration.interference` (scheme 3) build on
+:mod:`repro.integration.base`.  This ``__init__`` loads none of them.
+"""

@@ -191,7 +191,7 @@ class RTOSScheduler:
         # cancelled and must never be recycled — its heap entry is stale).
         self._completion_spare = None
         #: The factor by which a clock-drift fault scales every relative
-        #: kernel delay (``repro.faults.ClockDriftFault``), so that quiescent
+        #: kernel delay (``repro.faults.models.ClockDriftFault``), so that quiescent
         #: windows time replayed completions the way the drifted kernel does.
         #: No busy-period bound is written for a factor below one.
         self.clock_factor = 1.0

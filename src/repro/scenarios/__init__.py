@@ -22,27 +22,7 @@ directly as scenario-axis points (``repro campaign --grid scenarios``), and
 
 See ``docs/architecture.md`` for how this layer relates to the rest of the
 stack.
+
+Import names from those modules: this ``__init__`` loads none of them, so
+a pack that writes scenario programs does not load the explorer.
 """
-
-from .dsl import (
-    ROLE_SETUP,
-    ROLE_TEARDOWN,
-    CycleSpacing,
-    ScenarioProgram,
-    StimulusPattern,
-    StimulusStep,
-)
-from .explore import CoverageGuidedExplorer
-from .generator import ScenarioSampler, ScenarioSpace
-
-__all__ = [
-    "CoverageGuidedExplorer",
-    "CycleSpacing",
-    "ROLE_SETUP",
-    "ROLE_TEARDOWN",
-    "ScenarioProgram",
-    "ScenarioSampler",
-    "ScenarioSpace",
-    "StimulusPattern",
-    "StimulusStep",
-]

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.requirements import TimingRequirement
-from ..core.serialization import requirement_from_dict, requirement_to_dict
 from ..core.test_generation import RTestCase, Stimulus
 from ..platform.kernel.random import RandomSource
 from ..platform.kernel.time import ms
@@ -252,6 +251,8 @@ class ScenarioProgram:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (round-trips via :meth:`from_dict`)."""
+        from ..core.serialization import requirement_to_dict
+
         return {
             "name": self.name,
             "requirement": requirement_to_dict(self.requirement),
@@ -267,6 +268,8 @@ class ScenarioProgram:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioProgram":
+        from ..core.serialization import requirement_from_dict
+
         return cls(
             name=payload["name"],
             requirement=requirement_from_dict(payload["requirement"]),

@@ -15,27 +15,31 @@ but every result was ephemeral.  This package gives the repo *memory*:
   ThreadingHTTPServer JSON API with ETag caching.
 
 Because run keys are content-addressed and campaign aggregation is already
-byte-reproducible, a store-backed :class:`repro.campaign.CampaignRunner`
+byte-reproducible, a store-backed :class:`repro.campaign.runner.CampaignRunner`
 with ``resume=True`` executes only the grid points the store has never seen
 and reassembles a ``CampaignResult`` whose ``to_json()`` is byte-identical
 to a cold execution — re-running a fully stored campaign performs **zero**
 run executions (``tests/store/test_resume.py`` requires it to be at least
 10x faster than the cold run).
+
+Import names from those modules.  :class:`~repro.store.store.RunStore` and
+:class:`~repro.store.server.StoreServer` are re-exported here because the
+benchmark under ``ledger/`` imports them through the package; the server is
+resolved on first access, so the ``repro store`` commands and a resumed
+campaign never load :mod:`http.server`.
 """
 
-from .diff import DRIFT_THRESHOLD_US, SnapshotDiff, diff_snapshots
-from .keys import run_coordinate, run_key
-from .server import ENDPOINTS, StoreServer
-from .store import RunStore, StoreError
+from .store import RunStore
 
 __all__ = [
-    "DRIFT_THRESHOLD_US",
-    "ENDPOINTS",
     "RunStore",
-    "SnapshotDiff",
-    "StoreError",
     "StoreServer",
-    "diff_snapshots",
-    "run_coordinate",
-    "run_key",
 ]
+
+
+def __getattr__(name: str):
+    if name == "StoreServer":
+        from .server import StoreServer
+
+        return StoreServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,6 +30,10 @@ process-local registry (latency histogram per endpoint, status counters,
 Structured request logging (one JSON line per request: method, path, status,
 duration, cache outcome) replaces the stock ``BaseHTTPRequestHandler``
 stderr noise and is switchable with ``repro serve --quiet``.
+
+No request pays a first import: this module imports what the routes use to
+rebuild reports and Table I, and :class:`StoreServer` loads every system
+pack a stored snapshot may name before it binds its address.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, TextIO, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..analysis import tables  # noqa: F401 - /table1 builds Table I
+from ..core import serialization  # noqa: F401 - reports are rebuilt from payloads
+from ..faults import matrix  # noqa: F401 - kill-matrix snapshots rebuild their spec
 from ..obs import REGISTRY
+from ..systems.base import iter_packs
 from .diff import diff_snapshots
 from .store import RunStore, StoreError
 
@@ -363,6 +371,8 @@ class StoreServer:
         verbose: bool = False,
         log_stream: Optional[TextIO] = None,
     ) -> None:
+        for _ in iter_packs():  # imports each pack a snapshot may name
+            pass
         self.store = store
         self._server = StoreHTTPServer(
             store, (host, port), verbose=verbose, log_stream=log_stream

@@ -16,20 +16,27 @@ contributes to the pipeline:
 Every consumer layer (campaign specs, workers, results, the fault matrix, the
 survivor hunter, the CLI) resolves a pack through :func:`get_pack` instead of
 importing a case study directly, which makes *system* a first-class campaign
-axis.  The GPCA pump registers first and is the default system, so legacy
+axis.  The GPCA pump leads the table and is the default system, so legacy
 specs, store coordinates and snapshots that predate the registry keep their
 meaning (and their bytes) unchanged.
+
+The registry is a table (:data:`PACK_TABLE`) of pack ids, the modules that
+define them and their model names.  Ids, model names and model owners are
+answered from the table alone; :func:`get_pack` imports a pack's module the
+first time that pack is asked for, so a command that names one system never
+loads the others.
 
 Import discipline: this package sits *below* ``repro.campaign`` and
 ``repro.faults`` in the layering — packs must not import either at module
 level (``fault_suite`` callables lazily import ``repro.faults.models`` inside
-the call).
+the call).  This module itself imports nothing from ``repro``.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, NamedTuple, Tuple
 
 #: The system every pre-registry spec implicitly targeted.
 DEFAULT_SYSTEM = "gpca"
@@ -109,51 +116,88 @@ class SystemPack:
         return program.compile(seed)
 
 
-_PACKS: Dict[str, SystemPack] = {}
+class PackEntry(NamedTuple):
+    """One row of :data:`PACK_TABLE`: where a pack lives and what it models."""
 
-#: Aggregated ``model name -> chart builder`` map across every registered
-#: pack.  ``repro.campaign.cache`` exposes this same object as its
-#: ``MODEL_BUILDERS``, so artifact-cache keys stay plain model names.
-MODEL_BUILDERS: Dict[str, Callable[[], Any]] = {}
+    system_id: str
+    #: The module that defines the pack, imported on the first :func:`get_pack`.
+    module: str
+    #: The module attribute holding the :class:`SystemPack`.
+    attribute: str
+    #: The pack's model names; unique across packs, so that the artifact
+    #: cache and store keys can name a model without its system.
+    models: Tuple[str, ...]
 
-_MODEL_SYSTEMS: Dict[str, str] = {}
+
+#: Every shipped pack, in registry order: the GPCA pump first, so it is the
+#: default system and ``pack_ids()`` leads with it.  Listing a pack here is
+#: what registers it; its module is imported only when it is first asked for.
+PACK_TABLE: Tuple[PackEntry, ...] = (
+    PackEntry("gpca", "repro.systems.gpca", "GPCA_PACK", ("fig2", "extended")),
+    PackEntry("pacemaker", "repro.systems.pacemaker", "PACEMAKER_PACK", ("pacemaker",)),
+    PackEntry("cruise", "repro.systems.cruise", "CRUISE_PACK", ("cruise",)),
+)
+
+_ENTRIES: Dict[str, PackEntry] = {entry.system_id: entry for entry in PACK_TABLE}
 
 
-def register_pack(pack: SystemPack) -> SystemPack:
-    """Register a pack; model names must be globally unique across packs."""
-    if pack.system_id in _PACKS:
-        raise ValueError(f"system {pack.system_id!r} is already registered")
-    for model in pack.model_builders:
-        owner = _MODEL_SYSTEMS.get(model)
-        if owner is not None:
-            raise ValueError(
-                f"model {model!r} of system {pack.system_id!r} is already "
-                f"registered by system {owner!r}"
-            )
-    _PACKS[pack.system_id] = pack
-    for model, builder in pack.model_builders.items():
-        MODEL_BUILDERS[model] = builder
-        _MODEL_SYSTEMS[model] = pack.system_id
+def _model_systems(table: Tuple[PackEntry, ...]) -> Dict[str, str]:
+    """Model name -> owning system id; a model listed under two packs raises."""
+    owners: Dict[str, str] = {}
+    for entry in table:
+        for model in entry.models:
+            if model in owners:
+                raise ValueError(
+                    f"model {model!r} of system {entry.system_id!r} is already "
+                    f"listed under system {owners[model]!r}"
+                )
+            owners[model] = entry.system_id
+    return owners
+
+
+_MODEL_SYSTEMS = _model_systems(PACK_TABLE)
+
+#: Packs imported so far, by system id.
+_LOADED: Dict[str, SystemPack] = {}
+
+
+def _load(entry: PackEntry) -> SystemPack:
+    """Import ``entry``'s pack and check it against its table row."""
+    pack = getattr(importlib.import_module(entry.module), entry.attribute)
+    if pack.system_id != entry.system_id or sorted(pack.model_builders) != sorted(entry.models):
+        raise ValueError(
+            f"{entry.module}.{entry.attribute} is system {pack.system_id!r} with models "
+            f"{sorted(pack.model_builders)}, but the pack table lists system "
+            f"{entry.system_id!r} with models {sorted(entry.models)}"
+        )
     return pack
 
 
 def get_pack(system: str) -> SystemPack:
-    """The registered pack for ``system`` (raises with the known ids)."""
-    try:
-        return _PACKS[system]
-    except KeyError:
-        known = ", ".join(sorted(_PACKS))
-        raise ValueError(f"unknown system {system!r} (known: {known})") from None
+    """The pack for ``system``, imported on first use (raises with the known ids)."""
+    pack = _LOADED.get(system)
+    if pack is None:
+        entry = _ENTRIES.get(system)
+        if entry is None:
+            known = ", ".join(sorted(_ENTRIES))
+            raise ValueError(f"unknown system {system!r} (known: {known})")
+        pack = _LOADED[system] = _load(entry)
+    return pack
 
 
 def pack_ids() -> Tuple[str, ...]:
-    """Registered system ids, in registration order (default system first)."""
-    return tuple(_PACKS)
+    """Registered system ids, in registry order (default system first)."""
+    return tuple(_ENTRIES)
 
 
 def iter_packs() -> Iterator[SystemPack]:
-    """Iterate over the registered packs in registration order."""
-    return iter(_PACKS.values())
+    """Iterate over the registered packs in registry order (imports each)."""
+    return (get_pack(system) for system in _ENTRIES)
+
+
+def model_names() -> Tuple[str, ...]:
+    """Every registered model name, sorted."""
+    return tuple(sorted(_MODEL_SYSTEMS))
 
 
 def model_system(model: str) -> str:
@@ -163,3 +207,8 @@ def model_system(model: str) -> str:
     except KeyError:
         known = ", ".join(sorted(_MODEL_SYSTEMS))
         raise ValueError(f"unknown model {model!r} (known: {known})") from None
+
+
+def model_builder(model: str) -> Callable[[], Any]:
+    """The chart builder of ``model``, importing only its own pack."""
+    return get_pack(model_system(model)).model_builders[model]

@@ -13,25 +13,23 @@ codegen, the declarative platform assembly and the three integration schemes.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
-from ..codegen.execution_model import ExecutionTimeModel
-from ..core.four_variables import FourVariableInterface
 from ..core.requirements import EventSpec, RequirementSet, TimingRequirement
 from ..model.builder import StatechartBuilder
 from ..model.statechart import Statechart
 from ..model.temporal import at
 from ..platform.kernel.random import uniform
 from ..platform.kernel.time import ms, us
-from ..scenarios import (
+from ..scenarios.dsl import (
     ROLE_SETUP,
     ROLE_TEARDOWN,
     CycleSpacing,
     ScenarioProgram,
-    ScenarioSpace,
     StimulusPattern,
     StimulusStep,
 )
+from ..scenarios.generator import ScenarioSpace
 from .base import SystemPack
 from .platform import (
     ActuatorSpec,
@@ -42,6 +40,10 @@ from .platform import (
     PressAction,
     build_pack_system,
 )
+
+if TYPE_CHECKING:
+    from ..codegen.execution_model import ExecutionTimeModel
+    from ..core.four_variables import FourVariableInterface
 
 #: Hold-off after a brake-pedal override before re-engagement is possible.
 OVERRIDE_HOLD_TICKS = 500
@@ -127,6 +129,8 @@ def build_cruise_statechart() -> Statechart:
 
 def build_cruise_interface() -> FourVariableInterface:
     """The four-variable interface of the cruise-control implementation."""
+    from ..core.four_variables import FourVariableInterface
+
     interface = FourVariableInterface()
     interface.monitored("m-Engage", description="engage button electrical state")
     interface.monitored("m-Cancel", description="cancel button electrical state")
@@ -156,6 +160,8 @@ def build_cruise_interface() -> FourVariableInterface:
 
 def cruise_execution_model() -> ExecutionTimeModel:
     """Execution costs of an automotive body-controller class MCU."""
+    from ..codegen.execution_model import ExecutionTimeModel
+
     model = ExecutionTimeModel(
         input_scan=uniform(ms(1), us(300)),
         idle_scan=uniform(us(300), us(100)),

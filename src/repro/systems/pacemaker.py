@@ -16,23 +16,21 @@ the same R-/M-testing machinery as the GPCA pump.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
-from ..codegen.execution_model import ExecutionTimeModel
-from ..core.four_variables import FourVariableInterface
 from ..core.requirements import EventSpec, RequirementSet, TimingRequirement
 from ..model.builder import StatechartBuilder
 from ..model.statechart import Statechart
 from ..model.temporal import at
 from ..platform.kernel.random import uniform
 from ..platform.kernel.time import ms, us
-from ..scenarios import (
+from ..scenarios.dsl import (
     ROLE_TEARDOWN,
     CycleSpacing,
     ScenarioProgram,
-    ScenarioSpace,
     StimulusStep,
 )
+from ..scenarios.generator import ScenarioSpace
 from .base import SystemPack
 from .platform import (
     ActuatorSpec,
@@ -43,6 +41,10 @@ from .platform import (
     PressAction,
     build_pack_system,
 )
+
+if TYPE_CHECKING:
+    from ..codegen.execution_model import ExecutionTimeModel
+    from ..core.four_variables import FourVariableInterface
 
 #: Lower-rate-limit pacing interval: pace after 1000 ms without a beat.
 LRL_INTERVAL_TICKS = 1000
@@ -160,6 +162,8 @@ def build_pacemaker_statechart() -> Statechart:
 
 def build_pacemaker_interface() -> FourVariableInterface:
     """The four-variable interface of the pacemaker implementation."""
+    from ..core.four_variables import FourVariableInterface
+
     interface = FourVariableInterface()
     interface.monitored("m-Sense", description="intrinsic cardiac beat on the electrode")
     interface.monitored("m-Magnet", description="magnet applied over the device")
@@ -187,6 +191,8 @@ def build_pacemaker_interface() -> FourVariableInterface:
 
 def pacemaker_execution_model() -> ExecutionTimeModel:
     """Execution costs of a low-power implant micro-controller."""
+    from ..codegen.execution_model import ExecutionTimeModel
+
     model = ExecutionTimeModel(
         input_scan=uniform(ms(1), us(300)),
         idle_scan=uniform(us(300), us(100)),

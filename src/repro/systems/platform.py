@@ -13,32 +13,29 @@ generated CODE(M) into any of the paper's three implementation schemes.
 A pack's ``build_system`` is :func:`build_pack_system` with the pack's id,
 platform value and model builders bound, so every pack builds through the
 same function.
+
+The build chain (code generation, the integration schemes, the device
+drivers) is imported inside the functions that assemble a system, so a pack
+module — and every command that only reads a pack's inventory — loads the
+specs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..codegen.execution_model import ExecutionTimeModel
-from ..codegen.generator import GeneratedArtifacts, generate_code
-from ..core.instrumentation import ProbeConfiguration
-from ..core.four_variables import TraceRecorder
-from ..integration.base import DEFAULT_ENGINE, EngineProfile, PlatformBundle, SchemeConfig
-from ..integration.interference import InterferedConfig, InterferedSystem
-from ..integration.interfacing import (
-    EventInputBinding,
-    InputInterfacing,
-    LevelInputBinding,
-    OutputBinding,
-    OutputInterfacing,
-)
-from ..integration.multi_threaded import MultiThreadedSystem
-from ..integration.single_threaded import SingleThreadedConfig, SingleThreadedSystem
-from ..platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
 from ..platform.kernel.random import JitterModel, RandomSource, uniform
-from ..platform.kernel.simulator import Simulator
 from ..platform.kernel.time import ms, us
+
+if TYPE_CHECKING:
+    from ..codegen.execution_model import ExecutionTimeModel
+    from ..codegen.generator import GeneratedArtifacts
+    from ..core.four_variables import TraceRecorder
+    from ..core.instrumentation import ProbeConfiguration
+    from ..integration.base import EngineProfile, PlatformBundle
+    from ..platform.devices.device import EventInputDevice, StateInputDevice
+    from ..platform.kernel.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,9 @@ class PackPlatform:
     stimuli: Mapping[str, Any]
     #: Builds the four-variable interface declaration.
     interface: Callable[[], Any]
-    execution_model: Callable[[], ExecutionTimeModel] = ExecutionTimeModel
+    #: Builds the execution-time model (default: a plain
+    #: :class:`~repro.codegen.execution_model.ExecutionTimeModel`).
+    execution_model: Optional[Callable[[], ExecutionTimeModel]] = None
     #: Closed-loop dynamics, ``dynamics(bundle)``, run once per bundle after
     #: assembly: it may observe devices, attach state to the environment and
     #: add stimulus actions, but must not schedule events or draw randomness.
@@ -135,6 +134,8 @@ class PackHardware:
         randomness: Optional[RandomSource] = None,
         device_wrapper: Optional[Callable[[type], type]] = None,
     ) -> None:
+        from ..platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
+
         self.simulator = simulator
         self.recorder = recorder
         randomness = randomness or RandomSource(0)
@@ -219,16 +220,28 @@ def build_pack_bundle(
     *,
     seed: int = 0,
     input_variables: Optional[Iterable[str]] = None,
-    engine: EngineProfile = DEFAULT_ENGINE,
+    engine: Optional[EngineProfile] = None,
 ) -> PlatformBundle:
     """Assemble one fresh simulated platform from ``platform``.
 
     ``input_variables`` restricts the interfacing code to the i-variables the
     generated chart declares (with ``None`` every binding is created);
-    ``engine`` selects the runtime engine (tests and benchmarks pass
+    ``engine`` selects the runtime engine (default:
+    :data:`repro.integration.base.DEFAULT_ENGINE`; tests and benchmarks pass
     ``repro._reference.SEED_ENGINE`` to run the same platform on the frozen
     seed implementations).
     """
+    from ..integration.base import DEFAULT_ENGINE, PlatformBundle
+    from ..integration.interfacing import (
+        EventInputBinding,
+        InputInterfacing,
+        LevelInputBinding,
+        OutputBinding,
+        OutputInterfacing,
+    )
+
+    if engine is None:
+        engine = DEFAULT_ENGINE
     simulator = engine.simulator_factory()
     recorder = engine.recorder_factory(lambda: simulator.now)
     hardware = PackHardware(
@@ -303,14 +316,6 @@ def build_pack_bundle(
     return bundle
 
 
-#: Scheme id -> (configuration class, system class).
-_SCHEMES = {
-    1: (SingleThreadedConfig, SingleThreadedSystem),
-    2: (SchemeConfig, MultiThreadedSystem),
-    3: (InterferedConfig, InterferedSystem),
-}
-
-
 def build_pack_system(
     system_id: str,
     platform: PackPlatform,
@@ -323,7 +328,7 @@ def build_pack_system(
     interference_scale: Optional[float] = None,
     artifacts: Optional[GeneratedArtifacts] = None,
     probes: Optional[ProbeConfiguration] = None,
-    engine: EngineProfile = DEFAULT_ENGINE,
+    engine: Optional[EngineProfile] = None,
 ):
     """Assemble one implemented system of a pack (model -> code -> platform).
 
@@ -332,11 +337,19 @@ def build_pack_system(
     generate it from ``model``'s chart); ``probes`` overrides the full
     M-level probes and ``engine`` the runtime engine.
     """
+    from ..codegen.execution_model import ExecutionTimeModel
+    from ..codegen.generator import generate_code
+    from ..core.instrumentation import ProbeConfiguration
+    from ..integration.base import SchemeConfig
+    from ..integration.interference import InterferedConfig, InterferedSystem
+    from ..integration.multi_threaded import MultiThreadedSystem
+    from ..integration.single_threaded import SingleThreadedConfig, SingleThreadedSystem
+
     chart_builder = model_builders.get(model)
     if chart_builder is None:
         known = ", ".join(sorted(model_builders))
         raise ValueError(f"unknown {system_id} model {model!r} (known: {known})")
-    if scheme not in _SCHEMES:
+    if scheme not in (1, 2, 3):
         raise ValueError(f"unknown implementation scheme {scheme!r} (expected 1, 2 or 3)")
     if period_us is not None and scheme != 1:
         raise ValueError("period_us only applies to scheme 1 (single-threaded)")
@@ -347,13 +360,17 @@ def build_pack_system(
     bundle = build_pack_bundle(
         platform, seed=seed, input_variables=artifacts.code_model.input_names, engine=engine
     )
-    config_class, system_class = _SCHEMES[scheme]
+    config_class, system_class = {
+        1: (SingleThreadedConfig, SingleThreadedSystem),
+        2: (SchemeConfig, MultiThreadedSystem),
+        3: (InterferedConfig, InterferedSystem),
+    }[scheme]
     config = config_class()
     if period_us is not None:
         config.period_us = period_us
     if interference_scale is not None:
         config = config.scaled_interference(interference_scale)
-    config.execution_model = platform.execution_model()
+    config.execution_model = (platform.execution_model or ExecutionTimeModel)()
     config.probes = probes or ProbeConfiguration.m_level()
     config.seed = seed
     return system_class(bundle, artifacts, config)

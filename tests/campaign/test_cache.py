@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ArtifactCache, chart_fingerprint, process_cache
-from repro.gpca import build_extended_statechart, build_fig2_statechart
+from repro.campaign.cache import ArtifactCache, chart_fingerprint, process_cache
+from repro.gpca.model import build_extended_statechart, build_fig2_statechart
 
 
 class TestArtifactCache:

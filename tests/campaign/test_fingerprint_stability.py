@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.campaign import model_fingerprint
+from repro.campaign.cache import model_fingerprint
 
 #: Pinned structural fingerprints of the shipped models.  Store keys derive
 #: from these; changing a model changes them (and orphans stored results).
@@ -28,7 +28,7 @@ PINNED_FINGERPRINTS = {
 }
 
 _SUBPROCESS_SNIPPET = (
-    "from repro.campaign import model_fingerprint;"
+    "from repro.campaign.cache import model_fingerprint;"
     "print(model_fingerprint('fig2'));"
     "print(model_fingerprint('extended'))"
 )

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.campaign import (
-    SUMMARY_FIELDS,
-    CampaignResult,
-    CampaignRunner,
+from repro.campaign.results import SUMMARY_FIELDS, CampaignResult
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import (
     CampaignSpec,
     CasePoint,
     RunSpec,

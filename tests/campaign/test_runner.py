@@ -8,17 +8,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    CasePoint,
-    SchemePoint,
-    default_worker_count,
-    execute_run,
-    execution_count,
-    shard_grid,
-    table_one_spec,
-)
+from repro.campaign.runner import CampaignRunner, default_worker_count, shard_grid
+from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint, table_one_spec
+from repro.campaign.worker import execute_run, execution_count
 
 
 def tiny_spec(m_test: str = "violations") -> CampaignSpec:
@@ -159,7 +151,7 @@ class TestBrokenPool:
     def test_only_the_unfinished_shards_re_run(self, monkeypatch):
         spec = table_one_spec(samples=2)
         serial = CampaignRunner(spec, workers=1).run()
-        monkeypatch.setattr("repro.campaign.runner.ProcessPoolExecutor", _SecondShardBreaksPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SecondShardBreaksPool)
 
         before = execution_count()
         runner = CampaignRunner(spec, workers=2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import (
+from repro.campaign.spec import (
     CampaignSpec,
     CasePoint,
     SchemePoint,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.codegen.execution_model import ExecutionTimeModel
-from repro.gpca import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION, arm7_execution_model
+from repro.gpca.hardware import arm7_execution_model
+from repro.gpca.model import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION
 from repro.platform.kernel.random import RandomSource, constant, uniform
 from repro.platform.kernel.time import ms
 

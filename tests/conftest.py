@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codegen import generate_code
-from repro.core import TraceRecorder
-from repro.gpca import (
-    build_extended_statechart,
-    build_fig2_statechart,
-    build_pump_interface,
-    req1_bolus_start,
-)
+from repro.codegen.generator import generate_code
+from repro.core.four_variables import TraceRecorder
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.model import build_extended_statechart, build_fig2_statechart
+from repro.gpca.requirements import req1_bolus_start
 from repro.platform import Simulator
 
 

@@ -203,3 +203,17 @@ class TestParser:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_grid_choices_are_the_campaign_presets(self):
+        from repro.campaign.spec import PRESETS
+        from repro.cli import GRIDS
+
+        assert GRIDS == PRESETS
+
+    def test_version_prints_the_package_version(self, capsys):
+        from repro.cli import package_version
+
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == f"repro {package_version()}\n"

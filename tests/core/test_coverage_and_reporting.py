@@ -126,7 +126,7 @@ class TestReportRendering:
 
     def test_m_report_rendering(self, pump_interface):
         from repro.core.m_testing import MTestAnalyzer
-        from repro.gpca import req1_bolus_start
+        from repro.gpca.requirements import req1_bolus_start
 
         requirement = req1_bolus_start()
         trace = Trace(

@@ -6,7 +6,7 @@ from repro.core.four_variables import Event, EventKind
 from repro.core.requirements import EventSpec, RequirementSet, TimingRequirement
 from repro.core.test_generation import RTestCase, Stimulus
 from repro.platform.kernel.time import ms
-from repro.scenarios import CycleSpacing, ScenarioProgram
+from repro.scenarios.dsl import CycleSpacing, ScenarioProgram
 
 
 class TestEventSpec:
@@ -78,7 +78,7 @@ class TestTimingRequirement:
 
 class TestRequirementSet:
     def test_gpca_catalogue(self):
-        from repro.gpca import gpca_requirements
+        from repro.gpca.requirements import gpca_requirements
 
         catalogue = gpca_requirements()
         assert len(catalogue) == 4

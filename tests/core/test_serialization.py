@@ -19,9 +19,11 @@ from repro.core.serialization import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.gpca import bolus_request_program, build_pump_interface, req1_bolus_start
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.requirements import req1_bolus_start
+from repro.gpca.scenarios import bolus_request_program
 from repro.platform.kernel.time import ms
-from repro.systems import GPCA_PACK
+from repro.systems.gpca import GPCA_PACK
 
 
 @pytest.fixture(scope="module")

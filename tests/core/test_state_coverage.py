@@ -43,8 +43,8 @@ class TestStateCoverage:
         from functools import partial
 
         from repro.core.r_testing import execute_r_test
-        from repro.gpca import bolus_request_program
-        from repro.systems import GPCA_PACK
+        from repro.gpca.scenarios import bolus_request_program
+        from repro.systems.gpca import GPCA_PACK
 
         case = bolus_request_program(2).compile(2)
         report = execute_r_test(partial(GPCA_PACK.build_system, 2, seed=3), case)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from repro.faults import MutantSpec, SurvivorHunter, generate_mutants
+from repro.faults.hunt import SurvivorHunter
+from repro.faults.mutants import MutantSpec, generate_mutants
 from repro.faults.hunt import mc_signature
-from repro.gpca import gpca_scenario_space
+from repro.gpca.scenarios import gpca_scenario_space
 from repro.gpca.model import build_fig2_statechart
 
 
@@ -45,7 +46,7 @@ def test_hunt_stops_early_once_every_survivor_is_killed():
 def test_mc_signature_is_blind_to_internal_events():
     """The kill oracle observes monitored/controlled variables only."""
     from repro.core.r_testing import execute_r_test
-    from repro.gpca import bolus_request_program
+    from repro.gpca.scenarios import bolus_request_program
     from repro.systems import get_pack
 
     report = execute_r_test(

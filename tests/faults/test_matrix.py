@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignRunner
-from repro.faults import (
-    FaultMatrixSpec,
-    FaultPlan,
-    KillMatrix,
-    MutantSpec,
-    SensorStuckFault,
-    default_matrix_spec,
-    run_kill_matrix,
-)
+from repro.campaign.runner import CampaignRunner
+from repro.faults import default_matrix_spec
+from repro.faults.matrix import FaultMatrixSpec, KillMatrix, run_kill_matrix
+from repro.faults.models import FaultPlan, SensorStuckFault
+from repro.faults.mutants import MutantSpec
 from repro.obs import REGISTRY
-from repro.systems import GPCA_PACK
+from repro.systems.gpca import GPCA_PACK
 
 #: The engine counters a default matrix's systems fold into the registry.
 ENGINE_COUNTERS = (

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.faults import (
+from repro.faults.models import (
     ClockDriftFault,
     ExecutionInflationFault,
     FaultPlan,

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from repro.campaign import chart_fingerprint
-from repro.faults import MutantError, MutantSpec, generate_mutants
+from repro.campaign.cache import chart_fingerprint
+from repro.faults.mutants import MutantError, MutantSpec, generate_mutants
 from repro.gpca.model import build_extended_statechart, build_fig2_statechart
 from repro.model.builder import StatechartBuilder
 from repro.model.temporal import at
@@ -149,7 +149,7 @@ class TestApplication:
             ).apply(chart)
 
     def test_mutated_charts_still_generate_code(self):
-        from repro.codegen import generate_code
+        from repro.codegen.generator import generate_code
 
         chart = build_fig2_statechart()
         # A mutated model must stay a valid code-generation input: the kill
@@ -162,7 +162,7 @@ class TestApplication:
 
     def test_before_timing_mutant_is_behaviourally_equivalent_in_code(self):
         """Why `before` bounds are excluded: generated code fires eagerly."""
-        from repro.codegen import generate_code
+        from repro.codegen.generator import generate_code
 
         chart = build_fig2_statechart()
         ticks = chart.transition("t_start_infusion").temporal.ticks

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import execute_run
+from repro.campaign.worker import execute_run
 from repro.campaign.spec import RunSpec, derive_seed
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_dict
-from repro.faults import FaultPlan
-from repro.gpca import bolus_request_program, build_pump_interface
+from repro.faults.models import FaultPlan
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.scenarios import bolus_request_program
 from repro.systems import get_pack
 
 

@@ -8,8 +8,9 @@ from repro.analysis.figures import SweepPoint, render_sweep, sweep_point
 from repro.analysis.statistics import Summary, percentile, violation_rate
 from repro.analysis.tables import SchemeResult, TableOne
 from repro.core.r_testing import execute_r_test
-from repro.gpca import bolus_request_program
-from repro.systems import GPCA_PACK, generic_scheme_name
+from repro.gpca.scenarios import bolus_request_program
+from repro.systems import generic_scheme_name
+from repro.systems.gpca import GPCA_PACK
 
 
 class TestStatistics:

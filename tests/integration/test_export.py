@@ -6,16 +6,15 @@ from functools import partial
 
 import pytest
 
-from repro.analysis import SchemeResult, TableOne
+from repro.analysis.tables import SchemeResult, TableOne
 from repro.analysis.export import table_one_to_csv, table_one_to_markdown
-from repro.core import MTestAnalyzer
+from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
-from repro.gpca import (
-    bolus_request_program,
-    build_pump_interface,
-    req1_bolus_start,
-)
-from repro.systems import GPCA_PACK, generic_scheme_name
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.requirements import req1_bolus_start
+from repro.gpca.scenarios import bolus_request_program
+from repro.systems import generic_scheme_name
+from repro.systems.gpca import GPCA_PACK
 
 
 @pytest.fixture(scope="module")

@@ -2,22 +2,18 @@
 
 from functools import partial
 
-from repro.baselines import (
-    BlackBoxOnlineTester,
-    FunctionalConformanceChecker,
-    FunctionalStep,
-)
-from repro.codegen import generate_code
+from repro.baselines.blackbox_online import BlackBoxOnlineTester
+from repro.baselines.functional_conformance import FunctionalConformanceChecker, FunctionalStep
+from repro.codegen.generator import generate_code
 from repro.core.r_testing import execute_r_test
-from repro.gpca import (
+from repro.gpca.model import build_extended_statechart, build_fig2_statechart
+from repro.gpca.scenarios import (
     alarm_clear_program,
     bolus_request_program,
-    build_extended_statechart,
-    build_fig2_statechart,
     empty_reservoir_alarm_program,
     empty_reservoir_stop_program,
 )
-from repro.systems import GPCA_PACK
+from repro.systems.gpca import GPCA_PACK
 
 
 class TestGpcaScenarios:

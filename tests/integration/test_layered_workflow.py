@@ -4,18 +4,18 @@ from functools import partial
 
 import pytest
 
-from repro.analysis import SchemeResult, TableOne, fig3_views, model_timing_view
-from repro.core import MTestAnalyzer, TransitionCoverage, render_layered_summary
+from repro.analysis.figures import fig3_views, model_timing_view
+from repro.analysis.tables import SchemeResult, TableOne
+from repro.core.coverage import TransitionCoverage
+from repro.core.m_testing import MTestAnalyzer
+from repro.core.report import render_layered_summary
 from repro.core.r_testing import execute_r_test
-from repro.gpca import (
-    TRANS_BOLUS_REQUEST,
-    TRANS_START_INFUSION,
-    bolus_request_program,
-    build_fig2_statechart,
-    build_pump_interface,
-    req1_bolus_start,
-)
-from repro.systems import GPCA_PACK, generic_scheme_name
+from repro.gpca.interface import build_pump_interface
+from repro.gpca.model import TRANS_BOLUS_REQUEST, TRANS_START_INFUSION, build_fig2_statechart
+from repro.gpca.requirements import req1_bolus_start
+from repro.gpca.scenarios import bolus_request_program
+from repro.systems import generic_scheme_name
+from repro.systems.gpca import GPCA_PACK
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,14 @@ from functools import partial
 
 import pytest
 
-from repro.core import EventKind
+from repro.core.four_variables import EventKind
 from repro.core.r_testing import execute_r_test
 from repro.core.test_generation import Stimulus
-from repro.gpca import bolus_request_program
+from repro.gpca.scenarios import bolus_request_program
 from repro.integration import single_threaded
 from repro.platform.kernel.time import ms, seconds
-from repro.systems import GPCA_PACK, get_pack
+from repro.systems import get_pack
+from repro.systems.gpca import GPCA_PACK
 
 build_system = get_pack("gpca").build_system
 

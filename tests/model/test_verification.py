@@ -103,7 +103,7 @@ class TestGpcaVerification:
         assert result.passed
 
     def test_all_gpca_requirements_verify(self, fig2_chart):
-        from repro.gpca import gpca_requirements
+        from repro.gpca.requirements import gpca_requirements
 
         checker = BoundedResponseChecker(fig2_chart)
         for timing_requirement in gpca_requirements().with_model_counterpart():
@@ -111,7 +111,7 @@ class TestGpcaVerification:
             assert result.passed, timing_requirement.requirement_id
 
     def test_tightened_deadline_fails(self, fig2_chart, req1):
-        from repro.gpca import req1_bolus_start
+        from repro.gpca.requirements import req1_bolus_start
 
         checker = BoundedResponseChecker(fig2_chart)
         tight = req1_bolus_start(deadline_ms=50).to_model_requirement()

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignResult, CampaignRunner, profile_run
+from repro.campaign.profiler import profile_run
+from repro.campaign.results import CampaignResult
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint, table_one_spec
 from repro.campaign.worker import execute_run
 from repro.obs import REGISTRY

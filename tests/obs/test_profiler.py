@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.campaign import profile_run
+from repro.campaign.profiler import profile_run
 from repro.campaign.spec import table_one_spec
 from repro.cli import main
 from repro.obs.spans import FRAMEWORK_PID, SIMULATION_PID

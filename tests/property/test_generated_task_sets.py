@@ -35,7 +35,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro._reference import SEED_ENGINE
-from repro.faults import ClockDriftFault
+from repro.faults.models import ClockDriftFault
 from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.kernel.random import JitterModel
 from repro.platform.kernel.time import ms

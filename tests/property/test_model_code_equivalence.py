@@ -8,8 +8,8 @@ random event/advance scenarios and require identical outputs and states.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import generate_code
-from repro.gpca import build_extended_statechart, build_fig2_statechart
+from repro.codegen.generator import generate_code
+from repro.gpca.model import build_extended_statechart, build_fig2_statechart
 from repro.model.simulation import ModelExecutor
 
 FIG2_CHART = build_fig2_statechart()

@@ -9,8 +9,8 @@ and measured stimuli never closer than the requirement's minimum separation.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpca import gpca_scenario_space
-from repro.scenarios import ScenarioSampler
+from repro.gpca.scenarios import gpca_scenario_space
+from repro.scenarios.generator import ScenarioSampler
 
 SPACE = gpca_scenario_space()
 
@@ -66,7 +66,7 @@ def test_stimulus_volume_matches_program_shape(sampler_seed, index):
 @settings(max_examples=40, deadline=None)
 @given(seeds, indices, seeds)
 def test_round_trip_through_dict_preserves_compilation(sampler_seed, index, compile_seed):
-    from repro.scenarios import ScenarioProgram
+    from repro.scenarios.dsl import ScenarioProgram
 
     program = nth_program(sampler_seed, index)
     restored = ScenarioProgram.from_dict(program.to_dict())

@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 from repro._reference import SEED_ENGINE
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import r_report_to_dict
-from repro.faults import FaultPlan, SensorGlitchFault, SensorStuckFault
+from repro.faults.models import FaultPlan, SensorGlitchFault, SensorStuckFault
 from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.kernel.time import ms
 from repro.platform.rtos.scheduler import RTOSScheduler
-from repro.scenarios import ScenarioSampler
+from repro.scenarios.generator import ScenarioSampler
 from repro.systems import get_pack
 
 PACKS = ("gpca", "pacemaker", "cruise")

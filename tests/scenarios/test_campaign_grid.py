@@ -5,13 +5,9 @@ import json
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    CasePoint,
-    preset_spec,
-    scenario_grid_spec,
-)
-from repro.gpca import bolus_request_program, empty_reservoir_alarm_program
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import CasePoint, preset_spec, scenario_grid_spec
+from repro.gpca.scenarios import bolus_request_program, empty_reservoir_alarm_program
 from repro.systems.gpca import EXTENDED_MODEL_SHIFT_US
 
 

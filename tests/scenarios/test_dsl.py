@@ -5,17 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gpca import (
+from repro.gpca.requirements import req1_bolus_start, req2_empty_reservoir_alarm
+from repro.gpca.scenarios import (
+    BOLUS_SPACING_US,
     alarm_clear_program,
     bolus_request_program,
     empty_reservoir_alarm_program,
     empty_reservoir_stop_program,
-    req1_bolus_start,
-    req2_empty_reservoir_alarm,
 )
-from repro.gpca.scenarios import BOLUS_SPACING_US
 from repro.platform.kernel.time import ms, seconds
-from repro.scenarios import (
+from repro.scenarios.dsl import (
     ROLE_SETUP,
     ROLE_TEARDOWN,
     CycleSpacing,

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.campaign import ArtifactCache
+from repro.campaign.cache import ArtifactCache
 from repro.cli import main
-from repro.gpca import gpca_scenario_space
-from repro.scenarios import CoverageGuidedExplorer
+from repro.gpca.scenarios import gpca_scenario_space
+from repro.scenarios.explore import CoverageGuidedExplorer
 from repro.systems import get_pack
 from repro.systems.gpca import EXTENDED_MODEL_SHIFT_US
 

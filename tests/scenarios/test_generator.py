@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.gpca import gpca_scenario_space, req1_bolus_start
+from repro.gpca.requirements import req1_bolus_start
+from repro.gpca.scenarios import gpca_scenario_space
 from repro.platform.kernel.time import ms
-from repro.scenarios import ScenarioSampler, ScenarioSpace
+from repro.scenarios.generator import ScenarioSampler, ScenarioSpace
 
 
 def measured_times(case):

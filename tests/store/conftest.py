@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignRunner, table_one_spec
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import table_one_spec
 from repro.store import RunStore
 
 

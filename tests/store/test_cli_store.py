@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro import __version__
-from repro.campaign import CampaignResult
+from repro.campaign.results import CampaignResult
 from repro.campaign.worker import execution_count
 from repro.cli import main, package_version
 from repro.store import RunStore
@@ -213,7 +213,7 @@ def _no_server(*args, **kwargs):
     ids=["store-list", "store-runs", "store-diff", "store-export", "serve"],
 )
 def test_read_only_commands_refuse_a_missing_store(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr("repro.cli.StoreServer", _no_server)
+    monkeypatch.setattr("repro.store.server.StoreServer", _no_server)
     typo = tmp_path / "typo.db"
     assert main([*argv, str(typo)]) == 1
     assert f"no run store at {typo}" in capsys.readouterr().err
@@ -233,7 +233,9 @@ def test_faults_store_resume(tmp_path, capsys, monkeypatch):
     The stock matrix is 112 runs; a two-plan, one-mutant, one-scenario matrix
     exercises the identical CLI path at test speed.
     """
-    from repro.faults import FaultMatrixSpec, default_fault_suite, generate_mutants
+    from repro.faults.matrix import FaultMatrixSpec
+    from repro.faults.models import default_fault_suite
+    from repro.faults.mutants import generate_mutants
     from repro.gpca.model import build_fig2_statechart
 
     small = FaultMatrixSpec(
@@ -242,7 +244,7 @@ def test_faults_store_resume(tmp_path, capsys, monkeypatch):
         cases=("bolus-request",),
         samples=1,
     )
-    monkeypatch.setattr("repro.cli.default_matrix_spec", lambda **kwargs: small)
+    monkeypatch.setattr("repro.faults.matrix.default_matrix_spec", lambda **kwargs: small)
 
     db = str(tmp_path / "matrix.db")
     base = ["faults", "--samples", "1", "--seed", "0"]

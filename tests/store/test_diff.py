@@ -6,8 +6,10 @@ import copy
 
 import pytest
 
-from repro.campaign import CampaignResult
-from repro.store import DRIFT_THRESHOLD_US, RunStore, SnapshotDiff, StoreError, diff_snapshots
+from repro.campaign.results import CampaignResult
+from repro.store import RunStore
+from repro.store.diff import DRIFT_THRESHOLD_US, SnapshotDiff, diff_snapshots
+from repro.store.store import StoreError
 
 
 def _mutated(result: CampaignResult, edit) -> CampaignResult:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.campaign import model_fingerprint, table_one_spec
-from repro.faults import default_fault_suite, generate_mutants
+from repro.campaign.cache import model_fingerprint
+from repro.campaign.spec import table_one_spec
+from repro.faults.models import default_fault_suite
+from repro.faults.mutants import generate_mutants
 from repro.gpca.model import build_fig2_statechart
-from repro.store import run_coordinate, run_key
+from repro.store.keys import run_coordinate, run_key
 
 
 def _spec():

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
 
-from repro.campaign import CampaignRunner, execution_count, table_one_spec
-from repro.campaign.worker import execute_run
-from repro.faults import FaultMatrixSpec, default_fault_suite, generate_mutants
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import table_one_spec
+from repro.campaign.worker import execute_run, execution_count
+from repro.faults.matrix import FaultMatrixSpec
+from repro.faults.models import default_fault_suite
+from repro.faults.mutants import generate_mutants
 from repro.gpca.model import build_fig2_statechart
-from repro.store import RunStore, run_key
+from repro.store import RunStore
+from repro.store.keys import run_key
 
 
 def test_cold_run_with_store_persists_everything(tmp_path, table1_spec):
@@ -36,20 +41,32 @@ def test_full_resume_executes_zero_runs_and_is_byte_identical(seeded_store, tabl
 
 
 def test_warm_resume_is_at_least_ten_times_faster_than_a_cold_run(tmp_path):
-    """A stored campaign is reassembled, not re-executed (table1 grid, samples 4)."""
+    """A stored campaign is reassembled, not re-executed (table1 grid, samples 4).
+
+    Medians of three of each, so one host stall in a ≈ 3 ms resume cannot
+    decide the comparison.
+    """
     spec = table_one_spec(samples=4)
-    store = RunStore(tmp_path / "runs.db")
-    started = time.perf_counter()
-    cold = CampaignRunner(spec, store=store).run()
-    cold_s = time.perf_counter() - started
-    runner = CampaignRunner(spec, store=store, resume=True)
-    started = time.perf_counter()
-    warm = runner.run()
-    warm_s = time.perf_counter() - started
-    store.close()
-    assert runner.executed_count == 0
-    assert warm.to_json() == cold.to_json()
-    assert cold_s >= 10 * warm_s, f"cold run {cold_s:.3f} s, warm resume {warm_s:.4f} s"
+    stores, colds, cold_s = [], [], []
+    for attempt in range(3):
+        store = RunStore(tmp_path / f"runs-{attempt}.db")  # each cold run into a fresh store
+        started = time.perf_counter()
+        colds.append(CampaignRunner(spec, store=store).run())
+        cold_s.append(time.perf_counter() - started)
+        stores.append(store)
+    warm_s = []
+    for store, cold in zip(stores, colds):
+        runner = CampaignRunner(spec, store=store, resume=True)
+        started = time.perf_counter()
+        warm = runner.run()
+        warm_s.append(time.perf_counter() - started)
+        store.close()
+        assert runner.executed_count == 0
+        assert warm.to_json() == cold.to_json()
+    cold_median, warm_median = statistics.median(cold_s), statistics.median(warm_s)
+    assert cold_median >= 10 * warm_median, (
+        f"cold runs {cold_s} s, warm resumes {warm_s} s (medians {cold_median:.3f} / {warm_median:.4f})"
+    )
 
 
 def test_partial_resume_executes_only_the_missing_runs(seeded_store, table1_spec, table1_result):

@@ -7,8 +7,10 @@ import threading
 
 import pytest
 
-from repro.campaign import CampaignResult
-from repro.store import RunStore, StoreError, run_key
+from repro.campaign.results import CampaignResult
+from repro.store import RunStore
+from repro.store.keys import run_key
+from repro.store.store import StoreError
 
 
 def test_put_and_lookup_round_trip(tmp_path, table1_result):

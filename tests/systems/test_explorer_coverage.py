@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ArtifactCache
-from repro.scenarios import CoverageGuidedExplorer
-from repro.systems import CRUISE_PACK, PACEMAKER_PACK
+from repro.campaign.cache import ArtifactCache
+from repro.scenarios.explore import CoverageGuidedExplorer
+from repro.systems.cruise import CRUISE_PACK
+from repro.systems.pacemaker import PACEMAKER_PACK
 
 
 def explore(pack, episodes, *, seed=0):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignRunner
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, CasePoint, SchemePoint, M_TEST_NONE
 
 

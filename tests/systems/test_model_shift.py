@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro import cli
 from repro.campaign.spec import RunSpec
-from repro.faults import SurvivorHunter, generate_mutants
+from repro.faults.hunt import SurvivorHunter
+from repro.faults.mutants import generate_mutants
 from repro.faults import hunt as hunt_module
-from repro.gpca import gpca_scenario_space
+from repro.gpca.scenarios import gpca_scenario_space
 from repro.gpca.model import build_extended_statechart
 from repro.platform.kernel.random import RandomSource
-from repro.scenarios import CoverageGuidedExplorer
+from repro.scenarios.explore import CoverageGuidedExplorer
 from repro.scenarios import explore as explore_module
 
 

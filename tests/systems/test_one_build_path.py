@@ -24,7 +24,8 @@ from repro.codegen.generator import generate_code
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_dict
-from repro.faults import FaultPlan, SensorGlitchFault, SensorStuckFault, generate_mutants
+from repro.faults.models import FaultPlan, SensorGlitchFault, SensorStuckFault
+from repro.faults.mutants import generate_mutants
 from repro.gpca.model import build_fig2_statechart
 from repro.systems import get_pack, pack_ids
 from repro.systems.base import ALL_SCHEMES

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ArtifactCache
+from repro.campaign.cache import ArtifactCache
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
-from repro.systems import CRUISE_PACK, PACEMAKER_PACK
+from repro.systems.cruise import CRUISE_PACK
+from repro.systems.pacemaker import PACEMAKER_PACK
 
 PACKS = {
     "pacemaker": (PACEMAKER_PACK, "sense-inhibit"),

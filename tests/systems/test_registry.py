@@ -1,22 +1,15 @@
-"""The system-pack registry: lookup, aggregation and error reporting."""
+"""The system-pack registry: lookup, the pack table and error reporting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.systems import (
-    CRUISE_PACK,
-    DEFAULT_SYSTEM,
-    GPCA_PACK,
-    MODEL_BUILDERS,
-    PACEMAKER_PACK,
-    SystemPack,
-    get_pack,
-    iter_packs,
-    model_system,
-    pack_ids,
-    register_pack,
-)
+from repro.systems import DEFAULT_SYSTEM, SystemPack, get_pack, iter_packs, model_system, pack_ids
+from repro.systems import base
+from repro.systems.base import PACK_TABLE, PackEntry, model_builder, model_names
+from repro.systems.cruise import CRUISE_PACK
+from repro.systems.gpca import GPCA_PACK
+from repro.systems.pacemaker import PACEMAKER_PACK
 
 
 class TestLookup:
@@ -36,8 +29,11 @@ class TestLookup:
         with pytest.raises(ValueError, match=r"known: cruise, gpca, pacemaker"):
             get_pack("infusionator")
 
-    def test_model_builders_aggregate_every_pack(self):
-        assert set(MODEL_BUILDERS) == {"fig2", "extended", "pacemaker", "cruise"}
+    def test_the_table_names_every_pack_model(self):
+        assert model_names() == ("cruise", "extended", "fig2", "pacemaker")
+        for pack in iter_packs():
+            for model, builder in pack.model_builders.items():
+                assert model_builder(model) is builder
 
     def test_model_system_maps_each_model_to_its_pack(self):
         assert model_system("fig2") == "gpca"
@@ -51,22 +47,24 @@ class TestLookup:
 
 
 class TestRegistration:
-    def test_duplicate_system_id_is_rejected(self):
-        clone = SystemPack(
-            system_id="gpca",
-            title=GPCA_PACK.title,
-            description=GPCA_PACK.description,
-            default_model="fig2",
-            model_builders=dict(GPCA_PACK.model_builders),
-            build_interface=GPCA_PACK.build_interface,
-            build_system=GPCA_PACK.build_system,
-            case_builders=dict(GPCA_PACK.case_builders),
-            requirements=GPCA_PACK.requirements,
-            scenario_space=GPCA_PACK.scenario_space,
-            fault_suite=GPCA_PACK.fault_suite,
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            register_pack(clone)
+    def test_a_model_listed_under_two_packs_is_rejected(self):
+        clash = PackEntry("clone", "repro.systems.gpca", "GPCA_PACK", ("fig2",))
+        with pytest.raises(ValueError, match="model 'fig2' of system 'clone' is already listed under system 'gpca'"):
+            base._model_systems((*PACK_TABLE, clash))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            PackEntry("gpca", "repro.systems.pacemaker", "PACEMAKER_PACK", ("pacemaker",)),
+            PackEntry("pacemaker", "repro.systems.pacemaker", "PACEMAKER_PACK", ("pacemaker", "paced")),
+        ],
+        ids=["other-id", "other-models"],
+    )
+    def test_a_pack_that_differs_from_its_table_row_is_rejected(self, monkeypatch, entry):
+        monkeypatch.setattr(base, "_ENTRIES", {**base._ENTRIES, entry.system_id: entry})
+        monkeypatch.setattr(base, "_LOADED", {})
+        with pytest.raises(ValueError, match="but the pack table lists"):
+            get_pack(entry.system_id)
 
     def test_pack_default_model_must_be_buildable(self):
         with pytest.raises(ValueError, match="default model 'missing'"):

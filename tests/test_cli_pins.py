@@ -9,6 +9,10 @@
   and the same with ``--system pacemaker`` and ``--system cruise``.
 * ``repro codegen``, ``repro verify`` (each with and without ``--extended``)
   and two seeded ``repro explore`` runs: the SHA-256 of stdout.
+* every option of every subcommand and ``store`` action as
+  :func:`repro.cli.build_parser` builds it: flags, choices, default, help
+  string, ``type=int`` and ``required``.  ``--help`` bytes are not pinned:
+  argparse lays them out differently from one Python version to the next.
 
 Any change to how a system is built, how its schedule is written or how a
 run is judged moves one of these digests.
@@ -16,11 +20,12 @@ run is judged moves one of these digests.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def _sha256(data: bytes) -> str:
@@ -114,3 +119,342 @@ def test_pack_faults_snapshot_id_is_pinned(system, tmp_path, capsys):
     argv = ["faults", "--system", system, "--samples", "1", "--seed", "0", "--store", str(store)]
     assert main(argv) == 0
     assert f"snapshot {PACK_SNAPSHOTS[system]} saved to {store}" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The parser
+# ----------------------------------------------------------------------
+#: (subcommand[, store action]) -> every option, in declaration order, as
+#: (flags or positional name, choices, default, help).  ``()`` is the
+#: top-level parser.
+PARSER_PINS = {
+    (): (
+        (('--version',), None, '==SUPPRESS==', 'print the installed package version and exit'),
+    ),
+    ('verify',): (
+        (('--extended',), None, False, 'use the extended GPCA chart'),
+    ),
+    ('codegen',): (
+        (('--extended',), None, False, 'use the extended GPCA chart'),
+        (('--output',), None, None, 'write the C source to this file'),
+    ),
+    ('rtest',): (
+        (('--scheme',), (1, 2, 3), None, None),
+        (('--samples',), None, 10, None),
+        (('--seed',), None, 7, None),
+        (('--m-test',), None, False, 'run M-testing on violating samples'),
+        (('--json',), None, None, 'write the R-test report as JSON'),
+        (('--csv',), None, None, 'write the per-sample table as CSV'),
+        (('--m-json',), None, None, 'write the M-test report as JSON (needs --m-test)'),
+    ),
+    ('table1',): (
+        (('--samples',), None, 10, None),
+        (('--seed',), None, 7, None),
+        (('--output',), None, None, 'write the rendered table to this file'),
+    ),
+    ('profile',): (
+        (
+            ('--grid',),
+            ('table1', 'periods', 'interference', 'full', 'scenarios'),
+            'table1',
+            'which stock grid the coordinate comes from (default: table1)',
+        ),
+        (('--index',), None, 0, 'grid coordinate to profile (default: 0; see --list)'),
+        (('--samples',), None, None, 'samples per test case (default: grid-specific)'),
+        (('--seed',), None, None, 'campaign seed (default: grid-specific)'),
+        (
+            ('--timeline',),
+            None,
+            'timeline.json',
+            'write the Chrome-trace timeline here (default: timeline.json)',
+        ),
+        (
+            ('--list',),
+            None,
+            False,
+            "list the grid's coordinates (index, scheme, case) without running",
+        ),
+    ),
+    ('campaign',): (
+        (
+            ('--grid',),
+            ('table1', 'periods', 'interference', 'full', 'scenarios'),
+            'table1',
+            'which stock grid to run (default: table1)',
+        ),
+        (
+            ('--workers',),
+            None,
+            1,
+            (
+                'worker processes to shard the grid across (default: 1, serial; 0 = one '
+                'per schedulable CPU)'
+            ),
+        ),
+        (('--samples',), None, None, 'samples per test case (default: grid-specific)'),
+        (('--seed',), None, None, 'campaign seed (default: grid-specific)'),
+        (('--json',), None, None, 'write the full campaign aggregate as JSON'),
+        (('--csv',), None, None, 'write the per-run summary as CSV'),
+        (
+            ('--store',),
+            None,
+            None,
+            'persist every run and a campaign snapshot into this SQLite run store',
+        ),
+        (
+            ('--resume',),
+            None,
+            False,
+            'with --store: execute only grid points the store has never seen',
+        ),
+    ),
+    ('systems',): (
+        (
+            ('--list',),
+            None,
+            False,
+            'print the pack inventory (the default behaviour, for symmetry)',
+        ),
+        (('--json',), None, None, 'write the pack inventory as JSON'),
+    ),
+    ('explore',): (
+        (
+            ('--scheme',),
+            (1, 2, 3),
+            1,
+            'implementation scheme to explore (default: 1, single-threaded)',
+        ),
+        (
+            ('--system',),
+            None,
+            'gpca',
+            'registered system pack to explore (default: gpca; known: gpca, pacemaker, cruise)',
+        ),
+        (
+            ('--model',),
+            None,
+            None,
+            (
+                'model whose generated transitions are the coverage target (default: '
+                "the system's default model)"
+            ),
+        ),
+        (('--episodes',), None, 24, 'exploration episodes to run (default: 24)'),
+        (('--seed',), None, 0, 'exploration seed (default: 0)'),
+        (('--sut-seed',), None, 11, 'seed of the systems under test (default: 11)'),
+        (('--json',), None, None, 'write the exploration report as JSON'),
+    ),
+    ('faults',): (
+        (('--samples',), None, 3, 'samples per scenario run (default: 3)'),
+        (
+            ('--workers',),
+            None,
+            1,
+            (
+                'worker processes to shard the matrix across (default: 1, serial; 0 = '
+                'one per schedulable CPU)'
+            ),
+        ),
+        (('--seed',), None, 0, 'matrix seed (default: 0)'),
+        (
+            ('--system',),
+            None,
+            'gpca',
+            (
+                'registered system pack the matrix runs against (default: gpca; known: '
+                'gpca, pacemaker, cruise)'
+            ),
+        ),
+        (
+            ('--model',),
+            None,
+            None,
+            "model the mutants are generated from (default: the system's default model)",
+        ),
+        (
+            ('--hunt',),
+            None,
+            0,
+            (
+                'run up to N survivor-hunter episodes on mutants the fixed scenarios '
+                'miss (default: 0, off)'
+            ),
+        ),
+        (('--list',), None, False, 'list the fault suite and generated mutants without running'),
+        (('--json',), None, None, 'write the kill-matrix (and hunt) report as JSON'),
+        (('--csv',), None, None, 'write the per-run summary as CSV'),
+        (
+            ('--store',),
+            None,
+            None,
+            'persist every matrix run and a snapshot into this SQLite run store',
+        ),
+        (
+            ('--resume',),
+            None,
+            False,
+            'with --store: execute only matrix points the store has never seen',
+        ),
+    ),
+    ('store', 'list'): (
+        (('--db',), None, None, 'run-store file'),
+        (('--name',), None, None, 'only snapshots of this campaign name'),
+    ),
+    ('store', 'runs'): (
+        (('--db',), None, None, 'run-store file'),
+        (('--scheme',), None, None, 'only runs of this scheme'),
+        (('--case',), None, None, 'only runs of this scenario'),
+        (('--system',), None, None, 'only runs of this system pack'),
+        (('--limit',), None, None, 'at most this many rows'),
+        (('--offset',), None, 0, 'skip this many rows first (default: 0)'),
+        (
+            ('--slowest',),
+            None,
+            False,
+            'order by stored wall-clock, slowest first (default: newest first)',
+        ),
+    ),
+    ('store', 'diff'): (
+        (('--db',), None, None, 'run-store file'),
+        (('old',), None, None, "old snapshot id, or 'latest' / 'prev'"),
+        (('new',), None, None, "new snapshot id, or 'latest' / 'prev'"),
+        (('--name',), None, None, 'resolve latest/prev within this campaign name'),
+        (('--json',), None, None, 'write the diff report as JSON'),
+        (
+            ('--fail-on-regression',),
+            None,
+            False,
+            'exit 1 when the diff contains regressions (for CI gates)',
+        ),
+    ),
+    ('store', 'export'): (
+        (('--db',), None, None, 'run-store file'),
+        (('--campaign',), None, 'latest', "snapshot id, or 'latest' / 'prev' (default: latest)"),
+        (('--name',), None, None, 'resolve latest/prev within this campaign name'),
+        (('--case',), None, 'bolus-request', 'Table I scenario'),
+        (('--json',), None, None, 'write the full campaign aggregate as JSON'),
+        (('--csv',), None, None, 'write the per-run summary as CSV'),
+        (('--table1',), None, None, 'write Table I (Markdown for .md files, plain text otherwise)'),
+        (('--table1-csv',), None, None, 'write the structured Table I rows as CSV'),
+    ),
+    ('serve',): (
+        (('--store',), None, None, 'run-store file to serve'),
+        (('--host',), None, '127.0.0.1', 'bind address (default: 127.0.0.1)'),
+        (('--port',), None, 8035, 'TCP port (default: 8035; 0 = ephemeral)'),
+        (('--quiet',), None, False, 'suppress the per-request structured log lines on stderr'),
+    ),
+}
+
+#: Each subcommand's and ``store`` action's help line.
+COMMAND_HELP = {
+    ('verify',): 'verify the GPCA requirements on the model',
+    ('codegen',): 'generate CODE(M) and emit its C source',
+    ('rtest',): 'R-test one implementation scheme against REQ1',
+    ('table1',): 'regenerate Table I across all schemes',
+    ('profile',): 'profile one grid coordinate: Chrome-trace timeline + self-time table',
+    ('campaign',): 'run an R-/M-testing campaign grid (optionally in parallel)',
+    ('systems',): 'list the registered system packs (repro.systems)',
+    ('explore',): 'coverage-guided scenario generation against one implementation scheme',
+    ('faults',): 'fault-injection / mutation-analysis kill matrix (repro.faults)',
+    ('store',): 'inspect a persistent run store (snapshots, runs, diffs, exports)',
+    ('serve',): 'serve a run store as a JSON HTTP API (ETag-cached)',
+    ('store', 'list'): 'list stored campaign snapshots',
+    ('store', 'runs'): 'list stored runs',
+    ('store', 'diff'): 'regression diff between two stored snapshots',
+    ('store', 'export'): 'export a stored snapshot (JSON / CSV / Table I)',
+}
+
+#: Options declared ``required=True``.
+REQUIRED_OPTIONS = {
+    ("rtest", "--scheme"),
+    ("store", "list", "--db"),
+    ("store", "runs", "--db"),
+    ("store", "diff", "--db"),
+    ("store", "export", "--db"),
+    ("serve", "--store"),
+}
+
+#: Options parsed with ``type=int``.
+INT_OPTIONS = {
+    ("rtest", "--scheme"), ("rtest", "--samples"), ("rtest", "--seed"),
+    ("table1", "--samples"), ("table1", "--seed"),
+    ("profile", "--index"), ("profile", "--samples"), ("profile", "--seed"),
+    ("campaign", "--workers"), ("campaign", "--samples"), ("campaign", "--seed"),
+    ("explore", "--scheme"), ("explore", "--episodes"), ("explore", "--seed"), ("explore", "--sut-seed"),
+    ("faults", "--samples"), ("faults", "--workers"), ("faults", "--seed"), ("faults", "--hunt"),
+    ("store", "runs", "--scheme"), ("store", "runs", "--limit"), ("store", "runs", "--offset"),
+    ("serve", "--port"),
+}
+
+
+def _split(parser):
+    """(option actions, subparsers action or None) of one parser."""
+    options, subparsers = [], None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subparsers = action
+        elif not isinstance(action, argparse._HelpAction):
+            options.append(action)
+    return options, subparsers
+
+
+def _parsers():
+    """(key, parser) for the top-level parser, each subcommand and each ``store`` action."""
+    root = build_parser()
+    found = [((), root)]
+    for name, parser in _split(root)[1].choices.items():
+        nested = _split(parser)[1]
+        if nested is None:
+            found.append(((name,), parser))
+        else:
+            found.extend(((name, action), sub) for action, sub in nested.choices.items())
+    return found
+
+
+def _help_lines():
+    root_subparsers = _split(build_parser())[1]
+    lines = {(choice.dest,): choice.help for choice in root_subparsers._choices_actions}
+    for name, parser in root_subparsers.choices.items():
+        nested = _split(parser)[1]
+        if nested is not None:
+            lines.update({(name, choice.dest): choice.help for choice in nested._choices_actions})
+    return lines
+
+
+def _flag(action):
+    return (action.option_strings or [action.dest])[0]
+
+
+def test_every_parser_is_pinned():
+    assert [key for key, _ in _parsers()] == list(PARSER_PINS)
+
+
+@pytest.mark.parametrize("key", sorted(PARSER_PINS), ids=lambda key: " ".join(key) or "repro")
+def test_parser_options_are_pinned(key):
+    parser = dict(_parsers())[key]
+    built = tuple(
+        (
+            tuple(action.option_strings) or (action.dest,),
+            None if action.choices is None else tuple(action.choices),
+            action.default,
+            action.help,
+        )
+        for action in _split(parser)[0]
+    )
+    assert built == PARSER_PINS[key]
+
+
+def test_required_and_integer_options_are_pinned():
+    required, integers = set(), set()
+    for key, parser in _parsers():
+        for action in _split(parser)[0]:
+            if action.required and action.option_strings:
+                required.add((*key, _flag(action)))
+            if action.type is int:
+                integers.add((*key, _flag(action)))
+    assert required == REQUIRED_OPTIONS
+    assert integers == INT_OPTIONS
+
+
+def test_command_help_lines_are_pinned():
+    assert _help_lines() == COMMAND_HELP

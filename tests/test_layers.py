@@ -5,8 +5,11 @@ imports only subpackages below it.  These tests pin that rule three ways:
 
 * statically, from the module-level imports of every file (imports under
   ``if TYPE_CHECKING:`` and inside functions are not edges);
-* in a fresh interpreter, from what importing a layer actually loads;
-* for each package ``__init__``, whose re-exports must match its ``__all__``.
+* in a fresh interpreter, from what importing a layer actually loads, and
+  from what ``python -m repro`` loads for the commands whose start-up
+  matters (``--version``, ``faults --list``, a warm ``faults --resume``);
+* for each package ``__init__``, whose re-exports must match its ``__all__``
+  and load no other layer.
 
 A fourth test keeps the package to what its users reach: every definition
 that nothing else in ``src/repro`` names must be on a committed keep-list
@@ -170,6 +173,94 @@ def _loaded_by(modules: List[str]) -> List[str]:
     return result.stdout.split()
 
 
+#: Runs ``python -m repro`` (``runpy`` is what ``-m`` runs) and writes every
+#: module the interpreter holds at exit to the file named first in argv.
+#: ``-X importtime`` would miss modules loaded through ``importlib``, as the
+#: pack registry loads packs.
+_RUN_REPRO = """
+import runpy, sys
+out, sys.argv = sys.argv[1], ["repro", *sys.argv[2:]]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w") as sink:
+        sink.write("\\n".join(sorted(sys.modules)))
+"""
+
+
+def _run_command(argv: List[str], cwd: Path) -> Tuple[subprocess.CompletedProcess, Set[str]]:
+    """Run ``python -m repro *argv`` in a fresh interpreter; (result, modules it loaded)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    loaded = cwd / "modules.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_REPRO, str(loaded), *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    return result, set(loaded.read_text().split())
+
+
+def _loaded(modules: Set[str], *prefixes: str) -> List[str]:
+    """The modules among ``modules`` that are one of ``prefixes`` or inside one."""
+    return sorted(
+        name for name in modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+    )
+
+
+def _repro_count(modules: Set[str]) -> int:
+    return len(_loaded(modules, "repro"))
+
+
+#: What ``faults --list`` must not load: the simulation stack, the runner's
+#: execution side, the store, the other commands' layers and the heavy stdlib
+#: packages behind them.
+LIST_MUST_NOT_LOAD = (
+    "repro.integration",
+    "repro.platform.rtos",
+    "repro.platform.devices",
+    "repro.codegen.generator",
+    "repro.campaign.runner",
+    "repro.campaign.worker",
+    "repro.campaign.results",
+    "repro.campaign.profiler",
+    "repro.store",
+    "repro.faults.hunt",
+    "repro.analysis",
+    "repro._reference",
+    "multiprocessing",
+    "concurrent.futures",
+    "sqlite3",
+    "http.server",
+    "importlib.metadata",
+)
+
+#: What a warm ``faults --resume`` (nothing left to run) must not load.
+RESUME_MUST_NOT_LOAD = (
+    "repro.integration",
+    "repro.platform.rtos",
+    "repro.platform.devices",
+    "repro.codegen.generator",
+    "repro.campaign.worker",
+    "repro.store.server",
+    "multiprocessing",
+    "concurrent.futures",
+    "http.server",
+)
+
+
+@pytest.fixture(scope="module")
+def complete_store(tmp_path_factory) -> Path:
+    """A store holding every run of the GPCA kill matrix at one sample."""
+    from repro.cli import main
+
+    store = tmp_path_factory.mktemp("warm") / "runs.db"
+    assert main(["faults", "--samples", "1", "--store", str(store)]) == 0
+    return store
+
+
 class TestFreshInterpreter:
     def test_import_repro_loads_no_subpackage(self):
         assert _loaded_by(["repro"]) == ["repro"]
@@ -185,8 +276,101 @@ class TestFreshInterpreter:
         ]
         assert foreign == []
 
+    def test_version_loads_no_layer(self, tmp_path):
+        result, modules = _run_command(["--version"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("repro ")
+        assert _loaded(
+            modules,
+            "repro.campaign", "repro.faults", "repro.store", "repro.core",
+            "repro.platform", "repro.integration", "repro.codegen",
+        ) == []
+
+    def test_faults_list_loads_no_simulation_stack(self, tmp_path):
+        result, modules = _run_command(["faults", "--list", "--system", "gpca"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "fault suite of system 'gpca'" in result.stdout
+        assert _loaded(modules, *LIST_MUST_NOT_LOAD) == []
+        assert _repro_count(modules) <= 40
+
+    def test_faults_list_loads_only_the_named_pack(self, tmp_path):
+        result, modules = _run_command(["faults", "--list", "--system", "pacemaker"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "fault suite of system 'pacemaker'" in result.stdout
+        assert _loaded(
+            modules, *LIST_MUST_NOT_LOAD, "repro.systems.gpca", "repro.systems.cruise"
+        ) == []
+
+    def test_warm_resume_loads_no_simulation_stack(self, complete_store, tmp_path):
+        argv = ["faults", "--samples", "1", "--store", str(complete_store), "--resume"]
+        result, modules = _run_command(argv, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "store: 0 run(s) executed" in result.stdout
+        assert _loaded(modules, *RESUME_MUST_NOT_LOAD) == []
+        assert _repro_count(modules) <= 55
+
+    def test_an_unknown_system_lists_every_pack(self, tmp_path):
+        result, _ = _run_command(["faults", "--system", "nope", "--list"], tmp_path)
+        assert result.returncode == 2
+        assert "unknown system 'nope' (known: cruise, gpca, pacemaker)" in result.stderr
+
+    def test_an_unknown_model_lists_the_pack_models(self, tmp_path):
+        result, _ = _run_command(["faults", "--system", "pacemaker", "--model", "fig2", "--list"], tmp_path)
+        assert result.returncode == 2
+        assert (
+            "unknown model 'fig2' for system 'pacemaker' (known: pacemaker)" in result.stderr
+        )
+
+    def test_help_names_every_pack(self, tmp_path):
+        result, _ = _run_command(["faults", "--help"], tmp_path)
+        assert result.returncode == 0
+        assert "known: gpca, pacemaker, cruise" in " ".join(result.stdout.split())
+
+    def test_models_resolve_without_a_pack_import(self):
+        code = (
+            "import sys; "
+            "from repro.systems import model_system; "
+            "from repro.campaign.spec import KNOWN_MODELS; "
+            "from repro.campaign.cache import model_fingerprint; "
+            "print([model_system(m) for m in ('fig2', 'extended', 'pacemaker', 'cruise')]); "
+            "print(KNOWN_MODELS); print(len(model_fingerprint('fig2')))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:3] == [
+            "['gpca', 'gpca', 'pacemaker', 'cruise']",
+            "('cruise', 'extended', 'fig2', 'pacemaker')",
+            "64",
+        ]
+
 
 PACKAGES = sorted(name for name, (_, is_package) in MODULES.items() if is_package)
+
+#: Names ``ledger/`` imports through a package, which keep that import path
+#: although their modules load other layers (``StoreServer`` is resolved on
+#: first access, see ``repro.store.__getattr__``).
+BENCHMARK_REEXPORTS = {
+    "repro._reference": ("SEED_ENGINE",),
+    "repro.faults": ("default_matrix_spec",),
+    "repro.store": ("RunStore",),
+}
+
+
+def _closure(module: str) -> Set[str]:
+    """Every ``repro`` module that importing ``module`` loads, statically."""
+    seen, pending = set(), [module]
+    while pending:
+        name = pending.pop()
+        if name not in seen and name in MODULES:
+            seen.add(name)
+            pending.extend(_imports(name, *MODULES[name]))
+    return seen
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -195,6 +379,27 @@ class TestReexports:
         module = importlib.import_module(package)
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == []
+
+    def test_reexports_load_no_other_layer(self, package):
+        """A package ``__init__`` re-exports only from modules whose import
+        stays inside its own layer, so importing one module of a layer never
+        loads another through the package; the names the benchmark imports
+        through a package are the exceptions (``BENCHMARK_REEXPORTS``)."""
+        path, is_package = MODULES[package]
+        layer = _layer(package)
+        exempt = BENCHMARK_REEXPORTS.get(package, ())
+        crossing = []
+        for node in _module_level(ast.parse(path.read_text(encoding="utf-8")).body):
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            if all(alias.name in exempt for alias in node.names):
+                continue
+            source = ".".join(package.split(".")[: len(package.split(".")) - node.level + 1] + [node.module])
+            for module in (_imports(package, path, is_package) & _with_ancestors(source)) - _with_ancestors(package):
+                foreign = {_layer(name) for name in _closure(module)} - {layer, ""}
+                if foreign:
+                    crossing.append(f"{module} loads {sorted(foreign)}")
+        assert crossing == []
 
     def test_every_imported_name_is_in_all(self, package):
         path, _ = MODULES[package]
@@ -216,6 +421,9 @@ class TestReexports:
 #: observes other code through it), or the framework that calls it.  A new
 #: such definition is either added here with its user or deleted.
 KEEP_UNREFERENCED = {
+    "BlackBoxOnlineTester": "benchmarks/bench_baselines.py",
+    "FunctionalConformanceChecker": "benchmarks/bench_baselines.py",
+    "assess_sufficiency": "examples/alarm_requirements.py",
     "bolus_scenario": "benchmarks/bench_baselines.py",
     "commanded_value": "tests/platform/test_devices.py",
     "compactions": "tests/test_runtime_engine.py",
@@ -226,6 +434,9 @@ KEEP_UNREFERENCED = {
     "delete_run": "tests/store/test_resume.py",
     "diagnostic_information": "benchmarks/bench_baselines.py",
     "do_GET": "BaseHTTPRequestHandler",
+    # Counts the runs this process executed, for the tests that a resume
+    # reuses stored runs instead of executing them.
+    "execution_count": "tests/store/test_resume.py",
     "generation_count": "ledger/traced.py",
     "get_task": "tests/faults/test_models.py",
     "input_devices": "tests/platform/test_environment.py",
@@ -234,6 +445,8 @@ KEEP_UNREFERENCED = {
     "mean_transition_delay_us": "benchmarks/bench_table1.py",
     "output_devices": "tests/platform/test_environment.py",
     "pending_count": "tests/platform/test_devices.py",
+    "render_layered_summary": "examples/quickstart.py",
+    "run_kill_matrix": "examples/fault_kill_matrix.py",
     "segments_consistent": "benchmarks/bench_table1.py",
     "stimuli_per_cycle": "examples/scenario_explore.py",
     "stimulus_times": "tests/core/test_requirements_and_generation.py",

@@ -43,14 +43,15 @@ from repro.core.four_variables import Event, EventKind, Trace, TraceRecorder
 from repro.core.m_testing import MTestAnalyzer
 from repro.core.r_testing import execute_r_test
 from repro.core.serialization import m_report_to_dict, r_report_to_json
-from repro.faults import ClockDriftFault, FaultPlan
+from repro.faults.models import ClockDriftFault, FaultPlan
 from repro.gpca.interface import build_pump_interface
 from repro.gpca.model import build_fig2_statechart
 from repro.integration.base import DEFAULT_ENGINE
 from repro.platform.devices.device import StateInputDevice
 from repro.platform.kernel.simulator import Simulator
 from repro.platform.kernel.time import ms
-from repro.systems import GPCA_PACK, get_pack
+from repro.systems import get_pack
+from repro.systems.gpca import GPCA_PACK
 from repro.systems.base import ALL_SCHEMES
 
 requires_cc = pytest.mark.skipif(
