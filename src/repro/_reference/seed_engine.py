@@ -28,7 +28,34 @@ from ..platform.kernel.simulator import SimulationError
 from ..platform.kernel.time import SimClock, format_us
 from ..platform.rtos.directives import Compute, Receive, Send
 from ..platform.rtos.scheduler import RTOSScheduler, SchedulerError
-from ..platform.rtos.task import Job, Task, TaskState
+from ..platform.rtos.task import Job, Task
+
+
+class SeedClock(SimClock):
+    """The seed kernel's clock: read through :attr:`now`, moved by :meth:`advance_to`.
+
+    The production kernel writes the shared slot directly (heap order keeps
+    it monotonic); this clock keeps the seed kernel's backwards-move check.
+    """
+
+    __slots__ = ()
+
+    @property
+    def now(self) -> int:
+        """Current simulated time in microseconds."""
+        return self._now_us
+
+    def advance_to(self, instant_us: int) -> None:
+        """Move the clock forward to ``instant_us``.
+
+        Raises :class:`ValueError` if the target is in the past.
+        """
+        if instant_us < self._now_us:
+            raise ValueError(
+                f"clock cannot move backwards: now={self._now_us}, "
+                f"target={instant_us}"
+            )
+        self._now_us = int(instant_us)
 
 
 @dataclass(order=True)
@@ -92,7 +119,7 @@ class SeedSimulator:
     _COMPACTION_MIN_STALE = 64
 
     def __init__(self, start_us: int = 0) -> None:
-        self._clock = SimClock(start_us)
+        self._clock = SeedClock(start_us)
         self._queue: List[_QueueEntry] = []
         self._sequence = 0
         self._processed = 0
@@ -523,14 +550,12 @@ class SeedRTOSScheduler(RTOSScheduler):
         self._schedule_release(task, self.simulator.now + task.period_us)
 
     def _release(self, task: Task) -> None:
-        if task.current_job is not None and not task.current_job.finished:
+        if task.current_job is not None:
             task.stats.deadline_misses += 1
             return
-        job = Job(task, task.job_factory(), self.simulator.now, self._job_sequence)
-        self._job_sequence += 1
+        job = Job(task, task.job_factory(), self.simulator.now)
         task.current_job = job
         task.stats.activations += 1
-        task.state = TaskState.READY
         self._make_ready(job)
         self._schedule_dispatch()
 
@@ -611,7 +636,6 @@ class SeedRTOSScheduler(RTOSScheduler):
 
         if isinstance(directive, Compute):
             job.pending_compute_us = directive.duration_us
-            job.pending_label = directive.label
             return "compute"
 
         if isinstance(directive, Send):
@@ -636,7 +660,6 @@ class SeedRTOSScheduler(RTOSScheduler):
             job.pending_compute_us = (job.pending_compute_us or 0) + self.context_switch_us
         job.segment_started_at_us = self.simulator.now
         self._running = job
-        task.state = TaskState.RUNNING
         self._last_dispatched_task = task
         job.completion_handle = self.simulator.schedule(
             job.pending_compute_us or 0,

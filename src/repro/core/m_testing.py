@@ -94,7 +94,6 @@ class MTestAnalyzer:
     """Extracts delay segments from a fully instrumented trace."""
 
     def __init__(self, interface: FourVariableInterface, requirement: TimingRequirement) -> None:
-        self.interface = interface
         self.requirement = requirement
         self._input_variable = interface.input_for_monitored(requirement.stimulus.variable)
         self._output_variable = interface.output_for_controlled(requirement.response.variable)

@@ -135,10 +135,9 @@ class TimingRequirement:
 
 
 class RequirementSet:
-    """A named collection of timing requirements (e.g. the GPCA safety requirements)."""
+    """A collection of timing requirements keyed by id (e.g. the GPCA safety requirements)."""
 
-    def __init__(self, name: str, requirements: Optional[Iterable[TimingRequirement]] = None) -> None:
-        self.name = name
+    def __init__(self, requirements: Optional[Iterable[TimingRequirement]] = None) -> None:
         self._requirements: Dict[str, TimingRequirement] = {}
         for requirement in requirements or ():
             self.add(requirement)

@@ -48,9 +48,6 @@ from ..scenarios.dsl import ScenarioProgram
 from ..scenarios.generator import ScenarioSampler, ScenarioSpace
 from .mutants import MutantSpec
 
-#: Probability of mutating an archived killer program instead of sampling fresh.
-EXPLOIT_PROBABILITY = 0.5
-
 #: After this many consecutive episodes without a kill, fresh draws are forced
 #: to be structurally rich (setup + teardown steps): surviving mutants sit on
 #: guarded multi-variable paths that retimed single-stimulus programs never
@@ -166,7 +163,6 @@ class SurvivorHunter:
         seed: int = 0,
         samples: Optional[int] = 3,
     ) -> None:
-        self.space = space
         self.mutants = {mutant.mutant_id: mutant for mutant in mutants}
         self.scheme = scheme
         self.system = system
@@ -206,7 +202,8 @@ class SurvivorHunter:
     # ------------------------------------------------------------------
     def _run_episode(self, index: int, mutant: MutantSpec) -> HuntEpisode:
         rng = self._source.stream(f"episode:{index}")
-        program, source = self._pick_program(rng)
+        plateaued = self._dry_streak >= DRY_STREAK_RICH_THRESHOLD
+        program, source = self.sampler.pick(rng, self._archive.values(), plateaued)
         if self.samples is not None:
             program = program.with_samples(self.samples)
         compile_seed = self._source.fork(f"compile:{index}").seed
@@ -227,17 +224,6 @@ class SurvivorHunter:
             mutant_c_events=len(mutant_signature[1]),
             killed=original_signature != mutant_signature,
         )
-
-    def _pick_program(self, rng) -> Tuple[ScenarioProgram, str]:
-        plateaued = self._dry_streak >= DRY_STREAK_RICH_THRESHOLD
-        if self._archive and not plateaued and rng.random() < EXPLOIT_PROBABILITY:
-            programs = [entry[0] for entry in self._archive.values()]
-            weights = [entry[1] for entry in self._archive.values()]
-            parent = rng.choices(programs, weights=weights, k=1)[0]
-            return self.sampler.mutate(parent), "mutation"
-        if plateaued:
-            return self.sampler.sample(min_setup_steps=1, min_teardown_steps=1), "rich"
-        return self.sampler.sample(), "fresh"
 
     def _factory(self, mutant: Optional[MutantSpec]):
         cache = process_cache()

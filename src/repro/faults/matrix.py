@@ -43,11 +43,6 @@ from .mutants import MutantSpec, generate_mutants
 if TYPE_CHECKING:
     from ..campaign.results import CampaignResult, RunRecord
 
-def _default_cases() -> Tuple[str, ...]:
-    """The default system's scenarios, read when a matrix is built without cases."""
-    return tuple(sorted(get_pack(DEFAULT_SYSTEM).case_builders))
-
-
 #: Grid-point roles, recorded per run for the scoring pass.
 ROLE_BASELINE = "baseline"
 ROLE_FAULT = "fault"
@@ -71,7 +66,8 @@ class FaultMatrixSpec:
     #: Schemes the mutant axis runs on (a conformant scheme, so kills are
     #: attributable to the mutation rather than to platform timing).
     mutant_schemes: Tuple[int, ...] = (2,)
-    cases: Tuple[str, ...] = field(default_factory=_default_cases)
+    #: Scenarios of ``system`` to run (default: every scenario the pack has).
+    cases: Optional[Tuple[str, ...]] = None
     samples: int = 4
     base_seed: int = 0
     model: str = "fig2"
@@ -81,6 +77,8 @@ class FaultMatrixSpec:
 
     def __post_init__(self) -> None:
         pack = get_pack(self.system)
+        if self.cases is None:
+            object.__setattr__(self, "cases", tuple(sorted(pack.case_builders)))
         if not self.cases:
             raise ValueError("kill matrix needs at least one scenario")
         for plan in self.fault_plans:
@@ -227,7 +225,6 @@ def default_matrix_spec(
         mutants=generate_mutants(chart),
         fault_schemes=fault_schemes,
         mutant_schemes=mutant_schemes,
-        cases=tuple(sorted(pack.case_builders)),
         samples=samples,
         base_seed=base_seed,
         model=model,

@@ -357,7 +357,7 @@ class PriorityInversionFault(FaultModel):
         window = self.window
 
         def hog_job():
-            yield Compute(window.sample(rng), label="fault:inversion-window")
+            yield Compute(window.sample(rng))
 
         hog = system.scheduler.create_task(
             "fault_inversion_hog",

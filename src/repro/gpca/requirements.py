@@ -93,11 +93,10 @@ def req4_alarm_clear(deadline_ms: int = 300) -> TimingRequirement:
 def gpca_requirements() -> RequirementSet:
     """The GPCA timing-requirement catalogue used by tests, examples and benches."""
     return RequirementSet(
-        "GPCA safety requirements (timing)",
         [
             req1_bolus_start(),
             req2_empty_reservoir_alarm(),
             req3_empty_reservoir_stop(),
             req4_alarm_clear(),
-        ],
+        ]
     )

@@ -116,7 +116,6 @@ class ImplementedSystem(SystemUnderTest):
         config: Optional[SchemeConfig] = None,
     ) -> None:
         self.bundle = bundle
-        self.artifacts = artifacts
         self.config = config or SchemeConfig()
         self.code = artifacts.new_instance()
         scheduler_class = bundle.scheduler_class or RTOSScheduler
@@ -294,15 +293,11 @@ class ImplementedSystem(SystemUnderTest):
             row = code.enabled_transition()
             if row is None:
                 if fired == 0:
-                    yield Compute(
-                        self.execution_model.idle_scan_cost(self._rng), label="idle_scan"
-                    )
+                    yield Compute(self.execution_model.idle_scan_cost(self._rng))
                 break
             if record_transitions:
                 recorder.record_transition_start(row.name)
-            yield Compute(
-                self.execution_model.transition_cost(row, self._rng), label=row.name
-            )
+            yield Compute(self.execution_model.transition_cost(row, self._rng))
             row_writes = code.fire(row)
             if record_transitions:
                 recorder.record_transition_end(row.name)

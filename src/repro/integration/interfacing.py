@@ -121,7 +121,6 @@ class OutputInterfacing:
         self._by_variable: Dict[str, OutputBinding] = {}
         for binding in bindings or ():
             self.add(binding)
-        self.unmapped_writes = 0
 
     def add(self, binding: OutputBinding) -> None:
         if binding.output_variable in self._by_variable:
@@ -131,13 +130,12 @@ class OutputInterfacing:
     def apply(self, write: OutputWrite) -> bool:
         """Forward one o-variable write to its device.
 
-        Returns ``False`` (and counts it) when the variable has no bound
-        device — legal for model outputs that are not actuated on this
-        hardware variant (e.g. a log-only output).
+        Returns ``False`` when the variable has no bound device — legal for
+        model outputs that are not actuated on this hardware variant (e.g. a
+        log-only output).
         """
         binding = self._by_variable.get(write.variable)
         if binding is None:
-            self.unmapped_writes += 1
             return False
         binding.device.write(write.value)
         return True

@@ -121,7 +121,7 @@ class InterferedSystem(MultiThreadedSystem):
         rng = self._interference_rng(task_config.name, index)
 
         def job() -> Generator[Any, Any, None]:
-            yield Compute(task_config.burst.sample(rng), label=f"burst:{task_config.name}")
+            yield Compute(task_config.burst.sample(rng))
 
         return job
 

@@ -85,7 +85,7 @@ class MultiThreadedSystem(ImplementedSystem):
     # ------------------------------------------------------------------
     def _sensing_job(self) -> Generator[Any, Any, None]:
         """Sample every sensor and forward detected occurrences to CODE(M)."""
-        yield Compute(self.execution_model.input_scan_cost(self._rng), label="sense")
+        yield Compute(self.execution_model.input_scan_cost(self._rng))
         for occurrence in self._collect_inputs():
             yield Send(self.input_queue, occurrence)
 
@@ -111,8 +111,5 @@ class MultiThreadedSystem(ImplementedSystem):
                 break
             writes.append(item)
         if writes:
-            yield Compute(
-                self.execution_model.output_write_cost(self._rng) * len(writes),
-                label="actuate",
-            )
+            yield Compute(self.execution_model.output_write_cost(self._rng) * len(writes))
             self._apply_outputs(writes)

@@ -74,19 +74,16 @@ class SingleThreadedSystem(ImplementedSystem):
     def _cycle_job(self) -> Generator[Any, Any, None]:
         """One 25 ms cycle: sense -> CODE(M) -> housekeeping -> actuate."""
         # Read every sensor through its driver.
-        yield Compute(self.execution_model.input_scan_cost(self._rng), label="sense")
+        yield Compute(self.execution_model.input_scan_cost(self._rng))
         pending = self._collect_inputs()
 
         # Execute the generated code (per-transition costs are charged inside).
         writes = yield from self._execute_code_cycle(pending, TRANSITIONS_PER_CYCLE)
 
         # The rest of the monolithic loop's work for this cycle.
-        yield Compute(HOUSEKEEPING.sample(self._rng), label="housekeeping")
+        yield Compute(HOUSEKEEPING.sample(self._rng))
 
         # Write c-events to the actuators at the end of the computations.
         if writes:
-            yield Compute(
-                self.execution_model.output_write_cost(self._rng) * len(writes),
-                label="actuate",
-            )
+            yield Compute(self.execution_model.output_write_cost(self._rng) * len(writes))
             self._apply_outputs(writes)

@@ -107,7 +107,6 @@ class EventInputDevice(Device):
         self._rng = rng
         self._pending_edges: List[DeviceEvent] = []
         self._buffer: List[DeviceEvent] = []
-        self._line_state = False
         self.missed_events = 0
         self._sampling_started = False
         # Kernel handle of the periodic sampling event (see schedule_periodic).
@@ -119,7 +118,6 @@ class EventInputDevice(Device):
     def trigger(self, value: Any = True) -> None:
         """Apply a physical edge (the m-event) to the device line."""
         now = self.simulator.now
-        self._line_state = bool(value)
         self.recorder.record_m(self.monitored_variable, value, device=self.name)
         self._pending_edges.append(DeviceEvent(value, now, now))
         handle = self._sample_handle
@@ -127,8 +125,13 @@ class EventInputDevice(Device):
             handle.dormant = False
 
     def release(self) -> None:
-        """Return the physical line to its inactive state (not an m-event of interest)."""
-        self._line_state = False
+        """Return the physical line to its inactive state (not an m-event of interest).
+
+        The latch already holds the edge, so nothing here changes state.  The
+        environment still schedules the release as a kernel event: it ends a
+        quiescent window and counts in the engine totals that runs are pinned
+        to, so it stays a scheduled no-op.
+        """
 
     # ------------------------------------------------------------------
     # Driver side

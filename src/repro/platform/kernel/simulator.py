@@ -78,7 +78,6 @@ class EventHandle:
     __slots__ = (
         "time_us",
         "priority",
-        "callback",
         "label",
         "period_us",
         "dormant",
@@ -91,13 +90,11 @@ class EventHandle:
         self,
         time_us: int,
         priority: int,
-        callback: Callable[[], None],
         label: str,
         owner: "Optional[Simulator]" = None,
     ) -> None:
         self.time_us = time_us
         self.priority = priority
-        self.callback = callback
         self.label = label
         self.period_us = None
         self.dormant = False
@@ -136,10 +133,10 @@ class EventHandle:
 
 #: A heap entry: ``(time_us, priority, sequence, handle, callback)``.  Sequence
 #: numbers are unique, so tuple comparison never reaches the handle.  The
-#: callback rides in the tuple so dispatch skips one attribute load per event;
-#: a stale entry (cancelled, or left behind by a recycled handle) is never
-#: dispatched, because only *fired* handles are recycled and their entries
-#: have already been popped.
+#: callback rides in the tuple (the handle does not keep it), so dispatch
+#: skips one attribute load per event; a stale entry (cancelled, or left
+#: behind by a recycled handle) is never dispatched, because only *fired*
+#: handles are recycled and their entries have already been popped.
 _QueueEntry = Tuple[int, int, int, EventHandle, Callable[[], None]]
 
 
@@ -272,12 +269,11 @@ class Simulator:
             handle = reuse
             handle.time_us = time_us
             handle.priority = priority
-            handle.callback = callback
             handle.label = label
             handle.dormant = False
             handle._fired = False
         else:
-            handle = EventHandle(time_us, priority, callback, label, self)
+            handle = EventHandle(time_us, priority, label, self)
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._queue, (time_us, priority, sequence, handle, callback))
@@ -302,12 +298,11 @@ class Simulator:
             handle = reuse
             handle.time_us = time_us
             handle.priority = priority
-            handle.callback = callback
             handle.label = label
             handle.dormant = False
             handle._fired = False
         else:
-            handle = EventHandle(time_us, priority, callback, label, self)
+            handle = EventHandle(time_us, priority, label, self)
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._queue, (time_us, priority, sequence, handle, callback))
@@ -356,7 +351,7 @@ class Simulator:
         if period_us <= 0:
             raise SimulationError(f"non-positive period {period_us} for event {label!r}")
         time_us = self._clock._now_us + delay_us
-        handle = EventHandle(time_us, priority, callback, label, self)
+        handle = EventHandle(time_us, priority, label, self)
         handle.period_us = period_us
         sequence = self._sequence
         self._sequence = sequence + 1

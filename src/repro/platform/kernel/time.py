@@ -61,9 +61,9 @@ def format_us(value_us: int) -> str:
 class SimClock:
     """A monotonically advancing simulated clock.
 
-    The clock is owned by the discrete-event simulator; every other component
-    reads the current instant through :meth:`now`.  The clock can never move
-    backwards — attempting to do so is a programming error and raises.
+    The clock is owned by the discrete-event simulator, which alone writes
+    ``_now_us`` (in heap order, so it never moves backwards); every other
+    component reads the current instant through ``Simulator.now``.
     """
 
     __slots__ = ("_now_us",)
@@ -72,23 +72,6 @@ class SimClock:
         if start_us < 0:
             raise ValueError("clock cannot start before time zero")
         self._now_us = int(start_us)
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in microseconds."""
-        return self._now_us
-
-    def advance_to(self, instant_us: int) -> None:
-        """Move the clock forward to ``instant_us``.
-
-        Raises :class:`ValueError` if the target is in the past.
-        """
-        if instant_us < self._now_us:
-            raise ValueError(
-                f"clock cannot move backwards: now={self._now_us}, "
-                f"target={instant_us}"
-            )
-        self._now_us = int(instant_us)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={format_us(self._now_us)})"

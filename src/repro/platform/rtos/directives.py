@@ -30,7 +30,6 @@ class Compute:
     """Consume ``duration_us`` of CPU time (preemptible)."""
 
     duration_us: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.duration_us < 0:

@@ -29,14 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..kernel.simulator import Simulator
 from .directives import Compute, Receive, Send
 from .queue import MessageQueue
-from .task import Job, Task, TaskState
-
-# Hot-loop aliases: task-state transitions happen several times per job, and
-# a module-level binding is one dictionary probe cheaper than the enum
-# attribute chain.
-_READY = TaskState.READY
-_RUNNING = TaskState.RUNNING
-_WAITING = TaskState.WAITING
+from .task import Job, Task
 
 
 class SchedulerError(RuntimeError):
@@ -89,10 +82,9 @@ class _GroupPlan:
     the stats.  A group no plan may run has ``worst_us`` infinite.
     """
 
-    __slots__ = ("order", "worst_us", "ops", "last", "events", "rounds", "cancellations", "tallies", "runs")
+    __slots__ = ("worst_us", "ops", "last", "events", "rounds", "cancellations", "tallies", "runs")
 
-    def __init__(self, order: Tuple[int, ...]) -> None:
-        self.order = order
+    def __init__(self) -> None:
         self.worst_us: float = inf
         self.ops: Tuple[tuple, ...] = ()
         self.last: Optional[Task] = None
@@ -166,18 +158,15 @@ class RTOSScheduler:
         simulator: Simulator,
         *,
         context_switch_us: int = 0,
-        name: str = "rtos",
     ) -> None:
         if context_switch_us < 0:
             raise ValueError("context switch overhead must be non-negative")
         self.simulator = simulator
         self.context_switch_us = context_switch_us
-        self.name = name
         self.tasks: List[Task] = []
         self._ready: List[Job] = []
         self._running: Optional[Job] = None
         self._last_dispatched_task: Optional[Task] = None
-        self._job_sequence = 0
         self._started = False
         self._in_dispatch = False
         self._dispatch_again = False
@@ -231,8 +220,8 @@ class RTOSScheduler:
         return self.add_task(task)
 
     def create_queue(self, name: str, capacity: Optional[int] = None) -> MessageQueue:
-        """Create a message queue bound to this scheduler's simulator clock."""
-        return MessageQueue(name, capacity, simulator=self.simulator)
+        """Create a message queue (the hook a queue fault instruments)."""
+        return MessageQueue(name, capacity)
 
     def get_task(self, name: str) -> Task:
         for task in self.tasks:
@@ -274,8 +263,8 @@ class RTOSScheduler:
     # ------------------------------------------------------------------
     def _schedule_release(self, task: Task, when_us: int) -> None:
         # Direct clock-slot reads (here and in the other per-event methods
-        # below) skip the ``now`` property descriptor; SimClock is shared by
-        # both engines, so inherited methods stay seed-compatible.
+        # below) skip the ``now`` property descriptor; both engines' clocks
+        # hold SimClock's slot, so inherited methods stay seed-compatible.
         now = self.simulator._clock._now_us
         if when_us < now:
             when_us = now
@@ -308,8 +297,7 @@ class RTOSScheduler:
         )
 
     def _release(self, task: Task) -> None:
-        current = task.current_job
-        if current is not None and not current.finished:
+        if task.current_job is not None:
             # Previous activation still in progress: skip this release (and
             # count it as a deadline miss).  Under heavy interference this is
             # what starves the CODE(M) thread in implementation scheme 3.
@@ -320,12 +308,9 @@ class RTOSScheduler:
             task.stats.deadline_misses += 1
             self.observer.deadline_miss(task.name, self.simulator._clock._now_us)
             return
-        sequence = self._job_sequence
-        self._job_sequence = sequence + 1
-        job = Job(task, task.job_factory(), self.simulator._clock._now_us, sequence)
+        job = Job(task, task.job_factory(), self.simulator._clock._now_us)
         task.current_job = job
         task.stats.activations += 1
-        task.state = _READY
         self._ready.append(job)
         # A dispatch round is only needed when the new job can actually take
         # the CPU: between rounds no *other* ready job outranks the running
@@ -341,7 +326,6 @@ class RTOSScheduler:
     # Ready queue management
     # ------------------------------------------------------------------
     def _make_ready(self, job: Job, front: bool = False) -> None:
-        job.task.state = _READY
         if front:
             self._ready.insert(0, job)
         else:
@@ -415,7 +399,6 @@ class RTOSScheduler:
                 if status == "continue":
                     for other in ready:
                         if other.task.priority > priority:
-                            job.task.state = _READY
                             ready.insert(0, job)
                             return
                     continue
@@ -426,7 +409,6 @@ class RTOSScheduler:
                 continue
             for other in ready:
                 if other.task.priority > priority:
-                    job.task.state = _READY
                     ready.insert(0, job)
                     return
             self._start_compute(job)
@@ -452,7 +434,6 @@ class RTOSScheduler:
         cls = directive.__class__
         if cls is Compute:
             job.pending_compute_us = directive.duration_us
-            job.pending_label = directive.label
             return "compute"
         if cls is Receive:
             job.send_value = directive.queue.receive_nowait()
@@ -474,7 +455,6 @@ class RTOSScheduler:
         simulator = self.simulator
         job.segment_started_at_us = simulator._clock._now_us
         self._running = job
-        task.state = _RUNNING
         self._last_dispatched_task = task
         # The completion callback is a pre-bound method rather than a per-
         # segment closure: a live completion event always belongs to the
@@ -502,7 +482,6 @@ class RTOSScheduler:
         job.completion_handle = None
         job.send_value = None
         self._running = None
-        task.state = _READY
         self._ready.insert(0, job)
         self._schedule_dispatch()
 
@@ -528,15 +507,13 @@ class RTOSScheduler:
     def _finish_job(self, job: Job) -> None:
         task = job.task
         stats = task.stats
-        job.finished = True
         task.current_job = None
         stats.completions += 1
         response = self.simulator._clock._now_us - job.release_time_us
         stats.response_times_us.append(response)
-        if task.deadline_us is not None and response > task.deadline_us:
+        if response > task.deadline_us:
             stats.deadline_misses += 1
             self.observer.deadline_miss(task.name, self.simulator._clock._now_us)
-        task.state = _WAITING
 
     # ------------------------------------------------------------------
     # Quiescent windows
@@ -636,7 +613,7 @@ class RTOSScheduler:
         plan = model.plans.get(key)
         if plan is not None:
             return plan
-        plan = model.plans[key] = _GroupPlan(order)
+        plan = model.plans[key] = _GroupPlan()
         worst = sum(model.costs[index] for index in order)
         if worst >= min(model.periods[index] for index in order) or not all(
             model.positive[index] for index in order
@@ -801,7 +778,7 @@ class RTOSScheduler:
                             continue
                     response = now - at
                     stats.response_times_us.append(response)
-                    if deadline is not None and response > deadline:
+                    if response > deadline:
                         stats.deadline_misses += 1
                         deadline_miss(name, now)
                 plan.runs += 1
@@ -831,12 +808,12 @@ class RTOSScheduler:
         ties, the context-switch charge, each segment's draw at the instant
         the job enters it, same-instant order by the kernel's sequence draws,
         completions timed by the :attr:`clock_factor` as the drifted kernel
-        times them — and every :class:`TaskStats` field, ``dispatch_rounds``,
-        the job sequence and the observer's ``segment``/``deadline_miss``
-        calls stay exact.  A busy period opens on an idle CPU only when it
-        provably ends before the window does (:meth:`idle_busy_bound`), so
-        no draw is ever speculative, and the window stops at an instant
-        where the CPU is idle and nothing due there has run.
+        times them — and every :class:`TaskStats` field, ``dispatch_rounds``
+        and the observer's ``segment``/``deadline_miss`` calls stay exact.
+        A busy period opens on an idle CPU only when it provably ends before
+        the window does (:meth:`idle_busy_bound`), so no draw is ever
+        speculative, and the window stops at an instant where the CPU is
+        idle and nothing due there has run.
         :meth:`Simulator.skip_window` then moves the kernel's dormant chains
         and release entries past the stretch.
 
@@ -903,7 +880,7 @@ class RTOSScheduler:
         running: Optional[list] = None
         due = due_sequence = 0
         last = self._last_dispatched_task
-        events = rounds = cancellations = jobs = 0
+        events = rounds = cancellations = 0
         instant = -1
 
         while True:
@@ -955,7 +932,6 @@ class RTOSScheduler:
                     deadline_miss(task.name, now)
                     dispatch = False
                 else:
-                    jobs += 1
                     constant = constants[index]
                     job = current[index] = [constant, 0, None, 0, now]
                     constant[4].activations += 1
@@ -1008,7 +984,7 @@ class RTOSScheduler:
                                 stats.completions += 1
                                 response = now - job[4]
                                 stats.response_times_us.append(response)
-                                if task.deadline_us is not None and response > task.deadline_us:
+                                if response > task.deadline_us:
                                     stats.deadline_misses += 1
                                     deadline_miss(task.name, now)
                                 break
@@ -1044,7 +1020,6 @@ class RTOSScheduler:
                     events += runs * plan.events
                     rounds += runs * plan.rounds
                     cancellations += runs * plan.cancellations
-                    jobs += runs * len(plan.order)
                     for stats, preemptions in plan.tallies:
                         stats.activations += runs
                         stats.completions += runs
@@ -1057,8 +1032,6 @@ class RTOSScheduler:
             handle = handles[index]
             if release_us != handle.time_us:
                 fired[handle] = (release_us, tasks[index].period_us)
-                tasks[index].state = _WAITING
-        self._job_sequence += jobs
         self.dispatch_rounds += rounds
         self._last_dispatched_task = last
         self.simulator.skip_window(stop, fired, events, cancellations)
@@ -1066,4 +1039,4 @@ class RTOSScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self._running.task.name if self._running else None
-        return f"RTOSScheduler({self.name!r}, tasks={len(self.tasks)}, running={running!r})"
+        return f"RTOSScheduler(tasks={len(self.tasks)}, running={running!r})"

@@ -8,7 +8,6 @@ lives in :class:`Job`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -23,15 +22,6 @@ JobFactory = Callable[[], JobBody]
 #: duration is what lets a quiescent window replay the job's release group
 #: from a precompiled plan (see RTOSScheduler.fast_forward).
 IdleSegment = Tuple[Callable[[], int], int, int, Optional[Callable[[int], None]]]
-
-
-class TaskState(enum.Enum):
-    """Lifecycle states of a task, mirroring a typical RTOS."""
-
-    DORMANT = "dormant"      # created, never released
-    READY = "ready"          # has a job ready to run
-    RUNNING = "running"      # currently executing a compute segment
-    WAITING = "waiting"      # job finished, waiting for the next release
 
 
 @dataclass
@@ -89,7 +79,6 @@ class Task:
         self.period_us = period_us
         self.offset_us = offset_us
         self.deadline_us = deadline_us if deadline_us is not None else period_us
-        self.state = TaskState.DORMANT
         self.stats = TaskStats()
         self.current_job: Optional["Job"] = None
         # Kernel-event labels, precomputed once.  The scheduler schedules
@@ -110,10 +99,7 @@ class Task:
         self.idle_shape: Optional[Tuple[IdleSegment, ...]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Task({self.name!r}, prio={self.priority}, period={self.period_us}us, "
-            f"{self.state.value})"
-        )
+        return f"Task({self.name!r}, prio={self.priority}, period={self.period_us}us)"
 
 
 class Job:
@@ -127,32 +113,26 @@ class Job:
         "task",
         "generator",
         "release_time_us",
-        "sequence",
         "pending_compute_us",
-        "pending_label",
         "send_value",
         "completion_handle",
         "segment_started_at_us",
-        "finished",
     )
 
-    def __init__(self, task: Task, generator: JobBody, release_time_us: int, sequence: int) -> None:
+    def __init__(self, task: Task, generator: JobBody, release_time_us: int) -> None:
         self.task = task
         self.generator = generator
         self.release_time_us = release_time_us
-        self.sequence = sequence
         #: Remaining CPU time of the compute segment to run next (None when the
         #: generator must be advanced to obtain the next directive).
         self.pending_compute_us: Optional[int] = None
-        self.pending_label: str = ""
         #: Value to feed into ``generator.send`` on the next advancement.
         self.send_value: Any = None
         self.completion_handle: Any = None
         self.segment_started_at_us: Optional[int] = None
-        self.finished = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Job({self.task.name}#{self.sequence}, released={self.release_time_us}, "
+            f"Job({self.task.name}, released={self.release_time_us}, "
             f"pending={self.pending_compute_us})"
         )

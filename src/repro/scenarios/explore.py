@@ -36,10 +36,6 @@ from ..platform.kernel.random import RandomSource
 from .dsl import ScenarioProgram
 from .generator import ScenarioSampler, ScenarioSpace
 
-#: Probability of mutating an archived productive program instead of
-#: sampling a fresh one (when the archive is non-empty).
-EXPLOIT_PROBABILITY = 0.5
-
 #: After this many consecutive episodes without new coverage, exploitation
 #: is suspended and every pick is a fresh draw until coverage grows again —
 #: mutating a long-exhausted archive is how exploration plateaus.
@@ -136,7 +132,6 @@ class CoverageGuidedExplorer:
         schedule: Callable[[ScenarioProgram, int], RTestCase],
         seed: int = 0,
     ) -> None:
-        self.space = space
         self.sut_factory = sut_factory
         self.seed = seed
         #: ``(program, compile seed) -> RTestCase``: ``SystemPack.schedule``
@@ -164,7 +159,8 @@ class CoverageGuidedExplorer:
     # ------------------------------------------------------------------
     def _run_episode(self, index: int) -> Episode:
         rng = self._source.stream(f"episode:{index}")
-        program, source = self._pick_program(rng)
+        plateaued = self._dry_streak >= DRY_STREAK_FRESH_THRESHOLD
+        program, source = self.sampler.pick(rng, self._archive, plateaued)
         compile_seed = self._source.fork(f"compile:{index}").seed
         test_case = self.schedule(program, compile_seed)
         r_report = execute_r_test(self.sut_factory, test_case)
@@ -189,26 +185,6 @@ class CoverageGuidedExplorer:
             new_transitions=gained,
             transition_ratio_after=self.transition_coverage.ratio,
         )
-
-    def _pick_program(self, rng) -> tuple:
-        """Epsilon-greedy choice: mutate a productive program, or go fresh.
-
-        During a coverage plateau (no gain for
-        :data:`DRY_STREAK_FRESH_THRESHOLD` episodes) exploitation is
-        suspended — the archive's neighbourhood is exhausted — and fresh
-        draws are forced to be structurally *rich* (at least one setup and
-        one teardown step): the transitions still uncovered at that point
-        are the guarded ones that only multi-variable scenarios reach.
-        """
-        plateaued = self._dry_streak >= DRY_STREAK_FRESH_THRESHOLD
-        if self._archive and not plateaued and rng.random() < EXPLOIT_PROBABILITY:
-            programs = [entry[0] for entry in self._archive]
-            weights = [entry[1] for entry in self._archive]
-            parent = rng.choices(programs, weights=weights, k=1)[0]
-            return self.sampler.mutate(parent), "mutation"
-        if plateaued:
-            return self.sampler.sample(min_setup_steps=1, min_teardown_steps=1), "rich"
-        return self.sampler.sample(), "fresh"
 
     @staticmethod
     def _count(report: RTestReport, verdict: str) -> int:

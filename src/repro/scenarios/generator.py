@@ -18,7 +18,7 @@ what didn't).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Any, Collection, Tuple
 
 from ..core.requirements import TimingRequirement
 from ..platform.kernel.random import RandomSource
@@ -27,6 +27,10 @@ from .dsl import ROLE_SETUP, ROLE_TEARDOWN, CycleSpacing, ScenarioProgram, Stimu
 
 #: An inclusive ``(low, high)`` integer range.
 Range = Tuple[int, int]
+
+#: Probability of mutating an archived program instead of sampling a fresh one
+#: (when the archive is non-empty and the caller has not plateaued).
+EXPLOIT_PROBABILITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,33 @@ class ScenarioSampler:
 
     def __init__(self, space: ScenarioSpace, seed: int = 0) -> None:
         self.space = space
-        self.seed = seed
         self._source = RandomSource(seed)
         self._counter = 0
 
     # ------------------------------------------------------------------
+    def pick(
+        self, rng: Any, archive: Collection[Tuple[ScenarioProgram, int]], plateaued: bool
+    ) -> Tuple[ScenarioProgram, str]:
+        """Epsilon-greedy choice: mutate an archived program, or draw a fresh one.
+
+        ``archive`` holds ``(program, weight)`` pairs.  Unless the caller has
+        plateaued, a non-empty archive is exploited with probability
+        :data:`EXPLOIT_PROBABILITY` (``rng`` rolls it, then picks the parent
+        by weight).  During a plateau the archive's neighbourhood is
+        exhausted, so the draw is forced to be structurally *rich* (at least
+        one setup and one teardown step): what remains uncovered is guarded
+        behaviour that only multi-variable scenarios reach.  Returns the
+        program and how it was picked: "mutation", "rich" or "fresh".
+        """
+        if archive and not plateaued and rng.random() < EXPLOIT_PROBABILITY:
+            programs = [program for program, _ in archive]
+            weights = [weight for _, weight in archive]
+            parent = rng.choices(programs, weights=weights, k=1)[0]
+            return self.mutate(parent), "mutation"
+        if plateaued:
+            return self.sample(min_setup_steps=1, min_teardown_steps=1), "rich"
+        return self.sample(), "fresh"
+
     def sample(
         self, *, min_setup_steps: int = 0, min_teardown_steps: int = 0
     ) -> ScenarioProgram:

@@ -373,7 +373,6 @@ class StoreServer:
     ) -> None:
         for _ in iter_packs():  # imports each pack a snapshot may name
             pass
-        self.store = store
         self._server = StoreHTTPServer(
             store, (host, port), verbose=verbose, log_stream=log_stream
         )

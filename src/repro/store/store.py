@@ -324,13 +324,6 @@ class RunStore:
             m_payload=None if row["m_json"] is None else json.loads(row["m_json"]),
         )
 
-    def has(self, spec: RunSpec) -> bool:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT 1 FROM runs WHERE coord_key = ?", (run_key(spec),)
-            ).fetchone()
-        return row is not None
-
     def delete_run(self, key: str) -> bool:
         """Drop stored runs by record id or coordinate key; True if any existed."""
         with self._lock, self._connection:

@@ -284,10 +284,7 @@ def cc3_aeb_brake(deadline_ms: int = 100) -> TimingRequirement:
 
 def cruise_requirements() -> RequirementSet:
     """The cruise-control timing-requirement catalogue."""
-    return RequirementSet(
-        "Cruise-control/AEB requirements (timing)",
-        [cc1_engage(), cc2_override(), cc3_aeb_brake()],
-    )
+    return RequirementSet([cc1_engage(), cc2_override(), cc3_aeb_brake()])
 
 
 # ----------------------------------------------------------------------

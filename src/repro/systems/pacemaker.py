@@ -326,10 +326,7 @@ def pace3_rate_adapt(deadline_ms: int = 150) -> TimingRequirement:
 
 def pacemaker_requirements() -> RequirementSet:
     """The pacemaker timing-requirement catalogue."""
-    return RequirementSet(
-        "Pacemaker pacing-deadline requirements (timing)",
-        [pace1_sense_marker(), pace2_magnet_pace(), pace3_rate_adapt()],
-    )
+    return RequirementSet([pace1_sense_marker(), pace2_magnet_pace(), pace3_rate_adapt()])
 
 
 # ----------------------------------------------------------------------

@@ -136,8 +136,6 @@ class PackHardware:
     ) -> None:
         from ..platform.devices.device import EventInputDevice, OutputDevice, StateInputDevice
 
-        self.simulator = simulator
-        self.recorder = recorder
         randomness = randomness or RandomSource(0)
         wrap = device_wrapper if device_wrapper is not None else (lambda cls: cls)
         self._input_devices: List[object] = []
@@ -197,9 +195,8 @@ class PackHardware:
 class PackEnvironment:
     """Stimulus-injection environment for declaratively built platforms."""
 
-    def __init__(self, simulator: Simulator, hardware: PackHardware) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.hardware = hardware
 
     def schedule_press(self, device: EventInputDevice, at_us: int, kind: str) -> None:
         """Press an edge device at ``at_us``; released 50 ms later."""
@@ -253,7 +250,7 @@ def build_pack_bundle(
         randomness=RandomSource(seed),
         device_wrapper=engine.device_wrapper,
     )
-    environment = PackEnvironment(simulator, hardware)
+    environment = PackEnvironment(simulator)
 
     wanted = set(input_variables) if input_variables is not None else None
 

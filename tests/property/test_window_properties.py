@@ -15,7 +15,8 @@ by patching the window entry point so that it never opens a window:
 * a trace equal to the frozen seed engine's, under the same fault seed;
 
 and the window path must have opened windows unless a fault marked the
-system ``idle_jobs_faulted`` or no busy-period bound holds.
+system ``idle_jobs_faulted`` or no busy-period bound holds.  Every window must
+start and end with the scheduler idle and no task holding a job.
 """
 
 from __future__ import annotations
@@ -80,6 +81,23 @@ def _no_window(scheduler, limit_us):
     return min(task.release_handle.time_us for task in scheduler.tasks)
 
 
+_fast_forward = RTOSScheduler.fast_forward
+
+
+def _holds_no_job(scheduler):
+    return scheduler.idle and all(task.current_job is None for task in scheduler.tasks)
+
+
+def _checked_window(scheduler, limit_us):
+    """The window entry point, checking that the scheduler is idle and no
+    task holds a job when a window starts and when it ends: ``_release``
+    skips a release exactly while its task holds one."""
+    assert _holds_no_job(scheduler)
+    instant = _fast_forward(scheduler, limit_us)
+    assert _holds_no_job(scheduler)
+    return instant
+
+
 def _run(system_id, scheme, case, sut_seed, plan, fault_seed, *, engine=DEFAULT_ENGINE, windows=True):
     pack = get_pack(system_id)
     built = []
@@ -92,8 +110,7 @@ def _run(system_id, scheme, case, sut_seed, plan, fault_seed, *, engine=DEFAULT_
         return system
 
     with pytest.MonkeyPatch.context() as patch:
-        if not windows:
-            patch.setattr(RTOSScheduler, "fast_forward", _no_window)
+        patch.setattr(RTOSScheduler, "fast_forward", _checked_window if windows else _no_window)
         report = execute_r_test(factory, case)
     system = built[-1]
     return r_report_to_dict(report, include_trace=True), system

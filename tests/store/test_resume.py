@@ -81,7 +81,7 @@ def test_partial_resume_executes_only_the_missing_runs(seeded_store, table1_spec
     assert runner.reused_count == 2
     assert resumed.to_json() == table1_result.to_json()
     # The fresh record was written back: a second resume is fully warm.
-    assert seeded_store.has(table1_result.records[1].spec)
+    assert seeded_store.lookup(table1_result.records[1].spec) is not None
 
 
 def test_resume_without_reuse_still_recomputes(tmp_path, table1_spec, table1_result):

@@ -11,21 +11,21 @@ imports only subpackages below it.  These tests pin that rule three ways:
 * for each package ``__init__``, whose re-exports must match its ``__all__``
   and load no other layer.
 
-A fourth test keeps the package to what its users reach: every definition
-that nothing else in ``src/repro`` names must be on a committed keep-list
-that names the benchmark, ledger leg, example, framework or test using it.
+Two more tests keep the package to what its users reach: every definition
+that nothing else in ``src/repro`` names, and every attribute that
+``src/repro`` stores but never reads, must be on a committed keep-list that
+names the benchmark, ledger leg, example, framework or test using it.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
-import io
 import os
 import re
+import sqlite3
 import subprocess
 import sys
-import tokenize
 from collections import Counter
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
@@ -437,6 +437,7 @@ KEEP_UNREFERENCED = {
     # Counts the runs this process executed, for the tests that a resume
     # reuses stored runs instead of executing them.
     "execution_count": "tests/store/test_resume.py",
+    "fig3_views": "benchmarks/bench_fig3_segments.py",
     "generation_count": "ledger/traced.py",
     "get_task": "tests/faults/test_models.py",
     "input_devices": "tests/platform/test_environment.py",
@@ -455,36 +456,84 @@ KEEP_UNREFERENCED = {
 }
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: Literal text of an f-string is its own token type from Python 3.12 on.
-_TEXT_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _token_words(source: str) -> Counter:
-    """Names and the words inside string literals, comments excluded."""
+def _is_slots(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets
+    )
+
+
+def _scan(source: str) -> Tuple[Counter, Counter, Counter, Counter]:
+    """The words one module's syntax tree uses: ``(words, stores, loads, defined)``.
+
+    ``words`` counts names, attribute names, keyword-argument names, defined
+    names and string constants that are one whole identifier (how
+    ``getattr``, ``hasattr`` and ``__all__`` spell a name); prose in
+    docstrings and messages never counts.  ``stores`` counts the attribute
+    names assigned (plainly or augmented) and ``loads`` the other uses of an
+    attribute name or identifier string, except inside ``__repr__`` bodies
+    and ``__slots__`` tuples, which only display or declare a field.
+    ``defined`` counts the non-dunder functions, classes and methods.
+    """
     words: Counter = Counter()
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.NAME:
-            words[token.string] += 1
-        elif token.type in _TEXT_TOKENS:
-            words.update(_WORD.findall(token.string))
-    return words
+    stores: Counter = Counter()
+    loads: Counter = Counter()
+    defined: Counter = Counter()
+
+    def visit(node: ast.AST, reads: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            words[node.name] += 1
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] += 1
+            reads = reads and node.name != "__repr__"
+        elif _is_slots(node):
+            reads = False
+        elif isinstance(node, ast.Name):
+            words[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            words[node.attr] += 1
+            if isinstance(node.ctx, ast.Store):
+                stores[node.attr] += 1
+            elif reads:
+                loads[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg:
+            words[node.arg] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _IDENTIFIER.match(node.value):
+            words[node.value] += 1
+            if reads:
+                loads[node.value] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, reads)
+
+    visit(ast.parse(source), True)
+    return words, stores, loads, defined
+
+
+def _scan_package() -> Tuple[Counter, Counter, Counter, Counter]:
+    """``_scan`` summed over ``src/repro``."""
+    totals: Tuple[Counter, ...] = (Counter(), Counter(), Counter(), Counter())
+    for path, _ in MODULES.values():
+        for total, counts in zip(totals, _scan(path.read_text(encoding="utf-8"))):
+            total.update(counts)
+    return totals
 
 
 def unreferenced_definitions() -> Set[str]:
-    """Definitions whose name occurs once among the tokens of ``src/repro``."""
-    words: Counter = Counter()
-    defined: List[str] = []
-    for path, _ in MODULES.values():
-        source = path.read_text(encoding="utf-8")
-        words.update(_token_words(source))
-        defined.extend(
-            node.name
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-        )
+    """Definitions whose name ``src/repro`` uses once: where it is defined."""
+    words, _, _, defined = _scan_package()
     return {name for name in defined if words[name] == 1}
+
+
+def write_only_attributes() -> Set[str]:
+    """Attribute names ``src/repro`` stores but never loads."""
+    _, stores, loads, _ = _scan_package()
+    return {name for name in stores if not loads[name]}
+
+
+def _scan_file(relative: str) -> Tuple[Counter, Counter, Counter, Counter]:
+    return _scan((REPO_ROOT / relative).read_text(encoding="utf-8"))
 
 
 class TestUnreferencedDefinitions:
@@ -498,4 +547,33 @@ class TestUnreferencedDefinitions:
             # ``do_<METHOD>`` handlers are looked up by name per request.
             assert name.startswith("do_") or hasattr(BaseHTTPRequestHandler, name)
         else:
-            assert _token_words((REPO_ROOT / user).read_text(encoding="utf-8"))[name] > 0
+            assert _scan_file(user)[0][name] > 0
+
+
+#: Every attribute name ``src/repro`` stores and never loads, with its
+#: reader: a file outside ``src/`` that reads it, or the framework that does.
+#: A name-based count cannot see a write-only field whose name another class
+#: reads (a task's ``state`` beside a release run's), so this list holds what
+#: the count can see; a new such attribute is added here with its reader or
+#: deleted.
+KEEP_WRITE_ONLY = {
+    "cpu_time_us": "tests/platform/test_scheduler.py",
+    "missed_events": "tests/platform/test_devices.py",
+    "reservoir": "tests/platform/test_environment.py",
+    # Makes every fetched row a ``sqlite3.Row``, read by column name.
+    "row_factory": "sqlite3",
+    "writes": "tests/platform/test_devices.py",
+}
+
+
+class TestWriteOnlyAttributes:
+    def test_every_write_only_attribute_is_kept_for_a_reader(self):
+        assert write_only_attributes() == set(KEEP_WRITE_ONLY)
+
+    @pytest.mark.parametrize("name", sorted(KEEP_WRITE_ONLY))
+    def test_the_named_reader_reads_it(self, name):
+        user = KEEP_WRITE_ONLY[name]
+        if user == "sqlite3":
+            assert hasattr(sqlite3.Connection, name)
+        else:
+            assert _scan_file(user)[2][name] > 0
